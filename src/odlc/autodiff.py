@@ -10,10 +10,16 @@ Convolution here means cross-correlation (no kernel flip), the CNN
 convention. Same-padding pads with zeros and produces ceil(H/stride)
 outputs. float32 is the working precision; float64 exists for gradient
 verification.
+
+Memory contract: a VJP closure holds only what its backward rule reads
+(operands, the op's output, small reductions), never scratch buffers. The
+convolution's column matrix (k*k times its input) lives only inside one
+forward call or one VJP call.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -224,30 +230,80 @@ def _same_pad_amount(size: int, k: int, stride: int):
     return out, lo, total - lo
 
 
-def _zero_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int) -> np.ndarray:
-    c, h, w = x.shape
-    out = np.zeros((c, h + pt + pb, w + pl + pr), dtype=x.dtype)
-    out[:, pt : pt + h, pl : pl + w] = x
-    return out
+@functools.lru_cache(maxsize=256)
+def _conv_geometry(h: int, w: int, k: int, s: int, padding: str):
+    """(ho, wo, wq, links) of one convolution shape; wq = wo + (k-1)//s.
+
+    The zero-padded input is split into s*s phases: phase (p, q) holds
+    padded pixel (s*r + p, s*c + q) at grid cell (r, c) of a grid wq wide.
+    ``links`` has one (p, q, grid index, x index) per phase that some tap
+    reads, x index None when the phase holds padding only. Only cells an
+    output window reads are linked; the rest of each grid stays zero.
+    """
+    if padding == "same":
+        ho, pt, _ = _same_pad_amount(h, k, s)
+        wo, pl, _ = _same_pad_amount(w, k, s)
+    else:
+        if h < k or w < k:
+            raise ShapeError(f"conv2d: valid padding needs input >= kernel, got {h}x{w} vs {k}")
+        ho = (h - k) // s + 1
+        wo = (w - k) // s + 1
+        pt = pl = 0
+
+    def span(off, lo, size, n):
+        r0 = max(0, -(-(lo - off) // s))
+        r1 = min(n, (size - 1 + lo - off) // s + 1)
+        src = s * r0 + off - lo
+        return slice(r0, r1), slice(src, src + s * (r1 - r0 - 1) + 1, s), r1 > r0
+
+    m = min(s, k)
+    rows = [span(p, pt, h, ho + (k - 1 - p) // s) for p in range(m)]
+    cols = [span(q, pl, w, wo + (k - 1 - q) // s) for q in range(m)]
+    links = tuple((p, q, (p, q, slice(None), gr, gc),
+                   (slice(None), xr, xc) if has_r and has_c else None)
+                  for p, (gr, xr, has_r) in enumerate(rows)
+                  for q, (gc, xc, has_c) in enumerate(cols))
+    return ho, wo, wo + (k - 1) // s, links
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    c = xp.shape[0]
-    cols = np.empty((c, k, k, ho, wo), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(c * k * k, ho * wo)
+def _phase_buffer(c: int, k: int, s: int, ho: int, wq: int, dtype):
+    """Zeroed flat phase grids (m, m, C, L), m = min(s, k), and their
+    (m, m, C, rows, wq) grid view. L leaves room for the last tap's window."""
+    m, d = min(s, k), (k - 1) // s
+    rows = ho + d
+    buf = np.zeros((m, m, c, rows * wq + d), dtype=dtype)
+    return buf, buf[..., : rows * wq].reshape(m, m, c, rows, wq)
 
 
-def _col2im(dcols: np.ndarray, xp_shape: tuple, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    c = xp_shape[0]
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    dc = dcols.reshape(c, k, k, ho, wo)
-    for i in range(k):
-        for j in range(k):
-            dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dc[:, i, j]
-    return dxp
+def _conv_columns(xd: np.ndarray, k: int, s: int, ho: int, wq: int, links) -> np.ndarray:
+    """Column matrix (C*k*k, ho*wq) of the zero-padded input.
+
+    Each phase grid is flattened, so tap (i, j) reads one contiguous window
+    of ho*wq elements of phase (i % s, j % s), and the taps of one phase
+    form one strided view. Grid columns wo..wq-1 of every row are
+    spill-over that the caller discards.
+    """
+    c, dt, n = xd.shape[0], xd.dtype, ho * wq
+    buf, grids = _phase_buffer(c, k, s, ho, wq, dt)
+    m, length, it = buf.shape[0], buf.shape[3], dt.itemsize
+    cols = np.empty((c, k, k, n), dtype=dt)
+    for p, q, grid, xs in links:
+        if xs is not None:
+            grids[grid] = xd[xs]
+        taps = np.ndarray((c, len(range(p, k, s)), len(range(q, k, s)), n), dt, buf,
+                          (p * m + q) * c * length * it, (length * it, wq * it, it, it))
+        cols[:, p::s, q::s] = taps
+    return cols.reshape(c * k * k, n)
+
+
+def _widen(g: np.ndarray, wq: int) -> np.ndarray:
+    """(C, ho, wo) gradient -> (C, ho*wq) on the wide grid, zero spill-over."""
+    c, ho, wo = g.shape
+    if wq == wo:
+        return g.reshape(c, ho * wo)
+    gw = np.zeros((c, ho, wq), dtype=g.dtype)
+    gw[:, :, :wo] = g
+    return gw.reshape(c, ho * wq)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -256,6 +312,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
     same-padding zero-pads so the output is ceil(H/stride) x ceil(W/stride);
     valid-padding requires the kernel to fit and floors.
+
+    Memory contract: the column matrix (k*k times the input) lives only
+    inside this call or inside one call of the kernel VJP, which rebuilds
+    it. The tape keeps references to ``x.data`` and ``kernel.data`` only.
+    The result may be a view of a slightly wider buffer.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv2d: input must be CHW, got ndim {x.data.ndim}")
@@ -275,48 +336,39 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {c_out} output channels")
     if x.dtype != kernel.dtype:
         raise ShapeError(f"conv2d: input dtype {x.dtype} differs from kernel dtype {kernel.dtype}")
-    k = kh
-
-    if padding == "same":
-        ho, pt, pb = _same_pad_amount(h, k, stride)
-        wo, pl, pr = _same_pad_amount(w, k, stride)
-    elif padding == "valid":
-        if h < k or w < k:
-            raise ShapeError(f"conv2d: valid padding needs input >= kernel, got {h}x{w} vs {k}")
-        ho = (h - k) // stride + 1
-        wo = (w - k) // stride + 1
-        pt = pb = pl = pr = 0
-    else:
+    if padding not in ("same", "valid"):
         raise ShapeError(f"conv2d: padding must be 'same' or 'valid', got {padding!r}")
+    k, s = kh, stride
+    ho, wo, wq, links = _conv_geometry(h, w, k, s, padding)
 
-    if pt or pb or pl or pr:
-        xp = _zero_pad(x.data, pt, pb, pl, pr)
-    else:
-        xp = x.data
-    cols = _im2col(xp, k, stride, ho, wo)
-    kmat = kernel.data.reshape(c_out, c_in * k * k)
-    out_mat = kmat @ cols
+    xd, kd = x.data, kernel.data
+    out_wide = kd.reshape(c_out, c_in * k * k) @ _conv_columns(xd, k, s, ho, wq, links)
+    out_data = out_wide.reshape(c_out, ho, wq)[:, :, :wo]
     if bias is not None:
-        out_mat = out_mat + bias.data[:, None]
-    out = Tensor(out_mat.reshape(c_out, ho, wo))
+        out_data += bias.data[:, None, None]
+    out = Tensor(out_data)
 
     operands = (x, kernel) if bias is None else (x, kernel, bias)
     if active_tape() is None or not any(t.requires_grad for t in operands):
-        return out  # inference: drop the column buffer immediately
-
-    xp_shape = xp.shape
+        return out
 
     def vjp_x(g):
-        gm = g.reshape(c_out, ho * wo)
-        dcols = kmat.T @ gm
-        dxp = _col2im(dcols, xp_shape, k, stride, ho, wo)
-        if pt or pb or pl or pr:
-            return dxp[:, pt : pt + h, pl : pl + w]
-        return dxp
+        n = ho * wq
+        dcols = (kd.reshape(c_out, c_in * k * k).T @ _widen(g, wq)).reshape(c_in, k, k, n)
+        dbuf, grids = _phase_buffer(c_in, k, s, ho, wq, dcols.dtype)
+        for i in range(k):
+            for j in range(k):
+                off = (i // s) * wq + j // s
+                dbuf[i % s, j % s, :, off : off + n] += dcols[:, i, j]
+        dx = np.zeros(xd.shape, dtype=dcols.dtype)
+        for _, _, grid, xs in links:
+            if xs is not None:
+                dx[xs] = grids[grid]
+        return dx
 
     def vjp_k(g):
-        gm = g.reshape(c_out, ho * wo)
-        return (gm @ cols.T).reshape(c_out, c_in, k, k)
+        cols = _conv_columns(xd, k, s, ho, wq, links)
+        return (_widen(g, wq) @ cols.T).reshape(c_out, c_in, k, k)
 
     def vjp_b(g):
         return g.sum(axis=(1, 2))
@@ -341,10 +393,19 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     def fwd(xd):
-        # exp of -|x| never overflows; branchless sign fixup
-        t = np.exp(-np.abs(xd))
+        # exp of -|x| never overflows; branch-free sign fixup as the blend
+        # (1-t)*m + t*(1-m) with m = (x >= 0), exact because m is 0 or 1
+        t = np.abs(xd)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
         t /= 1.0 + t
-        return np.where(xd >= 0, 1.0 - t, t)
+        m = (xd >= 0).astype(xd.dtype)
+        y = 1.0 - t
+        y *= m
+        np.subtract(1.0, m, out=m)
+        m *= t
+        y += m
+        return y
     return _unary(x, fwd, lambda xd, yd: lambda g: g * yd * (1.0 - yd))
 
 

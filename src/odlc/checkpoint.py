@@ -20,6 +20,17 @@ class CheckpointError(ValueError):
     pass
 
 
+class Meta(dict):
+    """Manifest metadata; a missing key is a CheckpointError naming it."""
+
+    def __init__(self, path, items):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key):
+        raise CheckpointError(f"{self.path}: manifest lacks meta key {key!r}")
+
+
 def save(path, kind: str, meta: dict, tensors: dict):
     """tensors: ordered name -> ndarray mapping; stored as float32 LE."""
     table = []
@@ -38,7 +49,8 @@ def save(path, kind: str, meta: dict, tensors: dict):
 
 
 def load(path, expect_kind: str | None = None):
-    """Returns (kind, meta, tensors dict of float32 arrays)."""
+    """Returns (kind, meta, tensors dict of float32 arrays); ``meta`` raises
+    CheckpointError, not KeyError, for a key the manifest lacks."""
     with open(path, "rb") as f:
         header = f.readline()
         if not header.startswith(HEADER_PREFIX):
@@ -50,6 +62,8 @@ def load(path, expect_kind: str | None = None):
             manifest = json.loads(f.readline().decode("utf-8"))
         except ValueError as e:
             raise CheckpointError(f"{path}: bad manifest: {e}") from None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("meta"), dict):
+            raise CheckpointError(f"{path}: bad manifest: no meta object")
         tensors = {}
         for entry in manifest["tensors"]:
             shape = tuple(entry["shape"])
@@ -60,7 +74,7 @@ def load(path, expect_kind: str | None = None):
             if len(raw) != count * 4:
                 raise CheckpointError(f"{path}: truncated tensor data at {entry['name']}")
             tensors[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        return kind, manifest["meta"], tensors
+        return kind, Meta(path, manifest["meta"]), tensors
 
 
 def digest(path) -> str:

@@ -322,6 +322,10 @@ def decompress(bs: Bitstream, params: CodecParams) -> np.ndarray:
         raise BitstreamError(
             f"dimension mismatch: bitstream carries {hdr.c_b} bottleneck channels, "
             f"model expects {params.layout.bottleneck}")
+    if hdr.iterations > params.layout.t_max:
+        raise BitstreamError(
+            f"dimension mismatch: bitstream carries {hdr.iterations} iterations, "
+            f"model is trained for at most {params.layout.t_max}")
     ph, pw = ceil16(hdr.height), ceil16(hdr.width)
     state = CodecState.zeros(params, ph, pw)
     xhat = None

@@ -45,6 +45,67 @@ class TestConv2d:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-5)
 
+    # k in {1,3,5,11} x stride {1,2,3} x same/valid x odd, even, non-square
+    GRID = [(k, s, pad, hw) for k in (1, 3, 5, 11) for s in (1, 2, 3)
+            for pad in ("same", "valid") for hw in ((11, 11), (12, 12), (11, 16), (14, 13))]
+
+    @staticmethod
+    def _case(k, stride, hw):
+        rng = np.random.default_rng(1000 * k + 10 * stride + hw[0] + 7 * hw[1])
+        x = rng.standard_normal((2,) + hw)
+        kern = rng.standard_normal((3, 2, k, k))
+        return rng, x, kern
+
+    @pytest.mark.parametrize("k,stride,padding,hw", GRID)
+    def test_forward_matches_oracle(self, k, stride, padding, hw):
+        rng, x, kern = self._case(k, stride, hw)
+        b = rng.standard_normal(3)
+        got = ad.conv2d(t(x), t(kern), t(b), stride=stride, padding=padding).data
+        want = conv2d_direct(x, kern, b, stride=stride, padding=padding)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("k,stride,padding,hw", GRID)
+    def test_vjps_satisfy_adjoint_identity(self, k, stride, padding, hw):
+        # conv is bilinear: <conv(x,K), g> = <x, vjp_x(g)> = <K, vjp_k(g)>
+        rng, x, kern = self._case(k, stride, hw)
+        xt = ad.Tensor(x, requires_grad=True)
+        kt = ad.Tensor(kern, requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.conv2d(xt, kt, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        (_, _, (vjp_x, vjp_k)), = tape.records
+        dx, dk = vjp_x(g), vjp_k(g)
+        assert dx.shape == x.shape and dk.shape == kern.shape
+        lhs = float(np.sum(out.data * g))
+        assert float(np.sum(x * dx)) == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+        assert float(np.sum(kern * dk)) == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (1, "valid"), (2, "same"), (3, "same")])
+    def test_tape_keeps_no_column_matrix(self, stride, padding):
+        # the VJP closures may hold x.data and the kernel, never the k*k
+        # times larger column matrix or the padded input
+        rng = np.random.default_rng(stride)
+        x = ad.Tensor(rng.random((4, 16, 16), dtype=np.float32), requires_grad=True)
+        kern = ad.Tensor(rng.random((5, 4, 3, 3), dtype=np.float32), requires_grad=True)
+        bias = ad.Tensor(np.zeros(5, dtype=np.float32), requires_grad=True)
+        with ad.Tape() as tape:
+            ad.conv2d(x, kern, bias, stride=stride, padding=padding)
+        (_, _, vjps), = tape.records
+        held, seen, todo = {}, set(), list(vjps)
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                held[id(obj)] = obj.nbytes
+            elif isinstance(obj, (tuple, list)):
+                todo.extend(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                todo.extend(cell.cell_contents for cell in obj.__closure__)
+        assert sum(held.values()) <= x.data.nbytes + kern.data.nbytes
+
     def test_same_padding_output_size(self):
         x = t(np.zeros((1, 7, 5)))
         k = t(np.zeros((1, 1, 3, 3)))
@@ -128,6 +189,25 @@ class TestDepthToSpace:
     def test_non_divisible_channels_rejected(self):
         with pytest.raises(ad.ShapeError, match="not divisible"):
             ad.depth_to_space(t(np.zeros((6, 2, 2))), 2)
+
+
+class TestSigmoid:
+    @staticmethod
+    def _where_formula(xd):
+        t = np.exp(-np.abs(xd))
+        t /= 1.0 + t
+        return np.where(xd >= 0, 1.0 - t, t)
+
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_blend_matches_where_bit_for_bit(self, dtype, uint):
+        rng = np.random.default_rng(41)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30,
+                            88.0, -88.0, 800.0, -800.0], dtype=dtype)
+        for xd in (special, (rng.standard_normal((64, 16, 16)) * 6).astype(dtype)):
+            got = ad.sigmoid(ad.Tensor(xd)).data
+            want = self._where_formula(xd)
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got.view(uint), want.view(uint))
 
 
 class TestElementwise:

@@ -1,9 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from odlc import cli, configio, ppm
+from odlc import bitstream, checkpoint, cli, configio, ppm
 from odlc.codec import CodecLayout, CodecParams, compress
 from odlc.lossnet import ClassifierLayout, ClassifierParams
 
@@ -67,6 +68,31 @@ class TestCliBasics:
                  "--model", str(model), "--iters", "2", "--out", str(tmp_path / "o"))
         assert rc == 1
         assert "compress" in capsys.readouterr().err
+
+    def test_decompress_beyond_t_max_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "m.ckpt"
+        CodecParams(replace(MICRO, t_max=2), seed=0).save(model)
+        bs_path = tmp_path / "x.odlc"
+        img = np.random.default_rng(0).random((3, 32, 32), dtype=np.float32)
+        bitstream.write_file(bs_path, compress(img, 5, CodecParams(MICRO, seed=0)))
+        rc = run("decompress", "--in", str(bs_path), "--model", str(model),
+                 "--out", str(tmp_path / "y.ppm"))
+        assert rc == 1
+        assert "5 iterations" in capsys.readouterr().err
+        assert not (tmp_path / "y.ppm").exists()
+
+    def test_checkpoint_missing_meta_key_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "m.ckpt"
+        CodecParams(MICRO, seed=0).save(model)
+        _, meta, tensors = checkpoint.load(model)
+        del meta["t_max"]
+        checkpoint.save(model, "codec", meta, tensors)
+        src = tmp_path / "x.ppm"
+        ppm.write_ppm(src, np.zeros((3, 32, 32), dtype=np.float32))
+        rc = run("compress", "--in", str(src), "--model", str(model), "--iters", "1",
+                 "--out", str(tmp_path / "o"))
+        assert rc == 1
+        assert "meta key 't_max'" in capsys.readouterr().err
 
 
 class TestGenData:

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from odlc import autodiff as ad
+from odlc import checkpoint as ckpt
 from odlc import codec
 from odlc.bitstream import Bitstream, BitstreamError, BitstreamHeader, pack_bits, unpack_bits
 
@@ -205,6 +208,21 @@ class TestCompressDecompress:
         bs = codec.compress(image(0), 1, p32)
         with pytest.raises(BitstreamError, match="dimension mismatch"):
             codec.decompress(bs, params)
+
+    def test_iterations_beyond_t_max_rejected(self):
+        bs = codec.compress(image(0), 5, codec.CodecParams(MICRO, seed=0))
+        short = codec.CodecParams(replace(MICRO, t_max=2), seed=0)
+        with pytest.raises(BitstreamError, match="5 iterations.*at most 2"):
+            codec.decompress(bs, short)
+
+    def test_missing_meta_key_names_it(self, params, tmp_path):
+        path = tmp_path / "codec.ckpt"
+        params.save(path)
+        _, meta, tensors = ckpt.load(path)
+        del meta["t_max"]
+        ckpt.save(path, "codec", meta, tensors)
+        with pytest.raises(ckpt.CheckpointError, match="meta key 't_max'"):
+            codec.CodecParams.load(path)
 
     def test_save_load_round_trip(self, params, tmp_path):
         path = tmp_path / "codec.ckpt"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from odlc import autodiff as ad
+from odlc import checkpoint as ckpt
 from odlc import lossnet, trainer
 from odlc.datasets import ShapesDataset, ShapesSpec
 from oracles import conv2d_direct
@@ -154,3 +155,12 @@ class TestPersistence:
         assert lossnet.classify(x, net)[0] == lossnet.classify(x, again)[0]
         np.testing.assert_allclose(lossnet.classify(x, net)[1],
                                    lossnet.classify(x, again)[1], rtol=1e-6)
+
+    def test_missing_meta_key_names_it(self, net, tmp_path):
+        path = tmp_path / "cls.ckpt"
+        net.save(path)
+        _, meta, tensors = ckpt.load(path)
+        del meta["classes"]
+        ckpt.save(path, "classifier", meta, tensors)
+        with pytest.raises(ckpt.CheckpointError, match="meta key 'classes'"):
+            lossnet.ClassifierParams.load(path)
