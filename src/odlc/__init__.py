@@ -19,5 +19,5 @@ from .losses import (  # noqa: F401
     LossConfig, feature_distortion, human_distortion, ms_ssim,
     observer_distortion, ssim_scale,
 )
-from .lossnet import ClassifierLayout, ClassifierParams, classify, forward_features  # noqa: F401
+from .lossnet import ClassifierLayout, ClassifierParams, classify  # noqa: F401
 from .trainer import Adam, TrainConfig, preprocess, train_codec  # noqa: F401

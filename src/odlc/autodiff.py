@@ -27,11 +27,10 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Parameter", "Tape", "ShapeError", "backward", "record_op",
-    "conv2d", "conv_gru_cell", "GruParams", "depth_to_space", "space_to_depth",
+    "conv2d", "conv_gru_cell", "GruParams", "depth_to_space",
     "tanh", "sigmoid", "relu", "add", "sub", "mul", "div", "scale", "add_const",
     "square", "pow_const", "clamp_min", "mean", "avg_pool2", "global_avg_pool",
-    "dense", "reshape", "channel_affine", "cross_entropy_logits", "elementwise",
-    "xavier_uniform",
+    "dense", "channel_affine", "cross_entropy_logits", "xavier_uniform",
 ]
 
 FLOAT_DTYPES = (np.float32, np.float64)
@@ -126,9 +125,6 @@ class Parameter:
 
     def freeze(self):
         self.tensor.requires_grad = False
-
-    def unfreeze(self):
-        self.tensor.requires_grad = True
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
@@ -516,12 +512,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return record_op(out, (x,), (vjp,))
 
 
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    orig = x.shape
-    return record_op(out, (x,), (lambda g: g.reshape(orig),))
-
-
 def channel_affine(x: Tensor, mul_c: np.ndarray, add_c: np.ndarray) -> Tensor:
     """Per-channel y = x * mul_c + add_c on a CHW tensor; the per-channel
     constants are not differentiated (used for image (de)normalization)."""
@@ -569,27 +559,6 @@ def cross_entropy_logits(logits: Tensor, label: int) -> Tensor:
     return record_op(out, (logits,), (vjp,))
 
 
-# spec-facing dispatcher for the core elementwise kinds
-ELEMENTWISE = {
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "square": square,
-    "mean": mean,
-}
-
-
-def elementwise(kind: str, *operands):
-    try:
-        fn = ELEMENTWISE[kind]
-    except KeyError:
-        raise ShapeError(f"elementwise: unknown kind {kind!r}") from None
-    return fn(*operands)
-
-
 # ---------------------------------------------------------------------------
 # pixel shuffle
 
@@ -617,23 +586,6 @@ def _s2d_data(arr: np.ndarray, r: int) -> np.ndarray:
     ho, wo = h // r, w // r
     out = arr.reshape(c, ho, r, wo, r).transpose(0, 2, 4, 1, 3).reshape(c * r * r, ho, wo)
     return np.ascontiguousarray(out)
-
-
-def space_to_depth(x: Tensor, r: int) -> Tensor:
-    """Exact inverse of depth_to_space."""
-    c, h, w = x.shape
-    if r < 1:
-        raise ShapeError(f"space_to_depth: factor must be >= 1, got {r}")
-    if h % r != 0 or w % r != 0:
-        raise ShapeError(f"space_to_depth: spatial dims {h}x{w} not divisible by {r}")
-    out = Tensor(_s2d_data(x.data, r))
-    co, ho, wo = out.shape
-
-    def vjp(g):
-        back = g.reshape(c, r, r, h // r, w // r).transpose(0, 3, 1, 4, 2).reshape(c, h, w)
-        return np.ascontiguousarray(back)
-
-    return record_op(out, (x,), (vjp,))
 
 
 # ---------------------------------------------------------------------------

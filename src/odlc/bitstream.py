@@ -2,9 +2,9 @@
 
 Layout: magic "ODLC", version byte (=1), u16 width, u16 height (true
 pre-padding dimensions, little-endian), u8 iteration count, u8 bottleneck
-channels, u8 mode flags, then the payload bits packed MSB-first in
-(iteration, channel, row, column) order with +1 -> bit 1, zero-padded to
-a byte boundary. Reported bpp covers the payload only.
+channels, one reserved byte that must be zero, then the payload bits
+packed MSB-first in (iteration, channel, row, column) order with +1 -> bit
+1, zero-padded to a byte boundary. Reported bpp covers the payload only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ MAGIC = b"ODLC"
 VERSION = 1
 HEADER_FMT = "<4sBHHBBB"
 HEADER_LEN = struct.calcsize(HEADER_FMT)
-FLAG_STOCHASTIC = 0x01
 
 
 class BitstreamError(ValueError):
@@ -61,7 +60,6 @@ class BitstreamHeader:
     height: int
     iterations: int
     c_b: int
-    flags: int = 0
     version: int = VERSION
 
     def validate(self):
@@ -93,16 +91,18 @@ class BitstreamHeader:
     def to_bytes(self) -> bytes:
         self.validate()
         return struct.pack(HEADER_FMT, MAGIC, self.version, self.width,
-                           self.height, self.iterations, self.c_b, self.flags)
+                           self.height, self.iterations, self.c_b, 0)
 
     @staticmethod
     def from_bytes(data: bytes) -> "BitstreamHeader":
         if len(data) < HEADER_LEN:
             raise BitstreamError(f"truncated payload: {len(data)} bytes is shorter than the {HEADER_LEN}-byte header")
-        magic, ver, w, h, t, cb, flags = struct.unpack_from(HEADER_FMT, data)
+        magic, ver, w, h, t, cb, reserved = struct.unpack_from(HEADER_FMT, data)
         if magic != MAGIC:
             raise BitstreamError(f"not an ODLC bitstream (magic {magic!r})")
-        hdr = BitstreamHeader(width=w, height=h, iterations=t, c_b=cb, flags=flags, version=ver)
+        if reserved != 0:
+            raise BitstreamError(f"reserved header byte is {reserved:#04x}, expected 0")
+        hdr = BitstreamHeader(width=w, height=h, iterations=t, c_b=cb, version=ver)
         hdr.validate()
         return hdr
 
@@ -148,10 +148,9 @@ class Bitstream:
         return [flat[t * per : (t + 1) * per].reshape(shape) for t in range(h.iterations)]
 
     @staticmethod
-    def from_codes(codes, width: int, height: int, flags: int = 0) -> "Bitstream":
+    def from_codes(codes, width: int, height: int) -> "Bitstream":
         c_b = int(codes[0].shape[0])
-        hdr = BitstreamHeader(width=width, height=height, iterations=len(codes),
-                              c_b=c_b, flags=flags)
+        hdr = BitstreamHeader(width=width, height=height, iterations=len(codes), c_b=c_b)
         for i, arr in enumerate(codes):
             if arr.shape != (c_b, hdr.code_height, hdr.code_width):
                 raise BitstreamError(

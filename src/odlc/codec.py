@@ -115,29 +115,11 @@ class CodecParams:
     # -- persistence ------------------------------------------------------
 
     def save(self, path):
-        meta = {
-            "enc_widths": list(self.layout.enc_widths),
-            "dec_widths": list(self.layout.dec_widths),
-            "bottleneck": self.layout.bottleneck,
-            "kernel": self.layout.kernel,
-            "t_max": self.layout.t_max,
-            "norm_mean": [float(v) for v in self.norm_mean],
-            "norm_std": [float(v) for v in self.norm_std],
-        }
-        ckpt.save(path, "codec", meta, {p.name: p.value for p in self.parameters()})
+        ckpt.save_params(path, "codec", self)
 
     @staticmethod
     def load(path) -> "CodecParams":
-        _, meta, tensors = ckpt.load(path, expect_kind="codec")
-        layout = CodecLayout(
-            enc_widths=tuple(meta["enc_widths"]), dec_widths=tuple(meta["dec_widths"]),
-            bottleneck=meta["bottleneck"], kernel=meta["kernel"], t_max=meta["t_max"])
-        params = CodecParams(layout, norm_mean=meta["norm_mean"], norm_std=meta["norm_std"])
-        for p in params.parameters():
-            if p.name not in tensors:
-                raise ckpt.CheckpointError(f"{path}: missing tensor {p.name}")
-            p.value = tensors[p.name]
-        return params
+        return ckpt.load_params(path, "codec", CodecParams, CodecLayout)
 
 
 @dataclass
@@ -312,7 +294,7 @@ def compress(x: np.ndarray, iterations: int, params: CodecParams) -> Bitstream:
                          f"1..{params.layout.t_max}")
     trace = reconstruct_progressive(x, iterations, params, mode="deterministic")
     codes = [c.data for c in trace.codes]
-    return Bitstream.from_codes(codes, width=w, height=h, flags=0)
+    return Bitstream.from_codes(codes, width=w, height=h)
 
 
 def decompress(bs: Bitstream, params: CodecParams) -> np.ndarray:

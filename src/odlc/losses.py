@@ -5,7 +5,10 @@ Three quantities, all differentiable scalar tensors:
   human_distortion     1 - MS-SSIM, computed on BT.601 luma of [0,1] images
   feature_distortion   size-normalized squared feature error under a frozen
                        classifier: sum_i ||phi_i(x) - phi_i(y)||^2 / (H W C)_i
-  observer_distortion  (1-a) * lambda_h * human + a * feature, a in [0,1]
+  observer_distortion  (1-a) * lambda_h * human + a * feature, a in [0,1];
+                       the one home of the objective, returned as the tuple
+                       (total, human, feature) with None for a component
+                       the objective leaves out
 
 The SSIM statistics use an 11x11 Gaussian window (sigma 1.5) with valid
 placement; MS-SSIM multiplies contrast/structure means across scales with
@@ -195,19 +198,22 @@ def feature_distortion(x, y, lossnet, layer_ids) -> Tensor:
     return total
 
 
-def observer_distortion(x, y, cfg: LossConfig, lossnet=None) -> Tensor:
-    """(1-alpha) * lambda_h * d_human + alpha * d_feature.
+def observer_distortion(x, y, cfg: LossConfig, lossnet=None):
+    """(total, d_human, d_feature), total = (1-alpha) * lambda_h * d_human
+    + alpha * d_feature.
 
-    The endpoints evaluate only their own branch: alpha=0 never touches
-    the lossnet, alpha=1 never computes MS-SSIM.
+    A component outside the objective is None and never evaluated: alpha=0
+    never touches the lossnet, alpha=1 never computes MS-SSIM.
     """
-    if cfg.alpha == 0.0:
-        return ad.scale(human_distortion(x, y, cfg), cfg.lambda_h)
-    if lossnet is None:
+    if cfg.alpha > 0.0 and lossnet is None:
         raise LossError("observer_distortion: alpha > 0 needs a lossnet")
-    d_c = feature_distortion(x, y, lossnet, cfg.layer_ids)
-    if cfg.alpha == 1.0:
-        return d_c
-    d_h = human_distortion(x, y, cfg)
-    return ad.add(ad.scale(d_h, (1.0 - cfg.alpha) * cfg.lambda_h),
-                  ad.scale(d_c, cfg.alpha))
+    d_h = human_distortion(x, y, cfg) if cfg.alpha < 1.0 else None
+    d_c = feature_distortion(x, y, lossnet, cfg.layer_ids) if cfg.alpha > 0.0 else None
+    if d_c is None:
+        total = ad.scale(d_h, cfg.lambda_h)
+    elif d_h is None:
+        total = d_c
+    else:
+        total = ad.add(ad.scale(d_h, (1.0 - cfg.alpha) * cfg.lambda_h),
+                       ad.scale(d_c, cfg.alpha))
+    return total, d_h, d_c

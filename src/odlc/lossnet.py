@@ -35,12 +35,6 @@ class ClassifierLayout:
     input_resolution: int = 56
 
 
-@dataclass
-class FeatureMap:
-    layer_id: str
-    tensor: Tensor
-
-
 class ClassifierParams:
     def __init__(self, layout: ClassifierLayout, seed: int = 0,
                  norm_mean=None, norm_std=None, dtype=np.float32):
@@ -81,15 +75,22 @@ class ClassifierParams:
         for p in self.parameters():
             p.freeze()
 
-    def unfreeze(self):
-        for p in self.parameters():
-            p.unfreeze()
-
     # -- forward ----------------------------------------------------------
 
     def _normalize(self, x: Tensor) -> Tensor:
         inv = 1.0 / self.norm_std
         return ad.channel_affine(x, inv, -self.norm_mean * inv)
+
+    def _block_outputs(self, x):
+        """Yields each block's post-activation output, in block order."""
+        if not isinstance(x, Tensor):
+            x = Tensor(np.asarray(x, dtype=self.dtype))
+        t = self._normalize(x)
+        for i, (kern, bias) in enumerate(self.blocks):
+            t = ad.relu(ad.conv2d(t, kern.tensor, bias.tensor))
+            yield t
+            if i != len(self.blocks) - 1:
+                t = ad.avg_pool2(t)
 
     def features(self, x, layer_ids) -> list:
         """Post-activation feature tensors for the requested "i.j" taps,
@@ -98,64 +99,25 @@ class ClassifierParams:
         for lid in layer_ids:
             if lid not in names:
                 raise LossnetError(f"unknown layer id {lid!r}; declared layers: {list(names)}")
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.dtype))
-        wanted = set(layer_ids)
-        taps = {}
-        t = self._normalize(x)
-        for i, (kern, bias) in enumerate(self.blocks):
-            t = ad.relu(ad.conv2d(t, kern.tensor, bias.tensor))
-            name = f"{i+1}.1"
-            if name in wanted:
-                taps[name] = t
-            if i != len(self.blocks) - 1:
-                t = ad.avg_pool2(t)
+        taps = dict(zip(names, self._block_outputs(x)))
         return [taps[lid] for lid in layer_ids]
 
     def logits(self, x) -> Tensor:
         """Head logits as a tensor (differentiable path for training)."""
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=self.dtype))
-        t = self._normalize(x)
-        for i, (kern, bias) in enumerate(self.blocks):
-            t = ad.relu(ad.conv2d(t, kern.tensor, bias.tensor))
-            if i != len(self.blocks) - 1:
-                t = ad.avg_pool2(t)
+        *_, t = self._block_outputs(x)
         pooled = ad.global_avg_pool(t)
         return ad.dense(pooled, self.head_w.tensor, self.head_b.tensor)
 
     # -- persistence ------------------------------------------------------
 
     def save(self, path):
-        meta = {
-            "widths": list(self.layout.widths),
-            "kernel": self.layout.kernel,
-            "classes": self.layout.classes,
-            "input_resolution": self.layout.input_resolution,
-            "norm_mean": [float(v) for v in self.norm_mean],
-            "norm_std": [float(v) for v in self.norm_std],
-        }
-        ckpt.save(path, "classifier", meta, {p.name: p.value for p in self.parameters()})
+        ckpt.save_params(path, "classifier", self)
 
     @staticmethod
     def load(path) -> "ClassifierParams":
-        _, meta, tensors = ckpt.load(path, expect_kind="classifier")
-        layout = ClassifierLayout(widths=tuple(meta["widths"]), kernel=meta["kernel"],
-                                  classes=meta["classes"],
-                                  input_resolution=meta["input_resolution"])
-        params = ClassifierParams(layout, norm_mean=meta["norm_mean"], norm_std=meta["norm_std"])
-        for p in params.parameters():
-            if p.name not in tensors:
-                raise ckpt.CheckpointError(f"{path}: missing tensor {p.name}")
-            p.value = tensors[p.name]
+        params = ckpt.load_params(path, "classifier", ClassifierParams, ClassifierLayout)
         params.freeze()
         return params
-
-
-def forward_features(x, params: ClassifierParams, layer_ids) -> list:
-    """FeatureMap list for the requested taps (module-level surface)."""
-    tensors = params.features(x, layer_ids)
-    return [FeatureMap(layer_id=lid, tensor=t) for lid, t in zip(layer_ids, tensors)]
 
 
 def classify(x, params: ClassifierParams):

@@ -19,7 +19,8 @@ from . import autodiff as ad
 from . import imageops, losses
 from .autodiff import Parameter, Tensor
 from .bitstream import ceil16
-from .codec import CodecLayout, CodecParams, progressive_from_normalized
+from .codec import (CodecLayout, CodecParams, progressive_from_normalized,
+                    reconstruct_progressive)
 
 TRAIN_LOG_HEADER = ("step", "loss", "d_H", "d_C", "lr", "wall_time")
 VAL_LOG_HEADER = ("step", "val_loss", "val_msssim")
@@ -179,7 +180,6 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
     distortion terms plus d_H / d_C component means (nan when a component
     is not part of the objective).
     """
-    alpha = loss_cfg.alpha
     x01_t = Tensor(x01_padded.astype(params.dtype))
     xn = Tensor(imageops.normalize(x01_padded, params.norm_mean, params.norm_std)
                 .astype(params.dtype))
@@ -189,19 +189,10 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
     dh_vals, dc_vals = [], []
     for recon in trace.reconstructions:
         y01 = ad.channel_affine(recon, inv, params.norm_mean)  # denorm, unclamped
-        if alpha == 0.0:
-            d_h = losses.human_distortion(x01_t, y01, loss_cfg)
-            term = ad.scale(d_h, loss_cfg.lambda_h)
+        term, d_h, d_c = losses.observer_distortion(x01_t, y01, loss_cfg, lossnet)
+        if d_h is not None:
             dh_vals.append(d_h.item())
-        elif alpha == 1.0:
-            term = losses.feature_distortion(x01_t, y01, lossnet, loss_cfg.layer_ids)
-            dc_vals.append(term.item())
-        else:
-            d_h = losses.human_distortion(x01_t, y01, loss_cfg)
-            d_c = losses.feature_distortion(x01_t, y01, lossnet, loss_cfg.layer_ids)
-            term = ad.add(ad.scale(d_h, (1.0 - alpha) * loss_cfg.lambda_h),
-                          ad.scale(d_c, alpha))
-            dh_vals.append(d_h.item())
+        if d_c is not None:
             dc_vals.append(d_c.item())
         terms.append(term)
     total = terms[0]
@@ -217,19 +208,23 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
     return loss, info
 
 
-def _val_probe(val_set, params, cfg, loss_cfg, limit: int = 16):
-    """Mean MS-SSIM of deterministic reconstructions on a small val slice."""
+def _val_probe(val_set, params, cfg, loss_cfg, lossnet=None, limit: int = 16):
+    """(val_loss, val_msssim) of deterministic reconstructions on a small val
+    slice: the training objective averaged over the unrolled steps, and the
+    MS-SSIM of the last step, each a mean over the slice."""
     n = min(len(val_set), limit)
     if n == 0:
-        return float("nan")
-    scores = []
+        return float("nan"), float("nan")
+    objective, scores = [], []
     for i in range(n):
         img = augment_geometry(val_set.image(i), "val", None, cfg)
-        from .codec import reconstruct_progressive
         trace = reconstruct_progressive(img, cfg.unroll_steps, params, mode="deterministic")
         m_cfg = loss_cfg.for_min_side(min(img.shape[1:]))
+        objective.append(np.mean([
+            losses.observer_distortion(img, trace.decoded(t), m_cfg, lossnet)[0].item()
+            for t in range(1, trace.iterations + 1)]))
         scores.append(losses.ms_ssim(img, trace.decoded(), m_cfg).item())
-    return float(np.mean(scores))
+    return float(np.mean(objective)), float(np.mean(scores))
 
 
 def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfig,
@@ -310,8 +305,7 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
             if progress is not None:
                 progress(step, log[-1])
             if cfg.val_interval and step % cfg.val_interval == 0:
-                val_log.append((step, batch_loss / cfg.batch_size,
-                                _val_probe(val_set, params, cfg, loss_cfg)))
+                val_log.append((step, *_val_probe(val_set, params, cfg, loss_cfg, lossnet)))
         emit_checkpoint(f"epoch{epoch + 1}")
     emit_checkpoint("final")
     if out_dir is not None:

@@ -1,0 +1,169 @@
+"""Behaviour lock: sha256 digests of everything a refactor must keep.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tests/behaviour_lock.py > lock.txt
+
+and diff the output of two trees. Each line is "<digest> <what>". The
+script uses only long-standing public names (no private helpers), so it
+runs unchanged on older and newer trees. pytest does not collect it.
+
+Covered: seeded codec and classifier checkpoints (and save -> load ->
+save); bitstreams and decodes of 64 px and 256 px images at T = 1..8;
+the eval-quality, eval-accuracy and sweep CSVs of two small seeded codec
+checkpoints; step_loss losses, d_H / d_C and every codec gradient at
+alpha in {0, 0.5, 1}; and the checkpoints of 3-step train_codec runs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from odlc import autodiff as ad
+from odlc import bitstream, cli, codec, losses, trainer
+from odlc.codec import CodecLayout, CodecParams
+from odlc.datasets import ShapesDataset, ShapesSpec
+from odlc.lossnet import ClassifierLayout, ClassifierParams
+
+MICRO = CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4), bottleneck=4, t_max=8)
+NORM = ([0.45, 0.5, 0.55], [0.25, 0.3, 0.2])
+ALPHAS = (0.0, 0.5, 1.0)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_sha(path) -> str:
+    with open(path, "rb") as f:
+        return sha(f.read())
+
+
+def emit(digest: str, what: str):
+    print(f"{digest} {what}", flush=True)
+
+
+def image(seed: int, res: int) -> np.ndarray:
+    return np.random.default_rng(seed).random((3, res, res), dtype=np.float32)
+
+
+def lock_checkpoints(tmp):
+    for seed in (0, 1):
+        for kind, params in (
+                ("codec", CodecParams(CodecLayout(), seed=seed, norm_mean=NORM[0],
+                                      norm_std=NORM[1])),
+                ("classifier", ClassifierParams(ClassifierLayout(), seed=seed,
+                                                norm_mean=NORM[0], norm_std=NORM[1]))):
+            a, b = os.path.join(tmp, f"{kind}{seed}.ckpt"), os.path.join(tmp, "again.ckpt")
+            params.save(a)
+            type(params).load(a).save(b)
+            emit(file_sha(a), f"checkpoint {kind} seed={seed}")
+            emit(file_sha(b), f"checkpoint {kind} seed={seed} save-load-save")
+
+
+def lock_bitstreams(label, params, res, seeds):
+    for seed in seeds:
+        x = image(100 + seed, res)
+        for t in range(1, 9):
+            bs = codec.compress(x, t, params)
+            raw = bs.to_bytes()
+            emit(sha(raw), f"bitstream {label} {res}px img={seed} T={t}")
+            out = codec.decompress(bitstream.Bitstream.from_bytes(raw), params)
+            emit(sha(out.tobytes()), f"decode {label} {res}px img={seed} T={t}")
+
+
+def frozen_lossnet() -> ClassifierParams:
+    net = ClassifierParams(ClassifierLayout(), seed=11)
+    net.freeze()
+    return net
+
+
+def lock_step_loss(net):
+    x = image(7, 32)
+    for alpha in ALPHAS:
+        cfg = losses.LossConfig(alpha=alpha)
+        if alpha < 1.0:
+            cfg = cfg.for_min_side(32)
+        params = CodecParams(MICRO, seed=3, norm_mean=NORM[0], norm_std=NORM[1])
+        params.zero_grads()
+        with ad.Tape() as tape:
+            loss, info = trainer.step_loss(x, 3, params, cfg, lossnet=net,
+                                           rng=np.random.default_rng(5))
+        ad.backward(loss, tape)
+        comps = np.array([loss.item(), info["d_h"], info["d_c"]], dtype=np.float64)
+        emit(sha(loss.data.tobytes()), f"step_loss alpha={alpha} loss={loss.item()!r}")
+        emit(sha(comps.tobytes()), f"step_loss alpha={alpha} d_h={info['d_h']!r} "
+                                   f"d_c={info['d_c']!r}")
+        grads = hashlib.sha256()
+        for p in params.parameters():
+            grads.update(p.name.encode() + b"\0" + p.grad.tobytes())
+        emit(grads.hexdigest(), f"step_loss alpha={alpha} codec gradients")
+
+
+def train_briefly(net, alpha, tmp) -> CodecParams:
+    ds = ShapesDataset(ShapesSpec(seed=4, split="train", size=6, classes=10, resolution=32))
+    cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, unroll_steps=2, epochs=1,
+                                   batch_size=2, val_interval=0, seed=9)
+    params, log, _ = trainer.train_codec(ds, ds, losses.LossConfig(alpha=alpha), cfg,
+                                         lossnet=net if alpha > 0 else None, layout=MICRO)
+    path = os.path.join(tmp, f"trained{alpha}.ckpt")
+    params.save(path)
+    emit(file_sha(path), f"train_codec alpha={alpha} checkpoint ({len(log)} steps)")
+    return params
+
+
+def run_cli(*argv):
+    with contextlib.redirect_stdout(sys.stderr):  # keep stdout to digest lines
+        rc = cli.main(list(argv))
+    if rc != 0:
+        raise SystemExit(f"odlc {argv[0]} exited {rc}")
+
+
+def lock_eval_csvs(tmp):
+    a = os.path.join(tmp, "eval_a.ckpt")
+    b = os.path.join(tmp, "eval_b.ckpt")
+    cls = os.path.join(tmp, "eval_cls.ckpt")
+    CodecParams(MICRO, seed=21, norm_mean=NORM[0], norm_std=NORM[1]).save(a)
+    CodecParams(MICRO, seed=22).save(b)
+    ClassifierParams(ClassifierLayout(), seed=23).save(cls)
+    data = "shapes:seed=6,split=val,n=4,classes=10,res=64"
+    out = os.path.join(tmp, "quality.csv")
+    run_cli("eval-quality", "--model", a, "--data", data, "--out", out, "--grid", "1,2,3")
+    emit(file_sha(out), "eval-quality csv")
+    out = os.path.join(tmp, "accuracy.csv")
+    run_cli("eval-accuracy", "--model", a, "--classifier", cls, "--data", data,
+            "--out", out, "--grid", "1,2,3")
+    for name in sorted(os.listdir(tmp)):
+        if name.startswith("accuracy") and name.endswith(".csv"):
+            emit(file_sha(os.path.join(tmp, name)), f"eval-accuracy {name}")
+    out = os.path.join(tmp, "sweep.csv")
+    run_cli("sweep", "--models", f"0={a},1={b}", "--classifier", cls, "--data", data,
+            "--out", out, "--iters", "1,2,3")
+    emit(file_sha(out), "sweep csv")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        lock_checkpoints(tmp)
+        full = [CodecParams(CodecLayout(), seed=s, norm_mean=NORM[0], norm_std=NORM[1])
+                for s in (0, 1)]
+        for i, params in enumerate(full):
+            lock_bitstreams(f"seeded{i}", params, 64, (0, 1))
+        lock_bitstreams("seeded0", full[0], 256, (0,))
+        net = frozen_lossnet()
+        lock_step_loss(net)
+        for alpha in ALPHAS:
+            trained = train_briefly(net, alpha, tmp)
+            lock_bitstreams(f"trained{alpha}", trained, 64, (0,))
+        lock_eval_csvs(tmp)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

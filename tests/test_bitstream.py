@@ -30,7 +30,7 @@ class TestPackBits:
 
 class TestHeader:
     def test_layout_golden(self):
-        hdr = bsm.BitstreamHeader(width=300, height=200, iterations=4, c_b=32, flags=0)
+        hdr = bsm.BitstreamHeader(width=300, height=200, iterations=4, c_b=32)
         raw = hdr.to_bytes()
         assert raw[:4] == b"ODLC"
         assert raw[4] == 1
@@ -40,9 +40,17 @@ class TestHeader:
         assert len(raw) == bsm.HEADER_LEN == 12
 
     def test_parse_round_trip(self):
-        hdr = bsm.BitstreamHeader(width=65535, height=1, iterations=255, c_b=7, flags=1)
+        hdr = bsm.BitstreamHeader(width=65535, height=1, iterations=255, c_b=7)
         back = bsm.BitstreamHeader.from_bytes(hdr.to_bytes())
         assert back == hdr
+
+    @pytest.mark.parametrize("reserved", [0x01, 0xFF])
+    def test_reserved_byte_must_be_zero(self, reserved):
+        raw = bytearray(bsm.BitstreamHeader(width=16, height=16, iterations=1, c_b=2).to_bytes())
+        assert raw[11] == 0
+        raw[11] = reserved
+        with pytest.raises(bsm.BitstreamError, match="reserved header byte"):
+            bsm.BitstreamHeader.from_bytes(bytes(raw))
 
     def test_version_mismatch_distinct(self):
         raw = bytearray(bsm.BitstreamHeader(width=16, height=16, iterations=1, c_b=2).to_bytes())

@@ -94,6 +94,38 @@ class TestCliBasics:
         assert rc == 1
         assert "meta key 't_max'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", [
+        b'{"meta":{}}',                                                 # no tensor table
+        b'{"meta":{},"tensors":{"w":[1]}}',                             # table not a list
+        b'{"meta":{},"tensors":[{"name":"w","dtype":"f32"}]}',          # entry without shape
+        b'{"meta":{},"tensors":[{"name":"w","shape":[-1],"dtype":"f32"}]}',
+        b'{"meta":{},"tensors":[{"name":"w","shape":[1099511627776],"dtype":"f32"}]}',
+    ])
+    def test_malformed_checkpoint_exits_1(self, manifest, tmp_path, capsys):
+        model = tmp_path / "bad.ckpt"
+        model.write_bytes(checkpoint.HEADER_PREFIX + b"codec\n" + manifest + b"\n" + bytes(4))
+        src = tmp_path / "x.ppm"
+        ppm.write_ppm(src, np.zeros((3, 32, 32), dtype=np.float32))
+        rc = run("compress", "--in", str(src), "--model", str(model), "--iters", "1",
+                 "--out", str(tmp_path / "o"))
+        assert rc == 1
+        assert "bad.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reserved", [0x01, 0xFF])
+    def test_decompress_reserved_byte_exits_1(self, reserved, tmp_path, capsys):
+        model = tmp_path / "m.ckpt"
+        params = CodecParams(MICRO, seed=0)
+        params.save(model)
+        raw = bytearray(compress(np.zeros((3, 32, 32), dtype=np.float32), 1, params).to_bytes())
+        raw[bitstream.HEADER_LEN - 1] = reserved
+        bs_path = tmp_path / "x.odlc"
+        bs_path.write_bytes(bytes(raw))
+        rc = run("decompress", "--in", str(bs_path), "--model", str(model),
+                 "--out", str(tmp_path / "y.ppm"))
+        assert rc == 1
+        assert "reserved header byte" in capsys.readouterr().err
+        assert not (tmp_path / "y.ppm").exists()
+
 
 class TestGenData:
     def test_materializes_with_manifest(self, tmp_path):

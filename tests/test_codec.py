@@ -187,7 +187,7 @@ class TestCompressDecompress:
         bs = codec.compress(x, full, params)
         hdr = bs.header
         cut = BitstreamHeader(width=hdr.width, height=hdr.height, iterations=t_cut,
-                              c_b=hdr.c_b, flags=hdr.flags)
+                              c_b=hdr.c_b)
         bits = unpack_bits(bs.payload, hdr.payload_bits)
         cut_payload = pack_bits([bits[: cut.payload_bits]])
         truncated = Bitstream(header=cut, payload=cut_payload)

@@ -178,14 +178,14 @@ class TestObserverDistortion:
         cfg = losses.LossConfig(alpha=0.0).for_min_side(32)
         x, y = img(20), img(21)
         want = losses.human_distortion(x, y, cfg).item() * cfg.lambda_h
-        got = losses.observer_distortion(x, y, cfg).item()  # no lossnet needed
+        got = losses.observer_distortion(x, y, cfg)[0].item()  # no lossnet needed
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_alpha_one_exact_endpoint(self, toy_net):
         cfg = losses.LossConfig(alpha=1.0, layer_ids=("1.1", "2.1"))
         x, y = img(22, 16, 16, np.float64), img(23, 16, 16, np.float64)
         want = losses.feature_distortion(x, y, toy_net, cfg.layer_ids).item()
-        assert losses.observer_distortion(x, y, cfg, toy_net).item() == want
+        assert losses.observer_distortion(x, y, cfg, toy_net)[0].item() == want
 
     def test_arithmetic_example(self):
         # alpha=1/2, d_H=0.1, d_C=250, lambda=5000 -> 0.5*5000*0.1 + 0.5*250 = 375
@@ -194,12 +194,12 @@ class TestObserverDistortion:
     def test_affine_in_alpha(self, toy_net):
         base = losses.LossConfig(alpha=0.0, scales=1, layer_ids=("1.1", "2.1"))
         x, y = img(24, 16, 16, np.float64), img(25, 16, 16, np.float64)
-        lo = losses.observer_distortion(x, y, base, toy_net).item()
+        lo = losses.observer_distortion(x, y, base, toy_net)[0].item()
         hi = losses.observer_distortion(
-            x, y, losses.LossConfig(alpha=1.0, layer_ids=base.layer_ids), toy_net).item()
+            x, y, losses.LossConfig(alpha=1.0, layer_ids=base.layer_ids), toy_net)[0].item()
         mid = losses.observer_distortion(
             x, y, losses.LossConfig(alpha=0.5, scales=1, layer_ids=base.layer_ids),
-            toy_net).item()
+            toy_net)[0].item()
         assert mid == pytest.approx((lo + hi) / 2.0, abs=1e-6)
 
     def test_missing_lossnet_rejected(self):
@@ -213,7 +213,7 @@ class TestObserverDistortion:
         y = ad.Tensor(img(27, 16, 16, np.float64), requires_grad=True)
         toy_net.zero_grads()
         with ad.Tape() as tape:
-            loss = losses.observer_distortion(x, y, cfg, toy_net)
+            loss = losses.observer_distortion(x, y, cfg, toy_net)[0]
         ad.backward(loss, tape)
         assert y.grad is not None and np.abs(y.grad).max() > 0
         for p in toy_net.parameters():

@@ -20,25 +20,28 @@ def net():
 class TestForwardFeatures:
     def test_deterministic(self, net):
         x = img(0)
-        a = lossnet.forward_features(x, net, ("1.1", "5.1"))
-        b = lossnet.forward_features(x, net, ("1.1", "5.1"))
+        a = net.features(x, ("1.1", "5.1"))
+        b = net.features(x, ("1.1", "5.1"))
         for m1, m2 in zip(a, b):
-            np.testing.assert_array_equal(m1.tensor.data, m2.tensor.data)
+            np.testing.assert_array_equal(m1.data, m2.data)
 
     def test_tap_count_and_shapes(self, net):
-        maps = lossnet.forward_features(img(1), net, ("1.1", "5.1"))
+        maps = net.features(img(1), ("1.1", "5.1"))
         assert len(maps) == 2
-        assert maps[0].layer_id == "1.1" and maps[0].tensor.shape == (16, 64, 64)
-        assert maps[1].layer_id == "5.1" and maps[1].tensor.shape == (128, 4, 4)
+        assert maps[0].shape == (16, 64, 64)
+        assert maps[1].shape == (128, 4, 4)
+        # taps come back in request order, not layer order
+        assert [m.shape for m in net.features(img(1), ("5.1", "1.1"))] == [(128, 4, 4),
+                                                                           (16, 64, 64)]
 
     def test_downsampling_schedule(self, net):
-        maps = lossnet.forward_features(img(2), net, net.layer_names())
+        maps = net.features(img(2), net.layer_names())
         for i, m in enumerate(maps):
-            assert m.tensor.shape[1] == 64 // 2 ** i
+            assert m.shape[1] == 64 // 2 ** i
 
     def test_unknown_layer_rejected(self, net):
         with pytest.raises(lossnet.LossnetError, match="unknown layer"):
-            lossnet.forward_features(img(0), net, ("6.1",))
+            net.features(img(0), ("6.1",))
 
     def test_one_block_matches_conv_relu_oracle(self):
         toy = lossnet.ClassifierParams(
@@ -53,6 +56,12 @@ class TestForwardFeatures:
         got = toy.features(ad.Tensor(x), ("1.1",))[0].data
         want = np.maximum(conv2d_direct(x, kern, bias, stride=1, padding="same"), 0.0)
         np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_logits_are_the_head_over_the_last_tap(self, net):
+        x = img(8, 56)
+        last = net.features(x, ("5.1",))[0]
+        want = ad.dense(ad.global_avg_pool(last), net.head_w.tensor, net.head_b.tensor)
+        np.testing.assert_array_equal(net.logits(x).data, want.data)
 
 
 class TestClassify:

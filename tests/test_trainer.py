@@ -3,11 +3,21 @@ import pytest
 
 from odlc import autodiff as ad
 from odlc import imageops, losses, trainer
-from odlc.codec import CodecLayout, CodecParams
+from odlc.codec import CodecLayout, CodecParams, reconstruct_progressive
+from odlc.lossnet import ClassifierLayout, ClassifierParams
 from odlc.datasets import ShapesDataset, ShapesSpec
 from oracles import adam_trajectory_direct
 
 MICRO = CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4), bottleneck=4, t_max=8)
+TAPS = ("1.1", "2.1")
+
+
+@pytest.fixture(scope="module")
+def toy_net():
+    net = ClassifierParams(ClassifierLayout(widths=(4, 8), classes=2, input_resolution=32),
+                           seed=4)
+    net.freeze()
+    return net
 
 
 class TestTrainConfig:
@@ -135,8 +145,29 @@ class TestStepLoss:
         trace = info["trace"]
         y01 = imageops.denormalize(trace.reconstructions[0].data,
                                    params.norm_mean, params.norm_std)
-        want = losses.observer_distortion(x.astype(np.float32), y01, cfg).item()
+        want = losses.observer_distortion(x.astype(np.float32), y01, cfg)[0].item()
         assert loss.item() == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_components_follow_alpha(self, alpha, toy_net):
+        params = CodecParams(MICRO, seed=3)
+        x = np.random.default_rng(2).random((3, 32, 32), dtype=np.float32)
+        cfg = losses.LossConfig(alpha=alpha, layer_ids=TAPS).for_min_side(32)
+        loss, info = trainer.step_loss(x, 3, params, cfg, lossnet=toy_net,
+                                       rng=np.random.default_rng(4))
+        assert np.isfinite(info["d_h"]) == (alpha < 1.0)
+        assert np.isfinite(info["d_c"]) == (alpha > 0.0)
+        if alpha != 0.5:
+            return
+        d_h, d_c = [], []
+        for recon in info["trace"].reconstructions:
+            y01 = imageops.denormalize(recon.data, params.norm_mean, params.norm_std)
+            d_h.append(losses.human_distortion(x, y01, cfg).item())
+            d_c.append(losses.feature_distortion(x, y01, toy_net, TAPS).item())
+        want = np.mean([(1 - alpha) * cfg.lambda_h * h + alpha * c for h, c in zip(d_h, d_c)])
+        assert loss.item() == pytest.approx(want, rel=1e-5)
+        assert info["d_h"] == pytest.approx(np.mean(d_h), rel=1e-5)
+        assert info["d_c"] == pytest.approx(np.mean(d_c), rel=1e-5)
 
 
 class FixedDataset:
@@ -197,6 +228,25 @@ class TestTrainCodec:
             assert np.isfinite(row[1])
             assert np.isfinite(row[2])  # d_H active at alpha=0
             assert np.isnan(row[3])  # d_C inactive at alpha=0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_val_log_reports_the_objective(self, alpha, toy_net):
+        ds = self._sets()
+        cfg = self._cfg(val_interval=2)
+        lc = losses.LossConfig(alpha=alpha, layer_ids=TAPS)
+        params, log, val_log = trainer.train_codec(ds, ds, lc, cfg, lossnet=toy_net,
+                                                   layout=MICRO)
+        assert len(log) == 2 and len(val_log) == 1
+        m_cfg = lc.for_min_side(32)
+        objective, scores = [], []
+        for i in range(len(ds)):
+            img = trainer.augment_geometry(ds.image(i), "val", None, cfg)
+            trace = reconstruct_progressive(img, 2, params, mode="deterministic")
+            objective.append(np.mean([
+                losses.observer_distortion(img, trace.decoded(t), m_cfg, toy_net)[0].item()
+                for t in (1, 2)]))
+            scores.append(losses.ms_ssim(img, trace.decoded(), m_cfg).item())
+        assert val_log[0] == (2, float(np.mean(objective)), float(np.mean(scores)))
 
     def test_unroll_steps_beyond_layout_rejected(self):
         ds = self._sets()
