@@ -5,6 +5,18 @@ The quality parameter of this codec is the iteration count. Codecs are
 either CodecParams or any callable (image, iters) -> (decoded image,
 payload_bits), which keeps stubs trivial to inject in tests. Classifiers
 are never retrained on decoded images anywhere in here.
+
+Every protocol is a reduction over one core, `_decodes`, which gives an
+image's (decoded, payload_bits) at each requested level:
+
+- Prefix rule (CodecParams). The codec is additive and progressive, so
+  x_hat_t of one T-iteration trace is bit for bit the decode of that
+  trace's t-iteration prefix, decompress(compress(image, t)), and the
+  prefix carries t * bits_per_iteration payload bits. Each image is
+  therefore encoded once, to T = max(levels), and every level is read
+  off that trace.
+- Stub rule (callables). A stub is called once per (image, level),
+  through `roundtrip`.
 """
 
 from __future__ import annotations
@@ -14,18 +26,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imageops, losses, lossnet as lossnet_mod
-from .codec import CodecParams, compress, decompress
+from .bitstream import Bitstream
+from .codec import CodecError, CodecParams, reconstruct_progressive
+# Not called here; both names stay bound because bench/tracing.py rebinds them in this module.
+from .codec import compress, decompress  # noqa: F401
 
 CURVE_HEADER = ("level", "bpp", "metric", "n")
 SWEEP_HEADER = ("alpha", "iters", "bpp", "msssim", "preservation", "accuracy")
 ABLATION_HEADER = ("layers", "iters", "preservation")
 
-# S_inf -> S_comp presets: the full-size protocol pairs plus the desk pair
-CROP_PAIRS = {224: 256, 299: 336, 56: 64}
-
 
 class EvalError(ValueError):
     pass
+
+
+def _check_levels(levels, what: str):
+    """A level list is non-empty and holds ints >= 1."""
+    if len(levels) == 0:
+        raise EvalError(f"{what} must be non-empty")
+    for t in levels:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
+            raise EvalError(f"{what}: level {t!r} is not an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -38,16 +59,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.s_comp < self.s_inf:
             raise EvalError(f"s_comp {self.s_comp} must be >= s_inf {self.s_inf}")
-        if not self.grid:
-            raise EvalError("quality grid must be non-empty")
+        _check_levels(self.grid, "quality grid")
         if self.metric not in ("msssim", "preservation", "accuracy"):
             raise EvalError(f"unknown metric {self.metric!r}")
-
-    @staticmethod
-    def for_inference_size(s_inf: int, **kw) -> "EvalConfig":
-        if s_inf not in CROP_PAIRS:
-            raise EvalError(f"no preset crop pair for s_inf={s_inf}; known: {sorted(CROP_PAIRS)}")
-        return EvalConfig(s_comp=CROP_PAIRS[s_inf], s_inf=s_inf, **kw)
 
 
 @dataclass(frozen=True)
@@ -65,12 +79,63 @@ class CurvePoint:
 def roundtrip(codec, img: np.ndarray, iters: int):
     """(decoded, payload_bits) through a real codec or a stub callable."""
     if isinstance(codec, CodecParams):
-        bs = compress(img, iters, codec)
-        return decompress(bs, codec), bs.payload_bits
+        return _decodes(codec, img, (iters,))[0]
     out = codec(img, iters)
     if not (isinstance(out, tuple) and len(out) == 2):
         raise EvalError("codec stubs must return (decoded image, payload_bits)")
     return out
+
+
+def _decodes(codec, img: np.ndarray, levels) -> list:
+    """[(decoded, payload_bits)] for each level, in the order given: one
+    encode to max(levels) for CodecParams, one stub call per level."""
+    if not isinstance(codec, CodecParams):
+        return [roundtrip(codec, img, t) for t in levels]
+    x = np.asarray(img, dtype=np.float32)
+    if x.ndim != 3 or x.shape[0] != 3:
+        raise CodecError(f"compress: image must be 3xHxW, got {x.shape}")
+    _, h, w = x.shape
+    if h > 0xFFFF or w > 0xFFFF:
+        raise CodecError(f"compress: dimensions {h}x{w} exceed the u16 header fields")
+    t_max = codec.layout.t_max
+    for t in levels:
+        if not 1 <= t <= t_max:
+            raise CodecError(f"compress: {t} iterations outside the trained range 1..{t_max}")
+    trace = reconstruct_progressive(x, max(levels), codec, mode="deterministic")
+    header = Bitstream.from_codes([c.data for c in trace.codes], width=w, height=h).header
+    return [(trace.decoded(t), t * header.bits_per_iteration) for t in levels]
+
+
+def _per_level(codec, images, levels, *measures) -> list:
+    """Per level, in the order given: (payload bits summed over the images,
+    one list per measure holding measure(image, decoded) in image order).
+    Each image's decodes are reduced before the next image is encoded."""
+    bits = [0] * len(levels)
+    values = [tuple([] for _ in measures) for _ in levels]
+    for img in images:
+        for j, (decoded, b) in enumerate(_decodes(codec, img, levels)):
+            bits[j] += b
+            for out, measure in zip(values[j], measures):
+                out.append(measure(img, decoded))
+    return list(zip(bits, values))
+
+
+def _msssim(img: np.ndarray, decoded: np.ndarray) -> float:
+    m_cfg = losses.LossConfig().for_min_side(min(img.shape[1:]))
+    return losses.ms_ssim(img, decoded, m_cfg).item()
+
+
+def _label(img: np.ndarray, classifier, s_inf: int) -> int:
+    return lossnet_mod.classify(imageops.center_crop(img, s_inf), classifier)[0]
+
+
+def _labeler(classifier, s_inf: int):
+    """A measure: the classifier's label of the decoded image."""
+    return lambda _img, decoded: _label(decoded, classifier, s_inf)
+
+
+def _agree(labels, reference) -> int:
+    return sum(int(a == b) for a, b in zip(labels, reference))
 
 
 def preservation_rate(codec, classifier, images, iters: int) -> float:
@@ -78,13 +143,9 @@ def preservation_rate(codec, classifier, images, iters: int) -> float:
     if len(images) == 0:
         raise EvalError("preservation_rate: empty image set")
     s_inf = classifier.layout.input_resolution
-    kept = 0
-    for img in images:
-        before, _ = lossnet_mod.classify(imageops.center_crop(img, s_inf), classifier)
-        decoded, _bits = roundtrip(codec, img, iters)
-        after, _ = lossnet_mod.classify(imageops.center_crop(decoded, s_inf), classifier)
-        kept += int(before == after)
-    return kept / len(images)
+    clean = [_label(img, classifier, s_inf) for img in images]
+    [(_bits, (labels,))] = _per_level(codec, images, (iters,), _labeler(classifier, s_inf))
+    return _agree(labels, clean) / len(images)
 
 
 def _comp_crop(img: np.ndarray, s_comp: int) -> np.ndarray:
@@ -103,21 +164,13 @@ def eval_accuracy_curve(codec, classifier, val_set, cfg: EvalConfig):
                         f"config says s_inf={cfg.s_inf}")
     crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
     truths = [val_set.label(i) for i in range(n)]
-    clean_labels = [lossnet_mod.classify(imageops.center_crop(c, cfg.s_inf), classifier)[0]
-                    for c in crops]
+    clean = [_label(c, classifier, cfg.s_inf) for c in crops]
     acc_points, pres_points = [], []
-    for level in cfg.grid:
-        bits_total = 0
-        correct = kept = 0
-        for crop, truth, clean in zip(crops, truths, clean_labels):
-            decoded, bits = roundtrip(codec, crop, level)
-            bits_total += bits
-            label, _ = lossnet_mod.classify(imageops.center_crop(decoded, cfg.s_inf), classifier)
-            correct += int(label == truth)
-            kept += int(label == clean)
-        bpp = bits_total / (n * cfg.s_comp * cfg.s_comp)
-        acc_points.append(CurvePoint(level=level, bpp=bpp, value=correct / n, n=n))
-        pres_points.append(CurvePoint(level=level, bpp=bpp, value=kept / n, n=n))
+    levels = _per_level(codec, crops, cfg.grid, _labeler(classifier, cfg.s_inf))
+    for level, (bits, (labels,)) in zip(cfg.grid, levels):
+        bpp = bits / (n * cfg.s_comp * cfg.s_comp)
+        acc_points.append(CurvePoint(level=level, bpp=bpp, value=_agree(labels, truths) / n, n=n))
+        pres_points.append(CurvePoint(level=level, bpp=bpp, value=_agree(labels, clean) / n, n=n))
     return {"accuracy": acc_points, "preservation": pres_points}
 
 
@@ -138,20 +191,10 @@ def eval_quality_curve(codec, val_set, cfg: EvalConfig):
     if n == 0:
         raise EvalError("eval_quality_curve: empty validation set")
     imgs = _quality_inputs(val_set, cfg)
-    points = []
-    for level in cfg.grid:
-        bits_total = 0
-        px_total = 0
-        scores = []
-        for img in imgs:
-            decoded, bits = roundtrip(codec, img, level)
-            bits_total += bits
-            px_total += img.shape[1] * img.shape[2]
-            m_cfg = losses.LossConfig().for_min_side(min(img.shape[1:]))
-            scores.append(losses.ms_ssim(img, decoded, m_cfg).item())
-        points.append(CurvePoint(level=level, bpp=bits_total / px_total,
-                                 value=float(np.mean(scores)), n=n))
-    return points
+    px_total = sum(img.shape[1] * img.shape[2] for img in imgs)
+    levels = _per_level(codec, imgs, cfg.grid, _msssim)
+    return [CurvePoint(level=level, bpp=bits / px_total, value=float(np.mean(scores)), n=n)
+            for level, (bits, (scores,)) in zip(cfg.grid, levels)]
 
 
 def tradeoff_sweep(checkpoints: dict, classifier, val_set, t_list, cfg: EvalConfig):
@@ -161,33 +204,25 @@ def tradeoff_sweep(checkpoints: dict, classifier, val_set, t_list, cfg: EvalConf
     preservation, accuracy) tuples; alphas with a missing checkpoint are
     reported in skipped rather than failing the sweep.
     """
+    _check_levels(t_list, "tradeoff_sweep t_list")
     present = {a: p for a, p in checkpoints.items() if p is not None}
     if len(present) < 2:
         raise EvalError("tradeoff_sweep needs at least 2 alpha checkpoints")
     skipped = sorted(a for a in checkpoints if checkpoints[a] is None)
     n = len(val_set)
+    if n == 0:
+        raise EvalError("tradeoff_sweep: empty validation set")
     crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
     truths = [val_set.label(i) for i in range(n)]
-    clean = [lossnet_mod.classify(imageops.center_crop(c, cfg.s_inf), classifier)[0]
-             for c in crops]
-    m_cfg = losses.LossConfig().for_min_side(cfg.s_comp)
+    clean = [_label(c, classifier, cfg.s_inf) for c in crops]
+    label = _labeler(classifier, cfg.s_inf)
     rows = []
     for alpha in sorted(present):
-        codec = present[alpha]
-        for level in t_list:
-            bits_total = 0
-            scores = []
-            correct = kept = 0
-            for crop, truth, base in zip(crops, truths, clean):
-                decoded, bits = roundtrip(codec, crop, level)
-                bits_total += bits
-                scores.append(losses.ms_ssim(crop, decoded, m_cfg).item())
-                label, _ = lossnet_mod.classify(imageops.center_crop(decoded, cfg.s_inf),
-                                                classifier)
-                correct += int(label == truth)
-                kept += int(label == base)
-            rows.append((alpha, level, bits_total / (n * cfg.s_comp * cfg.s_comp),
-                         float(np.mean(scores)), kept / n, correct / n))
+        levels = _per_level(present[alpha], crops, t_list, _msssim, label)
+        for level, (bits, (scores, labels)) in zip(t_list, levels):
+            rows.append((alpha, level, bits / (n * cfg.s_comp * cfg.s_comp),
+                         float(np.mean(scores)), _agree(labels, clean) / n,
+                         _agree(labels, truths) / n))
     return rows, skipped
 
 
@@ -199,16 +234,23 @@ def ablate_layers(layer_sets, train_set, val_set, f_lossnet, classifier,
     from . import trainer
     from dataclasses import replace
 
+    _check_levels(t_list, "ablate_layers t_list")
     rows = []
     train_logs = {}
     n = len(val_set)
+    if n == 0:
+        raise EvalError("ablate_layers: empty validation set")
     crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
+    s_inf = classifier.layout.input_resolution
+    clean = [_label(c, classifier, s_inf) for c in crops]
+    label = _labeler(classifier, s_inf)
     for layer_ids in layer_sets:
         tag = "+".join(layer_ids)
         loss_cfg = replace(loss_cfg_base, alpha=1.0, layer_ids=tuple(layer_ids))
         params, log, _ = trainer.train_codec(train_set, val_set, loss_cfg, train_cfg,
                                              lossnet=f_lossnet, layout=layout)
         train_logs[tag] = log
-        for level in t_list:
-            rows.append((tag, level, preservation_rate(params, classifier, crops, level)))
+        levels = _per_level(params, crops, t_list, label)
+        for level, (_bits, (labels,)) in zip(t_list, levels):
+            rows.append((tag, level, _agree(labels, clean) / n))
     return rows, train_logs

@@ -94,12 +94,14 @@ class ClassifierParams:
 
     def features(self, x, layer_ids) -> list:
         """Post-activation feature tensors for the requested "i.j" taps,
-        in request order. x is a [0,1] CHW image (Tensor or array)."""
+        in request order. x is a [0,1] CHW image (Tensor or array). Blocks
+        past the deepest requested tap are not run."""
         names = self.layer_names()
         for lid in layer_ids:
             if lid not in names:
                 raise LossnetError(f"unknown layer id {lid!r}; declared layers: {list(names)}")
-        taps = dict(zip(names, self._block_outputs(x)))
+        depth = max((names.index(lid) + 1 for lid in layer_ids), default=0)
+        taps = dict(zip(names[:depth], self._block_outputs(x)))
         return [taps[lid] for lid in layer_ids]
 
     def logits(self, x) -> Tensor:

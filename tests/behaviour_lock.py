@@ -12,7 +12,9 @@ Covered: seeded codec and classifier checkpoints (and save -> load ->
 save); bitstreams and decodes of 64 px and 256 px images at T = 1..8;
 the eval-quality, eval-accuracy and sweep CSVs of two small seeded codec
 checkpoints; step_loss losses, d_H / d_C and every codec gradient at
-alpha in {0, 0.5, 1}; and the checkpoints of 3-step train_codec runs.
+alpha in {0, 0.5, 1}; the checkpoints of 3-step train_codec runs; an
+eval_quality_curve on an unsorted grid with a repeated level; and the
+ablate_layers rows of two tap sets.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import tempfile
 import numpy as np
 
 from odlc import autodiff as ad
-from odlc import bitstream, cli, codec, losses, trainer
+from odlc import bitstream, cli, codec, evaluation, losses, trainer
 from odlc.codec import CodecLayout, CodecParams
 from odlc.datasets import ShapesDataset, ShapesSpec
 from odlc.lossnet import ClassifierLayout, ClassifierParams
@@ -148,6 +150,27 @@ def lock_eval_csvs(tmp):
     emit(file_sha(out), "sweep csv")
 
 
+def lock_protocols(net):
+    val = ShapesDataset(ShapesSpec(seed=6, split="val", size=8, classes=10, resolution=32))
+    codec_params = CodecParams(MICRO, seed=24, norm_mean=NORM[0], norm_std=NORM[1])
+    cfg = evaluation.EvalConfig(s_comp=32, s_inf=32, grid=(3, 1, 2, 3))
+    points = evaluation.eval_quality_curve(codec_params, val, cfg)
+    emit(sha(repr(points).encode()), "eval_quality_curve grid=(3, 1, 2, 3)")
+    train = ShapesDataset(ShapesSpec(seed=5, split="train", size=4, classes=10, resolution=32))
+    classifier = ClassifierParams(ClassifierLayout(widths=(8, 16), classes=3,
+                                                   input_resolution=32), seed=25)
+    classifier.freeze()
+    train_cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, unroll_steps=2, epochs=2,
+                                         batch_size=2, val_interval=0, seed=9)
+    rows, logs = evaluation.ablate_layers([("1.1",), ("1.1", "3.1")], train, val, net,
+                                          classifier, losses.LossConfig(alpha=1.0), train_cfg,
+                                          (1, 2), evaluation.EvalConfig(s_comp=32, s_inf=32),
+                                          layout=MICRO)
+    emit(sha(repr(rows).encode()), f"ablate_layers rows {rows!r}")
+    losses_only = {tag: [row[:-1] for row in log] for tag, log in logs.items()}  # no wall time
+    emit(sha(repr(losses_only).encode()), "ablate_layers training losses")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         lock_checkpoints(tmp)
@@ -162,6 +185,7 @@ def main() -> int:
             trained = train_briefly(net, alpha, tmp)
             lock_bitstreams(f"trained{alpha}", trained, 64, (0,))
         lock_eval_csvs(tmp)
+        lock_protocols(net)
     return 0
 
 

@@ -227,6 +227,21 @@ class TestTrainAndEvalCli:
         assert lines[0] == "alpha,iters,bpp,msssim,preservation,accuracy"
         assert len(lines) == 5
 
+    def test_sweep_with_empty_iters_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "m.ckpt"
+        CodecParams(MICRO, seed=2).save(model)
+        cls = tmp_path / "c.ckpt"
+        ClassifierParams(ClassifierLayout(widths=(4,), classes=3, input_resolution=16),
+                         seed=0).save(cls)
+        out = tmp_path / "s.csv"
+        rc = run("sweep", "--models", f"0={model},1={model}", "--classifier", str(cls),
+                 "--data", "shapes:seed=3,split=val,n=2,classes=3,res=16", "--iters", "",
+                 "--s-comp", "16", "--s-inf", "16", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "t_list must be non-empty" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_accuracy_cli(self, tmp_path):
         model = tmp_path / "m.ckpt"
         CodecParams(MICRO, seed=2).save(model)

@@ -99,11 +99,6 @@ class TestPreservation:
 
 
 class TestEvalConfig:
-    def test_paper_rule_presets(self):
-        assert evaluation.EvalConfig.for_inference_size(224).s_comp == 256
-        assert evaluation.EvalConfig.for_inference_size(299).s_comp == 336
-        assert evaluation.EvalConfig.for_inference_size(56).s_comp == 64
-
     def test_scomp_ge_sinf(self):
         with pytest.raises(evaluation.EvalError, match="s_comp"):
             EvalConfig(s_comp=32, s_inf=56)
@@ -232,3 +227,153 @@ class TestAblation:
             assert vals[-1] < vals[0]  # overfitting 16 images reduces the loss
         tags = [r[0] for r in rows]
         assert "1.1+2.1" in tags
+
+
+def bitstream_roundtrip(params):
+    """The per-level compress -> decompress path, as a stub: the oracle of
+    the prefix-decoded core."""
+    from odlc.codec import compress, decompress
+
+    def stub(img, iters):
+        bs = compress(img, iters, params)
+        return decompress(bs, params), bs.payload_bits
+    return stub
+
+
+@pytest.fixture(scope="module")
+def micro():
+    return CodecParams(MICRO, seed=5, norm_mean=[0.45, 0.5, 0.55], norm_std=[0.25, 0.3, 0.2])
+
+
+class TestPrefixCore:
+    LEVELS = (3, 1, 3)  # unsorted, with a duplicate
+
+    def test_each_level_is_its_own_bitstream(self, micro):
+        from odlc.codec import compress, decompress
+        img = np.random.default_rng(8).random((3, 20, 36)).astype(np.float32)  # padded to 32x48
+        outs = evaluation._decodes(micro, img, self.LEVELS)
+        assert len(outs) == len(self.LEVELS)
+        for t, (decoded, bits) in zip(self.LEVELS, outs):
+            bs = compress(img, t, micro)
+            want = decompress(bs, micro)
+            np.testing.assert_array_equal(decoded, want)
+            assert decoded.dtype == want.dtype
+            assert bits == bs.payload_bits and type(bits) is int
+        assert evaluation.roundtrip(micro, img, 2)[1] == compress(img, 2, micro).payload_bits
+
+    def test_curves_equal_the_bitstream_path(self, micro, classifier, balanced_images):
+        ds = Labeled(balanced_images[3:7], [0, 0, 1, 1])
+        cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
+        old = bitstream_roundtrip(micro)
+        assert (evaluation.eval_quality_curve(micro, ds, cfg)
+                == evaluation.eval_quality_curve(old, ds, cfg))
+        assert (evaluation.eval_accuracy_curve(micro, classifier, ds, cfg)
+                == evaluation.eval_accuracy_curve(old, classifier, ds, cfg))
+        for t in self.LEVELS:
+            assert (evaluation.preservation_rate(micro, classifier, balanced_images, t)
+                    == evaluation.preservation_rate(old, classifier, balanced_images, t))
+        rows, _ = evaluation.tradeoff_sweep({0.0: micro, 1.0: old}, classifier, ds,
+                                            self.LEVELS, cfg)
+        assert [r[1:] for r in rows[:3]] == [r[1:] for r in rows[3:]]
+
+    def test_quality_curve_encodes_each_image_once(self, micro, monkeypatch):
+        from odlc import codec
+        calls = []
+        progressive = codec.progressive_from_normalized
+
+        def counting(xn, iterations, params, *args, **kwargs):
+            calls.append(iterations)
+            return progressive(xn, iterations, params, *args, **kwargs)
+        monkeypatch.setattr(codec, "progressive_from_normalized", counting)
+        imgs = [np.random.default_rng(i).random((3, 32, 32)).astype(np.float32)
+                for i in range(3)]
+        evaluation.eval_quality_curve(micro, Labeled(imgs, [0] * 3),
+                                      EvalConfig(s_comp=32, s_inf=32, grid=(1, 2, 3, 4)))
+        assert calls == [4, 4, 4]
+
+    def test_stub_called_once_per_image_and_level(self, classifier, balanced_images):
+        calls = []
+
+        def spy(img, iters):
+            calls.append((round(float(img[1, 0, 0]), 3), iters))
+            return img, 16
+        ds = Labeled(balanced_images[:4], [0] * 4)
+        evaluation.eval_accuracy_curve(spy, classifier, ds,
+                                       EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS))
+        assert sorted(calls) == sorted((g, t) for g in (0.0, 0.1, 0.2, 0.3)
+                                       for t in self.LEVELS)
+
+    def test_row_order_and_duplicate_levels(self, micro, classifier, balanced_images):
+        ds = Labeled(balanced_images[:2], [0, 0])
+        cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
+        pts = evaluation.eval_quality_curve(micro, ds, cfg)
+        assert [p.level for p in pts] == list(self.LEVELS)
+        assert pts[0] == pts[2]
+        other = CodecParams(MICRO, seed=6)
+        rows, _ = evaluation.tradeoff_sweep({1.0: other, 0.0: micro}, classifier, ds,
+                                            self.LEVELS, cfg)
+        assert [(r[0], r[1]) for r in rows] == [(0.0, 3), (0.0, 1), (0.0, 3),
+                                                (1.0, 3), (1.0, 1), (1.0, 3)]
+        assert rows[0] == rows[2] and rows[3] == rows[5]
+
+
+class TestLevelChecks:
+    @pytest.mark.parametrize("t_list", [(), (0,), (1, -2), (1.5,), (True,)])
+    def test_sweep_rejects_bad_t_list(self, micro, classifier, balanced_images, t_list):
+        ds = Labeled(balanced_images[:2], [0, 0])
+        with pytest.raises(evaluation.EvalError, match="t_list"):
+            evaluation.tradeoff_sweep({0.0: micro, 1.0: micro}, classifier, ds, t_list,
+                                      EvalConfig(s_comp=16, s_inf=16))
+
+    @pytest.mark.parametrize("grid", [(), (0, 1), ("2",)])
+    def test_config_rejects_bad_grid(self, grid):
+        with pytest.raises(evaluation.EvalError, match="grid"):
+            EvalConfig(grid=grid)
+
+    def test_sweep_rejects_empty_val_set(self, micro, classifier):
+        with pytest.raises(evaluation.EvalError, match="empty validation set"):
+            evaluation.tradeoff_sweep({0.0: micro, 1.0: micro}, classifier, Labeled([], [0]),
+                                      (1,), EvalConfig(s_comp=16, s_inf=16))
+
+    def test_ablation_rejects_empty_t_list_before_training(self, classifier):
+        with pytest.raises(evaluation.EvalError, match="t_list"):
+            evaluation.ablate_layers([("1.1",)], None, None, None, classifier,
+                                     losses.LossConfig(alpha=1.0), None, (),
+                                     EvalConfig(s_comp=16, s_inf=16))
+
+    def test_core_keeps_the_compress_checks(self, micro):
+        from odlc.codec import CodecError
+        img = np.zeros((3, 16, 16), dtype=np.float32)
+        with pytest.raises(CodecError, match="outside the trained range"):
+            evaluation._decodes(micro, img, (1, MICRO.t_max + 1))
+        with pytest.raises(CodecError, match="3xHxW"):
+            evaluation._decodes(micro, img[0], (1,))
+        with pytest.raises(CodecError, match="u16"):
+            evaluation._decodes(micro, np.zeros((3, 1, 0x10000), dtype=np.float32), (1,))
+
+
+def test_ablation_classifies_clean_crops_once(classifier, monkeypatch):
+    from odlc import lossnet
+    from odlc.datasets import ShapesDataset, ShapesSpec
+    train = ShapesDataset(ShapesSpec(seed=4, split="train", size=4, classes=3, resolution=16))
+    val = Labeled([np.random.default_rng(i).random((3, 16, 16)).astype(np.float32)
+                   for i in range(3)], [0] * 3)
+    f_l = ClassifierParams(ClassifierLayout(widths=(4, 8), classes=3, input_resolution=16),
+                           seed=3)
+    f_l.freeze()
+    tiny = CodecLayout(enc_widths=(2, 2, 4, 4), dec_widths=(4, 4, 4, 4), bottleneck=2, t_max=4)
+    cfg = trainer.TrainConfig.desk(resize_side=16, crop_size=16, unroll_steps=1, epochs=1,
+                                   batch_size=4, val_interval=0, seed=2)
+    calls = []
+    classify = lossnet.classify
+
+    def counting(x, params):
+        calls.append(params)
+        return classify(x, params)
+    monkeypatch.setattr(lossnet, "classify", counting)
+    rows, _ = evaluation.ablate_layers([("1.1",), ("2.1",)], train, val, f_l, classifier,
+                                       losses.LossConfig(alpha=1.0), cfg, (1, 2, 1),
+                                       EvalConfig(s_comp=16, s_inf=16), layout=tiny)
+    assert [(r[0], r[1]) for r in rows] == [("1.1", 1), ("1.1", 2), ("1.1", 1),
+                                           ("2.1", 1), ("2.1", 2), ("2.1", 1)]
+    assert len(calls) == 3 + 2 * 3 * 3  # clean crops once, then one per decode

@@ -3,7 +3,7 @@ import pytest
 
 from odlc import autodiff as ad
 from odlc import checkpoint as ckpt
-from odlc import lossnet, trainer
+from odlc import lossnet, losses, trainer
 from odlc.datasets import ShapesDataset, ShapesSpec
 from oracles import conv2d_direct
 
@@ -62,6 +62,27 @@ class TestForwardFeatures:
         last = net.features(x, ("5.1",))[0]
         want = ad.dense(ad.global_avg_pool(last), net.head_w.tensor, net.head_b.tensor)
         np.testing.assert_array_equal(net.logits(x).data, want.data)
+
+    @pytest.mark.parametrize("taps, convs", [(("1.1",), 2), (("2.1", "1.1"), 4),
+                                             (("1.1", "5.1"), 10), ((), 0)])
+    def test_stops_after_the_deepest_tap(self, net, monkeypatch, taps, convs):
+        x, y = img(3, 32), img(4, 32)
+        want = dict(zip(net.layer_names(), net.features(x, net.layer_names())))
+        calls = []
+        conv2d = ad.conv2d
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return conv2d(*args, **kwargs)
+        monkeypatch.setattr(ad, "conv2d", counting)
+        got = net.features(x, taps)
+        assert len(got) == len(taps) and len(calls) == convs // 2
+        for lid, tap in zip(taps, got):
+            np.testing.assert_array_equal(tap.data, want[lid].data)
+        if taps:
+            calls.clear()
+            losses.feature_distortion(x, y, net, taps)
+            assert len(calls) == convs
 
 
 class TestClassify:
