@@ -16,8 +16,7 @@ from .codec import (  # noqa: F401
     reconstruct_progressive,
 )
 from .losses import (  # noqa: F401
-    LossConfig, feature_distortion, human_distortion, ms_ssim,
-    observer_distortion, ssim_scale,
+    LossConfig, feature_distortion, human_distortion, ms_ssim, observer_distortion,
 )
 from .lossnet import ClassifierLayout, ClassifierParams, classify  # noqa: F401
-from .trainer import Adam, TrainConfig, preprocess, train_codec  # noqa: F401
+from .trainer import Adam, TrainConfig, train_codec  # noqa: F401

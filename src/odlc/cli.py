@@ -29,11 +29,16 @@ def _manifest(out_path, args, configs, inputs):
                             tool_version=__version__)
 
 
+_LOSS_KEYS = tuple(f.name for f in dataclasses.fields(losses.LossConfig))
+
+
+def _config_kv(args) -> dict:
+    return configio.read_kv(args.config) if args.config else {}
+
+
 def _train_cfg(args) -> trainer.TrainConfig:
-    cfg = trainer.TrainConfig.desk(seed=args.seed)
-    if args.config:
-        cfg = configio.apply_kv(cfg, configio.read_kv(args.config),
-                                skip=("alpha", "layer_ids", "lambda_h"))
+    cfg = configio.apply_kv(trainer.TrainConfig.desk(seed=args.seed), _config_kv(args),
+                            skip=_LOSS_KEYS)
     for name in ("epochs", "batch_size", "unroll_steps", "learning_rate"):
         v = getattr(args, name, None)
         if v is not None:
@@ -42,20 +47,13 @@ def _train_cfg(args) -> trainer.TrainConfig:
 
 
 def _loss_cfg(args) -> losses.LossConfig:
-    kw = {}
-    if args.config:
-        kv = configio.read_kv(args.config)
-        if "alpha" in kv:
-            kw["alpha"] = float(kv["alpha"])
-        if "layer_ids" in kv:
-            kw["layer_ids"] = tuple(s.strip() for s in kv["layer_ids"].split(",") if s.strip())
-        if "lambda_h" in kv:
-            kw["lambda_h"] = float(kv["lambda_h"])
+    """The loss keys of the config file, overridden by --alpha and --layers."""
+    kv = {k: v for k, v in _config_kv(args).items() if k in _LOSS_KEYS}
     if getattr(args, "alpha", None) is not None:
-        kw["alpha"] = args.alpha
+        kv["alpha"] = repr(args.alpha)
     if getattr(args, "layers", None):
-        kw["layer_ids"] = tuple(args.layers.split(","))
-    return losses.LossConfig(**kw)
+        kv["layer_ids"] = args.layers
+    return configio.apply_kv(losses.LossConfig(), kv)
 
 
 def cmd_gen_data(args):

@@ -281,17 +281,27 @@ def reconstruct_progressive(x: np.ndarray, iterations: int, params: CodecParams,
                                        true_size=(h, w))
 
 
-def compress(x: np.ndarray, iterations: int, params: CodecParams) -> Bitstream:
-    """Deterministic encode of a [0,1] CHW image to a bitstream."""
+def encoder_input(x: np.ndarray, levels, params: CodecParams) -> np.ndarray:
+    """A [0,1] CHW image as float32, checked as every encode to a bitstream
+    needs it: 3xHxW, dims that fit the u16 header fields, and each level
+    (iteration count) in the trained range."""
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3 or x.shape[0] != 3:
         raise CodecError(f"compress: image must be 3xHxW, got {x.shape}")
     _, h, w = x.shape
     if h > 0xFFFF or w > 0xFFFF:
         raise CodecError(f"compress: dimensions {h}x{w} exceed the u16 header fields")
-    if not 1 <= iterations <= params.layout.t_max:
-        raise CodecError(f"compress: {iterations} iterations outside the trained range "
-                         f"1..{params.layout.t_max}")
+    for t in levels:
+        if not 1 <= t <= params.layout.t_max:
+            raise CodecError(f"compress: {t} iterations outside the trained range "
+                             f"1..{params.layout.t_max}")
+    return x
+
+
+def compress(x: np.ndarray, iterations: int, params: CodecParams) -> Bitstream:
+    """Deterministic encode of a [0,1] CHW image to a bitstream."""
+    x = encoder_input(x, (iterations,), params)
+    _, h, w = x.shape
     trace = reconstruct_progressive(x, iterations, params, mode="deterministic")
     codes = [c.data for c in trace.codes]
     return Bitstream.from_codes(codes, width=w, height=h)

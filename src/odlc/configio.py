@@ -40,7 +40,7 @@ def _coerce(text: str, pytype):
     if pytype in (int, float, str):
         return pytype(text)
     if pytype is tuple:
-        return tuple(float(v) for v in text.split(",") if v)
+        return tuple(v.strip() for v in text.split(",") if v.strip())
     raise ConfigError(f"unsupported config field type {pytype}")
 
 
@@ -48,7 +48,8 @@ def apply_kv(cfg, kv: dict, skip=()):
     """Rebuild a (frozen) dataclass with fields overridden from a kv dict.
 
     Unknown keys raise; nested dataclass fields use dotted keys
-    (e.g. adam.beta1).
+    (e.g. adam.beta1). A field is typed by its current value, so a
+    None-valued field cannot be set from text.
     """
     fields = {f.name: f for f in dataclasses.fields(cfg)}
     updates = {}
@@ -63,8 +64,12 @@ def apply_kv(cfg, kv: dict, skip=()):
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r}; known: {sorted(fields)}")
         current = getattr(cfg, key)
-        pytype = type(current) if current is not None else str
-        updates[key] = _coerce(text, pytype)
+        if current is None:
+            raise ConfigError(f"config key {key!r} cannot be set from a config file")
+        try:
+            updates[key] = _coerce(text, type(current))
+        except ValueError as e:
+            raise ConfigError(f"config key {key!r}: {e}") from None
     for head, sub in nested.items():
         if head not in fields:
             raise ConfigError(f"unknown config key {head!r}")

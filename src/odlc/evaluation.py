@@ -27,7 +27,7 @@ import numpy as np
 
 from . import imageops, losses, lossnet as lossnet_mod
 from .bitstream import Bitstream
-from .codec import CodecError, CodecParams, reconstruct_progressive
+from .codec import CodecParams, encoder_input, reconstruct_progressive
 # Not called here; both names stay bound because bench/tracing.py rebinds them in this module.
 from .codec import compress, decompress  # noqa: F401
 
@@ -54,14 +54,11 @@ class EvalConfig:
     s_comp: int = 64
     s_inf: int = 56
     grid: tuple = (1, 2, 3, 4)
-    metric: str = "msssim"
 
     def __post_init__(self):
         if self.s_comp < self.s_inf:
             raise EvalError(f"s_comp {self.s_comp} must be >= s_inf {self.s_inf}")
         _check_levels(self.grid, "quality grid")
-        if self.metric not in ("msssim", "preservation", "accuracy"):
-            raise EvalError(f"unknown metric {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -91,16 +88,8 @@ def _decodes(codec, img: np.ndarray, levels) -> list:
     encode to max(levels) for CodecParams, one stub call per level."""
     if not isinstance(codec, CodecParams):
         return [roundtrip(codec, img, t) for t in levels]
-    x = np.asarray(img, dtype=np.float32)
-    if x.ndim != 3 or x.shape[0] != 3:
-        raise CodecError(f"compress: image must be 3xHxW, got {x.shape}")
+    x = encoder_input(img, levels, codec)
     _, h, w = x.shape
-    if h > 0xFFFF or w > 0xFFFF:
-        raise CodecError(f"compress: dimensions {h}x{w} exceed the u16 header fields")
-    t_max = codec.layout.t_max
-    for t in levels:
-        if not 1 <= t <= t_max:
-            raise CodecError(f"compress: {t} iterations outside the trained range 1..{t_max}")
     trace = reconstruct_progressive(x, max(levels), codec, mode="deterministic")
     header = Bitstream.from_codes([c.data for c in trace.codes], width=w, height=h).header
     return [(trace.decoded(t), t * header.bits_per_iteration) for t in levels]
@@ -121,8 +110,7 @@ def _per_level(codec, images, levels, *measures) -> list:
 
 
 def _msssim(img: np.ndarray, decoded: np.ndarray) -> float:
-    m_cfg = losses.LossConfig().for_min_side(min(img.shape[1:]))
-    return losses.ms_ssim(img, decoded, m_cfg).item()
+    return losses.ms_ssim(img, decoded).item()
 
 
 def _label(img: np.ndarray, classifier, s_inf: int) -> int:

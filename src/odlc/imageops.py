@@ -1,7 +1,7 @@
 """Plain-ndarray image helpers shared by the data pipeline and the codec.
 
 All images are float32 CHW in [0,1] unless noted. None of these record on
-the autodiff tape; they run in the preprocessing stage.
+the autodiff tape; they run before the taped forward pass.
 """
 
 from __future__ import annotations

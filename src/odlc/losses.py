@@ -11,14 +11,18 @@ Three quantities, all differentiable scalar tensors:
                        the objective leaves out
 
 The SSIM statistics use an 11x11 Gaussian window (sigma 1.5) with valid
-placement; MS-SSIM multiplies contrast/structure means across scales with
-the full SSIM mean at the coarsest scale, each raised to its scale
-weight. Scale weights are the classic constants normalized to sum to 1.
+placement and the constants K1 = 0.01, K2 = 0.03 on a data range of 1;
+MS-SSIM multiplies contrast/structure means across scales with the full
+SSIM mean at the coarsest scale, each raised to its scale weight.
+
+The pyramid is sized by the image: s scales, with s the largest s <= 5
+such that 11 * 2^(s-1) <= min(H, W), and the first s classic weights
+renormalized to sum to 1. A side below the 11-pixel window is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +30,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 _CLASSIC_WEIGHTS = np.array([0.0448, 0.2856, 0.3001, 0.2363, 0.1333])
-DEFAULT_SCALE_WEIGHTS = tuple(float(v) for v in _CLASSIC_WEIGHTS / _CLASSIC_WEIGHTS.sum())
+_SCALE_WEIGHTS = tuple(float(v) for v in _CLASSIC_WEIGHTS / _CLASSIC_WEIGHTS.sum())
+WINDOW, SIGMA, K1, K2, DATA_RANGE = 11, 1.5, 0.01, 0.03, 1.0
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601
 _TERM_FLOOR = 1e-6  # keeps fractional powers defined if a cs mean dips <= 0
 
@@ -42,13 +47,6 @@ class LossConfig:
     alpha: float = 0.0
     lambda_h: float = 5000.0
     layer_ids: tuple = ("1.1", "5.1")
-    scales: int = 5
-    scale_weights: tuple = None
-    window: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    data_range: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -57,40 +55,20 @@ class LossConfig:
             raise LossError(f"lambda_h must be positive, got {self.lambda_h}")
         if self.alpha > 0 and not self.layer_ids:
             raise LossError("layer_ids must be non-empty when alpha > 0")
-        if self.window % 2 != 1 or self.window < 3:
-            raise LossError(f"window must be odd and >= 3, got {self.window}")
-        if self.scales < 1:
-            raise LossError(f"scales must be >= 1, got {self.scales}")
-        if self.scale_weights is None:
-            w = np.array(DEFAULT_SCALE_WEIGHTS[: self.scales], dtype=np.float64)
-            object.__setattr__(self, "scale_weights", tuple(float(v) for v in w / w.sum()))
-        if len(self.scale_weights) != self.scales:
-            raise LossError(f"{len(self.scale_weights)} scale weights for {self.scales} scales")
-        if abs(sum(self.scale_weights) - 1.0) > 1e-6:
-            raise LossError(f"scale weights sum to {sum(self.scale_weights)}, expected 1")
 
-    def min_side(self) -> int:
-        return self.window * 2 ** (self.scales - 1)
 
-    @staticmethod
-    def scales_for(min_side: int, window: int = 11, max_scales: int = 5) -> int:
-        """Largest usable scale count for a given smallest image side."""
-        s = 0
-        while s < max_scales and window * 2 ** s <= min_side:
-            s += 1
-        if s == 0:
-            raise LossError(f"side {min_side} below the {window}-pixel window")
-        return s
-
-    def for_min_side(self, min_side: int) -> "LossConfig":
-        """Copy with the scale count reduced (weights renormalized) to fit."""
-        s = LossConfig.scales_for(min_side, self.window, self.scales)
-        if s == self.scales:
-            return self
-        return LossConfig(alpha=self.alpha, lambda_h=self.lambda_h,
-                          layer_ids=self.layer_ids, scales=s, scale_weights=None,
-                          window=self.window, sigma=self.sigma,
-                          k1=self.k1, k2=self.k2, data_range=self.data_range)
+def _pyramid_weights(side: int) -> tuple:
+    """Scale weights of the MS-SSIM pyramid for a given smallest image side;
+    their count is the scale count."""
+    s = 0
+    while s < len(_SCALE_WEIGHTS) and WINDOW * 2 ** s <= side:
+        s += 1
+    if s == 0:
+        raise LossError(f"ms_ssim: smallest side {side} below the {WINDOW}-pixel window")
+    # normalized over all five, then over the first s: trained checkpoints
+    # depend on these exact floats
+    w = np.array(_SCALE_WEIGHTS[:s], dtype=np.float64)
+    return tuple(float(v) for v in w / w.sum())
 
 
 def gaussian_window(window: int, sigma: float, dtype) -> np.ndarray:
@@ -114,11 +92,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def _ssim_luma(x: Tensor, y: Tensor, cfg: LossConfig):
+def _ssim_luma(x: Tensor, y: Tensor):
     """(mean cs term, mean full SSIM) of two 1xHxW tensors."""
-    win = Tensor(gaussian_window(cfg.window, cfg.sigma, x.dtype).reshape(1, 1, cfg.window, cfg.window))
-    c1 = (cfg.k1 * cfg.data_range) ** 2
-    c2 = (cfg.k2 * cfg.data_range) ** 2
+    win = Tensor(gaussian_window(WINDOW, SIGMA, x.dtype).reshape(1, 1, WINDOW, WINDOW))
+    c1 = (K1 * DATA_RANGE) ** 2
+    c2 = (K2 * DATA_RANGE) ** 2
     mu_x = ad.conv2d(x, win, padding="valid")
     mu_y = ad.conv2d(y, win, padding="valid")
     mxx = ad.mul(mu_x, mu_x)
@@ -135,50 +113,33 @@ def _ssim_luma(x: Tensor, y: Tensor, cfg: LossConfig):
     return ad.mean(cs), ad.mean(ad.mul(lum, cs))
 
 
-def ssim_scale(x, y, cfg: LossConfig = LossConfig()):
-    """Single-scale SSIM statistics of two same-shape [0,1] images.
-
-    Returns (mean contrast-structure term, mean full SSIM) as scalar
-    tensors. Images with 3 channels are reduced to luma first.
-    """
-    x, y = _as_tensor(x), _as_tensor(y)
-    if x.shape != y.shape:
-        raise LossError(f"ssim_scale: image shapes differ, {x.shape} vs {y.shape}")
-    if min(x.shape[1], x.shape[2]) < cfg.window:
-        raise LossError(f"ssim_scale: spatial dims {x.shape[1:]} below the "
-                        f"{cfg.window}-pixel window")
-    return _ssim_luma(to_luma(x), to_luma(y), cfg)
-
-
-def ms_ssim(x, y, cfg: LossConfig = LossConfig()) -> Tensor:
+def ms_ssim(x, y) -> Tensor:
     """Multi-scale SSIM in (0,1], symmetric in (x, y).
 
     cs means enter at scales 1..M-1, the full SSIM mean at the coarsest
-    scale M; 2x average-pool downsampling sits between scales.
+    scale M; 2x average-pool downsampling sits between scales. M follows
+    from the smallest image side (see the module docstring).
     """
     x, y = _as_tensor(x), _as_tensor(y)
     if x.shape != y.shape:
         raise LossError(f"ms_ssim: image shapes differ, {x.shape} vs {y.shape}")
-    side = min(x.shape[1], x.shape[2])
-    if side < cfg.min_side():
-        raise LossError(
-            f"ms_ssim: smallest side {side} below {cfg.min_side()} required for "
-            f"{cfg.scales} scales (reduce scales via for_min_side)")
+    weights = _pyramid_weights(min(x.shape[1], x.shape[2]))
+    coarsest = len(weights) - 1
     cx, cy = to_luma(x), to_luma(y)
     product = None
-    for s, w in enumerate(cfg.scale_weights):
-        cs_mean, ssim_mean = _ssim_luma(cx, cy, cfg)
-        term = ssim_mean if s == cfg.scales - 1 else cs_mean
+    for s, w in enumerate(weights):
+        cs_mean, ssim_mean = _ssim_luma(cx, cy)
+        term = ssim_mean if s == coarsest else cs_mean
         factor = ad.pow_const(ad.clamp_min(term, _TERM_FLOOR), w)
         product = factor if product is None else ad.mul(product, factor)
-        if s != cfg.scales - 1:
+        if s != coarsest:
             cx, cy = ad.avg_pool2(cx), ad.avg_pool2(cy)
     return product
 
 
-def human_distortion(x, y, cfg: LossConfig = LossConfig()) -> Tensor:
+def human_distortion(x, y) -> Tensor:
     """1 - MS-SSIM; zero iff the images agree, always below 1."""
-    return ad.add_const(ad.scale(ms_ssim(x, y, cfg), -1.0), 1.0)
+    return ad.add_const(ad.scale(ms_ssim(x, y), -1.0), 1.0)
 
 
 def feature_distortion(x, y, lossnet, layer_ids) -> Tensor:
@@ -207,7 +168,7 @@ def observer_distortion(x, y, cfg: LossConfig, lossnet=None):
     """
     if cfg.alpha > 0.0 and lossnet is None:
         raise LossError("observer_distortion: alpha > 0 needs a lossnet")
-    d_h = human_distortion(x, y, cfg) if cfg.alpha < 1.0 else None
+    d_h = human_distortion(x, y) if cfg.alpha < 1.0 else None
     d_c = feature_distortion(x, y, lossnet, cfg.layer_ids) if cfg.alpha > 0.0 else None
     if d_c is None:
         total = ad.scale(d_h, cfg.lambda_h)

@@ -190,7 +190,7 @@ def train_classifier(dataset, cfg, seed: int, layout: ClassifierLayout | None = 
 
 
 def evaluate_accuracy(params: ClassifierParams, dataset, cfg) -> float:
-    """Top-1 accuracy with validation preprocessing (center crop)."""
+    """Top-1 accuracy on the val-split geometry (resize, center crop)."""
     from . import trainer
 
     correct = 0

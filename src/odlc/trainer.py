@@ -2,8 +2,8 @@
 
 The per-step loss averages the observer distortion over every unrolled
 reconstruction, L = (1/T) * sum_t d(x, x_hat_t), with stochastic
-binarization during training. There is no entropy term; TrainConfig
-rejects beta != 0 outright.
+binarization during training. There is no entropy term, so TrainConfig
+has no rate weight: the bit rate is set by the iteration count alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from . import imageops, losses
 from .autodiff import Parameter, Tensor
-from .bitstream import ceil16
 from .codec import (CodecLayout, CodecParams, progressive_from_normalized,
                     reconstruct_progressive)
 
@@ -51,7 +50,6 @@ class TrainConfig:
     batch_size: int = 4
     epochs: int = 3
     unroll_steps: int = 8
-    beta: float = 0.0
     seed: int = 0
     resize_side: int = 256
     crop_size: int = 224
@@ -61,8 +59,6 @@ class TrainConfig:
     normalization: tuple | None = None  # ((mean r,g,b), (std r,g,b)); None = fit to data
 
     def __post_init__(self):
-        if self.beta != 0.0:
-            raise TrainError("the entropy term is out of scope: beta must be 0")
         if self.unroll_steps < 1:
             raise TrainError(f"unroll_steps must be >= 1, got {self.unroll_steps}")
         if self.crop_size > self.resize_side:
@@ -102,15 +98,6 @@ def augment_geometry(x: np.ndarray, split: str, rng, cfg: TrainConfig) -> np.nda
     else:
         raise TrainError(f"unknown split {split!r}")
     return np.ascontiguousarray(img)
-
-
-def preprocess(x: np.ndarray, split: str, rng, cfg: TrainConfig) -> np.ndarray:
-    """Full pipeline: aspect-preserving resize, crop/flip, then per-channel
-    (x - mean) / std with cfg.normalization."""
-    if cfg.normalization is None:
-        raise TrainError("preprocess needs cfg.normalization (fit or set it first)")
-    mean, std = (np.asarray(v, dtype=np.float32) for v in cfg.normalization)
-    return imageops.normalize(augment_geometry(x, split, rng, cfg), mean, std)
 
 
 def fit_normalization(dataset, cfg: TrainConfig, sample: int = 256) -> tuple:
@@ -219,11 +206,10 @@ def _val_probe(val_set, params, cfg, loss_cfg, lossnet=None, limit: int = 16):
     for i in range(n):
         img = augment_geometry(val_set.image(i), "val", None, cfg)
         trace = reconstruct_progressive(img, cfg.unroll_steps, params, mode="deterministic")
-        m_cfg = loss_cfg.for_min_side(min(img.shape[1:]))
         objective.append(np.mean([
-            losses.observer_distortion(img, trace.decoded(t), m_cfg, lossnet)[0].item()
+            losses.observer_distortion(img, trace.decoded(t), loss_cfg, lossnet)[0].item()
             for t in range(1, trace.iterations + 1)]))
-        scores.append(losses.ms_ssim(img, trace.decoded(), m_cfg).item())
+        scores.append(losses.ms_ssim(img, trace.decoded()).item())
     return float(np.mean(objective)), float(np.mean(scores))
 
 
@@ -247,8 +233,6 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
     norm = cfg.normalization or fit_normalization(train_set, cfg)
     mean, std = (np.asarray(v, dtype=np.float32) for v in norm)
     params = CodecParams(layout, seed=cfg.seed, norm_mean=mean, norm_std=std)
-    # the loop distorts padded crops; size the MS-SSIM pyramid to them
-    train_loss_cfg = loss_cfg.for_min_side(ceil16(cfg.crop_size)) if loss_cfg.alpha < 1.0 else loss_cfg
 
     opt = Adam(params.parameters(), lr=cfg.learning_rate,
                beta1=cfg.adam.beta1, beta2=cfg.adam.beta2, eps=cfg.adam.eps)
@@ -285,7 +269,7 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
                 x01p = imageops.pad_to_multiple(crop, 16)
                 with ad.Tape() as tape:
                     loss, info = step_loss(x01p, cfg.unroll_steps, params,
-                                           train_loss_cfg, lossnet=lossnet, rng=bin_rng)
+                                           loss_cfg, lossnet=lossnet, rng=bin_rng)
                 value = loss.item()
                 if not math.isfinite(value):
                     where = f"; last good checkpoint: {last_good}" if last_good else ""

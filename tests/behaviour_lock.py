@@ -90,7 +90,7 @@ def lock_step_loss(net):
     x = image(7, 32)
     for alpha in ALPHAS:
         cfg = losses.LossConfig(alpha=alpha)
-        if alpha < 1.0:
+        if alpha < 1.0 and hasattr(cfg, "for_min_side"):  # older trees sized the pyramid here
             cfg = cfg.for_min_side(32)
         params = CodecParams(MICRO, seed=3, norm_mean=NORM[0], norm_std=NORM[1])
         params.zero_grads()

@@ -74,10 +74,20 @@ def downsample2_direct(a):
     return (v[0::2, 0::2] + v[0::2, 1::2] + v[1::2, 0::2] + v[1::2, 1::2]) / 4.0
 
 
-def msssim_direct(ximg, yimg, scales, weights, window=11, sigma=1.5,
+CLASSIC_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
+
+
+def msssim_weights_direct(scales):
+    """The first `scales` classic MS-SSIM weights, rescaled to sum to 1."""
+    w = np.array(CLASSIC_MSSSIM_WEIGHTS[:scales], dtype=np.float64)
+    return w / w.sum()
+
+
+def msssim_direct(ximg, yimg, scales, window=11, sigma=1.5,
                   k1=0.01, k2=0.03, data_range=1.0, floor=1e-6):
     """Direct MS-SSIM on CHW [0,1] images (luma, cs terms at fine scales,
-    full SSIM at the coarsest)."""
+    full SSIM at the coarsest) with the classic weights."""
+    weights = msssim_weights_direct(scales)
     x = luma_direct(np.asarray(ximg, dtype=np.float64))
     y = luma_direct(np.asarray(yimg, dtype=np.float64))
     result = 1.0

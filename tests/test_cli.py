@@ -6,6 +6,7 @@ import pytest
 
 from odlc import bitstream, checkpoint, cli, configio, ppm
 from odlc.codec import CodecLayout, CodecParams, compress
+from odlc.losses import LossConfig
 from odlc.lossnet import ClassifierLayout, ClassifierParams
 
 MICRO = CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4), bottleneck=4, t_max=8)
@@ -38,6 +39,38 @@ class TestConfigIO:
         from odlc.trainer import TrainConfig
         with pytest.raises(configio.ConfigError, match="unknown config key"):
             configio.apply_kv(TrainConfig.desk(), {"nope": "1"})
+
+    def test_loss_keys_from_file(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("alpha = 0.5\nlayer_ids = 1.1, 5.1\nlambda_h = 2500\nepochs = 2\n")
+        args = cli.build_parser().parse_args(["train-codec", "--data", "d", "--out", "o",
+                                              "--seed", "0", "--config", str(p)])
+        assert cli._loss_cfg(args) == LossConfig(alpha=0.5, layer_ids=("1.1", "5.1"),
+                                                 lambda_h=2500.0)
+        assert cli._train_cfg(args).epochs == 2
+
+    def test_flags_override_file_before_validation(self, tmp_path):
+        # the file alone is invalid (alpha > 0 without taps); --layers mends it
+        p = tmp_path / "c.cfg"
+        p.write_text("alpha = 0.5\nlayer_ids =\n")
+        args = cli.build_parser().parse_args(["train-codec", "--data", "d", "--out", "o",
+                                              "--seed", "0", "--config", str(p),
+                                              "--alpha", "0.25", "--layers", "2.1"])
+        assert cli._loss_cfg(args) == LossConfig(alpha=0.25, layer_ids=("2.1",))
+
+    def test_unsettable_key_named(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("normalization = 0.5,0.5\n")
+        rc = run("train-codec", "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
+                 "--out", str(tmp_path / "run"), "--seed", "0", "--config", str(p))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'normalization'" in err and "Traceback" not in err
+
+    def test_bad_value_names_its_key(self):
+        from odlc.trainer import TrainConfig
+        with pytest.raises(configio.ConfigError, match="'epochs'"):
+            configio.apply_kv(TrainConfig.desk(), {"epochs": "two"})
 
     def test_write_csv(self, tmp_path):
         p = tmp_path / "t.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,51 +18,53 @@ class TestLossConfig:
         with pytest.raises(losses.LossError, match="alpha"):
             losses.LossConfig(alpha=1.5)
 
-    def test_default_weights_sum_to_one(self):
-        cfg = losses.LossConfig()
-        assert abs(sum(cfg.scale_weights) - 1.0) < 1e-9
-
     def test_layer_ids_required_with_alpha(self):
         with pytest.raises(losses.LossError, match="layer_ids"):
             losses.LossConfig(alpha=0.5, layer_ids=())
 
-    def test_scale_reduction_renormalizes(self):
-        cfg = losses.LossConfig().for_min_side(56)
-        assert cfg.scales == 3
-        assert abs(sum(cfg.scale_weights) - 1.0) < 1e-9
+    def test_holds_only_the_objective(self):
+        assert [f.name for f in dataclasses.fields(losses.LossConfig)] == \
+            ["alpha", "lambda_h", "layer_ids"]
 
-    def test_bad_weight_sum_rejected(self):
-        with pytest.raises(losses.LossError, match="sum"):
-            losses.LossConfig(scales=2, scale_weights=(0.6, 0.6))
+
+class TestPyramid:
+    @pytest.mark.parametrize("side,scales", [(11, 1), (21, 1), (22, 2), (43, 2), (44, 3),
+                                             (64, 3), (88, 4), (175, 4), (176, 5), (999, 5)])
+    def test_scale_count_by_side(self, side, scales):
+        assert len(losses._pyramid_weights(side)) == scales
+
+    def test_weights_sum_to_one(self):
+        w = losses._pyramid_weights(176)
+        assert len(w) == 5 and abs(sum(w) - 1.0) < 1e-9
+
+    def test_scale_reduction_renormalizes(self):
+        w = losses._pyramid_weights(56)
+        assert len(w) == 3 and abs(sum(w) - 1.0) < 1e-9
 
 
 class TestSsimScale:
+    """16-px images: the pyramid has one level, so MS-SSIM is the full SSIM mean."""
+
     def test_identical_images(self):
-        x = img(0)
-        _, full = losses.ssim_scale(x, x)
-        assert full.item() == pytest.approx(1.0, abs=1e-6)
+        x = img(0, 16, 16)
+        assert losses.ms_ssim(x, x).item() == pytest.approx(1.0, abs=1e-6)
 
     def test_constant_images_closed_form(self):
         a, b = 0.2, 0.4
-        cfg = losses.LossConfig()
         x = np.full((3, 16, 16), a, dtype=np.float64)
         y = np.full((3, 16, 16), b, dtype=np.float64)
-        cs, full = losses.ssim_scale(x, y, cfg)
-        c1 = (cfg.k1 * cfg.data_range) ** 2
+        c1 = (0.01 * 1.0) ** 2  # (K1 * data range)^2; the variances vanish
         want = (2 * a * b + c1) / (a * a + b * b + c1)
-        assert cs.item() == pytest.approx(1.0, abs=1e-9)  # variances vanish
-        assert full.item() == pytest.approx(want, abs=1e-9)
+        assert losses.ms_ssim(x, y).item() == pytest.approx(want, abs=1e-9)
 
     def test_matches_direct_oracle(self):
-        x, y = img(1, dtype=np.float64), img(2, dtype=np.float64)
-        cs, full = losses.ssim_scale(x, y)
-        cs_map, ssim_map = ssim_maps_direct(luma_direct(x), luma_direct(y))
-        assert cs.item() == pytest.approx(cs_map.mean(), abs=1e-6)
-        assert full.item() == pytest.approx(ssim_map.mean(), abs=1e-6)
+        x, y = img(1, 16, 16, np.float64), img(2, 16, 16, np.float64)
+        _, ssim_map = ssim_maps_direct(luma_direct(x), luma_direct(y))
+        assert losses.ms_ssim(x, y).item() == pytest.approx(ssim_map.mean(), abs=1e-6)
 
     def test_too_small_rejected(self):
         with pytest.raises(losses.LossError, match="window"):
-            losses.ssim_scale(img(0, 8, 8), img(1, 8, 8))
+            losses.ms_ssim(img(0, 8, 8), img(1, 8, 8))
 
 
 class TestMsSsim:
@@ -73,31 +77,31 @@ class TestMsSsim:
         assert losses.ms_ssim(x, y).item() == losses.ms_ssim(y, x).item()
 
     def test_matches_direct_oracle_192(self):
-        cfg = losses.LossConfig()
         x, y = img(6, 192, 192, np.float64), img(7, 192, 192, np.float64)
-        got = losses.ms_ssim(x, y, cfg).item()
-        want = msssim_direct(x, y, cfg.scales, cfg.scale_weights)
-        assert got == pytest.approx(want, abs=1e-5)
+        got = losses.ms_ssim(x, y).item()
+        assert got == pytest.approx(msssim_direct(x, y, 5), abs=1e-5)
 
     def test_matches_direct_oracle_reduced_scales(self):
-        cfg = losses.LossConfig().for_min_side(64)
         x, y = img(8, 64, 64, np.float64), img(9, 64, 64, np.float64)
-        got = losses.ms_ssim(x, y, cfg).item()
-        want = msssim_direct(x, y, cfg.scales, cfg.scale_weights)
-        assert got == pytest.approx(want, abs=1e-6)
+        got = losses.ms_ssim(x, y).item()
+        assert got == pytest.approx(msssim_direct(x, y, 3), abs=1e-6)
 
     def test_too_small_for_scales_rejected(self):
-        with pytest.raises(losses.LossError, match="scales"):
-            losses.ms_ssim(img(0, 64, 64), img(1, 64, 64))  # 5 scales need 176px
+        # the smaller side governs: 10 px is below the window whatever the width
+        with pytest.raises(losses.LossError, match="window"):
+            losses.ms_ssim(img(0, 10, 64), img(1, 10, 64))
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(losses.LossError, match="shapes differ"):
+            losses.ms_ssim(img(0, 32, 32), img(1, 32, 48))
 
     def test_monotone_under_noise(self):
-        cfg = losses.LossConfig().for_min_side(64)
         x = img(11, 64, 64)
         noise = np.random.default_rng(10).standard_normal(x.shape)
         scores = []
         for amp in np.linspace(0.0, 0.4, 20):
             y = np.clip(x + amp * noise, 0, 1).astype(np.float32)
-            scores.append(losses.ms_ssim(x, y, cfg).item())
+            scores.append(losses.ms_ssim(x, y).item())
         # statistically decreasing across the 20 amplitudes
         diffs = np.diff(scores)
         assert scores[0] > scores[-1]
@@ -106,21 +110,19 @@ class TestMsSsim:
 
 class TestHumanDistortion:
     def test_zero_at_identity(self):
-        cfg = losses.LossConfig().for_min_side(64)
         x = img(12, 64, 64)
-        assert losses.human_distortion(x, x, cfg).item() == pytest.approx(0.0, abs=1e-6)
+        assert losses.human_distortion(x, x).item() == pytest.approx(0.0, abs=1e-6)
 
     def test_range(self):
-        cfg = losses.LossConfig().for_min_side(32)
         for s in range(6):
-            v = losses.human_distortion(img(s, 32, 32), img(100 + s, 32, 32), cfg).item()
+            v = losses.human_distortion(img(s, 32, 32), img(100 + s, 32, 32)).item()
             assert 0.0 <= v < 1.0
 
-    def test_gradient_matches_fd_80px_2scales(self):
-        cfg = losses.LossConfig(scales=2)
-        x = ad.Tensor(img(13, 80, 80))
-        y = ad.Tensor(img(14, 80, 80), requires_grad=True)
-        err = gradcheck.check_gradients(lambda: losses.human_distortion(x, y, cfg), [y],
+    def test_gradient_matches_fd_40px_2scales(self):
+        x = ad.Tensor(img(13, 40, 40))
+        y = ad.Tensor(img(14, 40, 40), requires_grad=True)
+        assert len(losses._pyramid_weights(40)) == 2
+        err = gradcheck.check_gradients(lambda: losses.human_distortion(x, y), [y],
                                         dtype=np.float32, sample=80, seed=3)
         assert err < 1e-3
 
@@ -175,9 +177,9 @@ class TestFeatureDistortion:
 
 class TestObserverDistortion:
     def test_alpha_zero_exact_endpoint(self):
-        cfg = losses.LossConfig(alpha=0.0).for_min_side(32)
+        cfg = losses.LossConfig(alpha=0.0)
         x, y = img(20), img(21)
-        want = losses.human_distortion(x, y, cfg).item() * cfg.lambda_h
+        want = losses.human_distortion(x, y).item() * cfg.lambda_h
         got = losses.observer_distortion(x, y, cfg)[0].item()  # no lossnet needed
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -192,13 +194,13 @@ class TestObserverDistortion:
         assert 0.5 * 5000 * 0.1 + 0.5 * 250 == 375.0
 
     def test_affine_in_alpha(self, toy_net):
-        base = losses.LossConfig(alpha=0.0, scales=1, layer_ids=("1.1", "2.1"))
+        base = losses.LossConfig(alpha=0.0, layer_ids=("1.1", "2.1"))
         x, y = img(24, 16, 16, np.float64), img(25, 16, 16, np.float64)
         lo = losses.observer_distortion(x, y, base, toy_net)[0].item()
         hi = losses.observer_distortion(
             x, y, losses.LossConfig(alpha=1.0, layer_ids=base.layer_ids), toy_net)[0].item()
         mid = losses.observer_distortion(
-            x, y, losses.LossConfig(alpha=0.5, scales=1, layer_ids=base.layer_ids),
+            x, y, losses.LossConfig(alpha=0.5, layer_ids=base.layer_ids),
             toy_net)[0].item()
         assert mid == pytest.approx((lo + hi) / 2.0, abs=1e-6)
 
@@ -208,7 +210,7 @@ class TestObserverDistortion:
             losses.observer_distortion(img(0), img(1), cfg)
 
     def test_frozen_lossnet_grads_stay_zero(self, toy_net):
-        cfg = losses.LossConfig(alpha=0.5, scales=1, layer_ids=("1.1", "2.1"))
+        cfg = losses.LossConfig(alpha=0.5, layer_ids=("1.1", "2.1"))
         x = ad.Tensor(img(26, 16, 16, np.float64))
         y = ad.Tensor(img(27, 16, 16, np.float64), requires_grad=True)
         toy_net.zero_grads()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from odlc import autodiff as ad
-from odlc import imageops, losses, trainer
+from odlc import cli, imageops, losses, trainer
 from odlc.codec import CodecLayout, CodecParams, reconstruct_progressive
 from odlc.lossnet import ClassifierLayout, ClassifierParams
 from odlc.datasets import ShapesDataset, ShapesSpec
@@ -29,9 +29,15 @@ class TestTrainConfig:
         assert cfg.unroll_steps == 8
         assert (cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps) == (0.9, 0.999, 1e-8)
 
-    def test_entropy_term_structurally_rejected(self):
-        with pytest.raises(trainer.TrainError, match="beta"):
-            trainer.TrainConfig(beta=0.1)
+    def test_entropy_term_structurally_rejected(self, tmp_path, capsys):
+        # no rate weight exists, so a config file cannot ask for one
+        cfgfile = tmp_path / "t.cfg"
+        cfgfile.write_text("beta = 0.1\n")
+        rc = cli.main(["train-codec", "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
+                       "--out", str(tmp_path / "run"), "--seed", "0", "--config", str(cfgfile)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown config key 'beta'" in err and "Traceback" not in err
 
     def test_desk_profile(self):
         cfg = trainer.TrainConfig.desk()
@@ -40,9 +46,9 @@ class TestTrainConfig:
 
 class TestPreprocess:
     def test_resize_skipped_when_smallest_side_matches(self):
-        cfg = trainer.TrainConfig(normalization=([0.0] * 3, [1.0] * 3))
+        cfg = trainer.TrainConfig()
         x = np.random.default_rng(0).random((3, 512, 256), dtype=np.float32)
-        out = trainer.preprocess(x, "val", None, cfg)
+        out = trainer.augment_geometry(x, "val", None, cfg)
         # no resample: the center 224 crop of the original
         np.testing.assert_array_equal(out, imageops.center_crop(x, 224))
 
@@ -65,16 +71,16 @@ class TestPreprocess:
             trainer.TrainConfig.desk(crop_size=80)
 
     def test_train_split_needs_rng(self):
-        cfg = trainer.TrainConfig.desk(normalization=([0.0] * 3, [1.0] * 3))
+        cfg = trainer.TrainConfig.desk()
         x = np.zeros((3, 64, 64), dtype=np.float32)
         with pytest.raises(trainer.TrainError, match="generator"):
-            trainer.preprocess(x, "train", None, cfg)
+            trainer.augment_geometry(x, "train", None, cfg)
 
     def test_random_crop_and_flip_deterministic_given_rng(self):
-        cfg = trainer.TrainConfig.desk(normalization=([0.5] * 3, [0.5] * 3))
+        cfg = trainer.TrainConfig.desk()
         x = np.random.default_rng(3).random((3, 80, 70), dtype=np.float32)
-        a = trainer.preprocess(x, "train", np.random.default_rng(9), cfg)
-        b = trainer.preprocess(x, "train", np.random.default_rng(9), cfg)
+        a = trainer.augment_geometry(x, "train", np.random.default_rng(9), cfg)
+        b = trainer.augment_geometry(x, "train", np.random.default_rng(9), cfg)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (3, 56, 56)
 
@@ -129,7 +135,7 @@ class TestStepLoss:
     def test_all_unrolled_steps_supervised(self):
         params = CodecParams(MICRO, seed=1)
         x = np.random.default_rng(0).random((3, 32, 32), dtype=np.float32)
-        cfg = losses.LossConfig(alpha=0.0).for_min_side(32)
+        cfg = losses.LossConfig(alpha=0.0)
         with ad.Tape() as tape:
             loss, info = step = trainer.step_loss(x, 3, params, cfg,
                                                   rng=np.random.default_rng(1))
@@ -140,7 +146,7 @@ class TestStepLoss:
     def test_step_loss_equals_observer_distortion(self):
         params = CodecParams(MICRO, seed=2)
         x = np.random.default_rng(1).random((3, 32, 32), dtype=np.float32)
-        cfg = losses.LossConfig(alpha=0.0).for_min_side(32)
+        cfg = losses.LossConfig(alpha=0.0)
         loss, info = trainer.step_loss(x, 1, params, cfg, mode="deterministic")
         trace = info["trace"]
         y01 = imageops.denormalize(trace.reconstructions[0].data,
@@ -152,7 +158,7 @@ class TestStepLoss:
     def test_components_follow_alpha(self, alpha, toy_net):
         params = CodecParams(MICRO, seed=3)
         x = np.random.default_rng(2).random((3, 32, 32), dtype=np.float32)
-        cfg = losses.LossConfig(alpha=alpha, layer_ids=TAPS).for_min_side(32)
+        cfg = losses.LossConfig(alpha=alpha, layer_ids=TAPS)
         loss, info = trainer.step_loss(x, 3, params, cfg, lossnet=toy_net,
                                        rng=np.random.default_rng(4))
         assert np.isfinite(info["d_h"]) == (alpha < 1.0)
@@ -162,7 +168,7 @@ class TestStepLoss:
         d_h, d_c = [], []
         for recon in info["trace"].reconstructions:
             y01 = imageops.denormalize(recon.data, params.norm_mean, params.norm_std)
-            d_h.append(losses.human_distortion(x, y01, cfg).item())
+            d_h.append(losses.human_distortion(x, y01).item())
             d_c.append(losses.feature_distortion(x, y01, toy_net, TAPS).item())
         want = np.mean([(1 - alpha) * cfg.lambda_h * h + alpha * c for h, c in zip(d_h, d_c)])
         assert loss.item() == pytest.approx(want, rel=1e-5)
@@ -237,15 +243,14 @@ class TestTrainCodec:
         params, log, val_log = trainer.train_codec(ds, ds, lc, cfg, lossnet=toy_net,
                                                    layout=MICRO)
         assert len(log) == 2 and len(val_log) == 1
-        m_cfg = lc.for_min_side(32)
         objective, scores = [], []
         for i in range(len(ds)):
             img = trainer.augment_geometry(ds.image(i), "val", None, cfg)
             trace = reconstruct_progressive(img, 2, params, mode="deterministic")
             objective.append(np.mean([
-                losses.observer_distortion(img, trace.decoded(t), m_cfg, toy_net)[0].item()
+                losses.observer_distortion(img, trace.decoded(t), lc, toy_net)[0].item()
                 for t in (1, 2)]))
-            scores.append(losses.ms_ssim(img, trace.decoded(), m_cfg).item())
+            scores.append(losses.ms_ssim(img, trace.decoded()).item())
         assert val_log[0] == (2, float(np.mean(objective)), float(np.mean(scores)))
 
     def test_unroll_steps_beyond_layout_rejected(self):
