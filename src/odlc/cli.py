@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import bitstream, configio, datasets, evaluation, gradcheck, losses, ppm, trainer
 from .codec import CodecParams, compress as codec_compress, decompress as codec_decompress
-from .lossnet import ClassifierParams, train_classifier, evaluate_accuracy
+from .lossnet import ClassifierParams
 
 
 def _manifest(out_path, args, configs, inputs):
@@ -29,16 +29,26 @@ def _manifest(out_path, args, configs, inputs):
                             tool_version=__version__)
 
 
+# The config-file keys each command reads. The seed comes from --seed and
+# the normalization is fitted, so neither is a file key.
 _LOSS_KEYS = tuple(f.name for f in dataclasses.fields(losses.LossConfig))
+_CLASSIFIER_KEYS = ("learning_rate", "batch_size", "epochs", "resize_side", "crop_size",
+                    "adam.beta1", "adam.beta2", "adam.eps")
+_CODEC_TRAIN_KEYS = _CLASSIFIER_KEYS + ("unroll_steps", "grad_clip", "val_interval")
 
 
 def _config_kv(args) -> dict:
-    return configio.read_kv(args.config) if args.config else {}
+    kv = configio.read_kv(args.config) if args.config else {}
+    for key in kv:
+        if key not in args.config_keys:
+            raise configio.ConfigError(f"unknown config key {key!r} for {args.command}; "
+                                       f"known: {sorted(args.config_keys)}")
+    return kv
 
 
 def _train_cfg(args) -> trainer.TrainConfig:
-    cfg = configio.apply_kv(trainer.TrainConfig.desk(seed=args.seed), _config_kv(args),
-                            skip=_LOSS_KEYS)
+    kv = {k: v for k, v in _config_kv(args).items() if k not in _LOSS_KEYS}
+    cfg = configio.apply_kv(trainer.TrainConfig.desk(seed=args.seed), kv)
     for name in ("epochs", "batch_size", "unroll_steps", "learning_rate"):
         v = getattr(args, name, None)
         if v is not None:
@@ -68,11 +78,11 @@ def cmd_gen_data(args):
 def cmd_train_classifier(args):
     cfg = _train_cfg(args)
     train_set = datasets.parse_spec(args.data, default_split="train")
-    params, log = train_classifier(train_set, cfg, seed=args.seed)
+    params, log = trainer.train_classifier(train_set, cfg)
     params.save(args.out)
     if args.val_data:
         val_set = datasets.parse_spec(args.val_data, default_split="val")
-        acc = evaluate_accuracy(params, val_set, cfg)
+        acc = trainer.evaluate_accuracy(params, val_set, cfg)
         print(f"val accuracy: {acc:.4f}")
     _manifest(args.out, args, {"train": cfg}, [args.config] if args.config else [])
     print(f"saved classifier to {args.out} ({len(log)} log rows)")
@@ -172,11 +182,11 @@ def cmd_sweep(args):
 
 
 def cmd_ablate_layers(args):
+    cfg = _train_cfg(args)
     f_l = ClassifierParams.load(args.lossnet)
     classifier = ClassifierParams.load(args.classifier)
     train_set = datasets.parse_spec(args.data, default_split="train")
     val_set = datasets.parse_spec(args.val_data or args.data, default_split="val")
-    cfg = _train_cfg(args)
     sets = []
     for chunk in args.sets.split("|"):
         sets.append(tuple(f_l.layer_names()) if chunk == "all" else tuple(chunk.split(",")))
@@ -234,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     seeded(sp)
-    sp.set_defaults(fn=cmd_train_classifier)
+    sp.set_defaults(fn=cmd_train_classifier, config_keys=_CLASSIFIER_KEYS)
 
     sp = sub.add_parser("train-codec", help="train the codec at one alpha")
     sp.add_argument("--data", required=True)
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     sp.add_argument("--verbose", action="store_true")
     seeded(sp)
-    sp.set_defaults(fn=cmd_train_codec)
+    sp.set_defaults(fn=cmd_train_codec, config_keys=_CODEC_TRAIN_KEYS + _LOSS_KEYS)
 
     sp = sub.add_parser("compress", help="image -> bitstream")
     sp.add_argument("--in", dest="infile", required=True, help="P6 PPM input")
@@ -309,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-comp", dest="s_comp", type=int, default=64)
     sp.add_argument("--s-inf", dest="s_inf", type=int, default=56)
     seeded(sp)
-    sp.set_defaults(fn=cmd_ablate_layers)
+    sp.set_defaults(fn=cmd_ablate_layers, config_keys=_CODEC_TRAIN_KEYS)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     sp.add_argument("--dtype", choices=("f32", "f64"), default="f32")

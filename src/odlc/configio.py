@@ -44,7 +44,7 @@ def _coerce(text: str, pytype):
     raise ConfigError(f"unsupported config field type {pytype}")
 
 
-def apply_kv(cfg, kv: dict, skip=()):
+def apply_kv(cfg, kv: dict):
     """Rebuild a (frozen) dataclass with fields overridden from a kv dict.
 
     Unknown keys raise; nested dataclass fields use dotted keys
@@ -55,19 +55,14 @@ def apply_kv(cfg, kv: dict, skip=()):
     updates = {}
     nested = {}
     for key, text in kv.items():
-        if key in skip:
-            continue
         if "." in key:
             head, rest = key.split(".", 1)
             nested.setdefault(head, {})[rest] = text
             continue
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r}; known: {sorted(fields)}")
-        current = getattr(cfg, key)
-        if current is None:
-            raise ConfigError(f"config key {key!r} cannot be set from a config file")
         try:
-            updates[key] = _coerce(text, type(current))
+            updates[key] = _coerce(text, type(getattr(cfg, key)))
         except ValueError as e:
             raise ConfigError(f"config key {key!r}: {e}") from None
     for head, sub in nested.items():

@@ -7,19 +7,18 @@ through "5.1") and are taken after the activation.
 
 The same network serves two roles: frozen loss network for the feature
 distortion, and evaluation classifier. The two are always trained from
-different seeds.
+different seeds. This module is the network alone; it is trained by
+``trainer.train_classifier``, in the same loop as the codec.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
-from . import imageops
 from .autodiff import Parameter, Tensor
 
 
@@ -133,70 +132,3 @@ def classify(x, params: ClassifierParams):
         raise LossnetError(f"classify: expected a 3x{res}x{res} image, got {x.shape}")
     logits = params.logits(x).data
     return int(np.argmax(logits)), logits
-
-
-def train_classifier(dataset, cfg, seed: int, layout: ClassifierLayout | None = None,
-                     log_every: int = 50):
-    """Cross-entropy training on (image, label) pairs; returns the frozen
-    parameter snapshot and the training log rows (step, loss, lr, wall_time).
-    """
-    from . import trainer  # deferred: trainer builds on losses/lossnet types
-
-    n = len(dataset)
-    if n == 0:
-        raise LossnetError("train_classifier: empty dataset")
-    layout = layout or ClassifierLayout(classes=max(dataset.class_count, 2),
-                                        input_resolution=cfg.crop_size)
-    if layout.classes < 2:
-        raise LossnetError("train_classifier: a classifier needs at least 2 classes")
-    for i in range(min(n, 512)):
-        lbl = dataset.label(i)
-        if not 0 <= lbl < layout.classes:
-            raise LossnetError(f"train_classifier: degenerate label {lbl} outside "
-                               f"0..{layout.classes - 1}")
-    stat_imgs = (dataset.image(i) for i in range(min(n, 256)))
-    mean, std = imageops.channel_stats(stat_imgs)
-    params = ClassifierParams(layout, seed=seed, norm_mean=mean, norm_std=std)
-
-    adam = trainer.Adam(params.parameters(), lr=cfg.learning_rate,
-                        beta1=cfg.adam.beta1, beta2=cfg.adam.beta2, eps=cfg.adam.eps)
-    log = []
-    step = 0
-    t0 = time.time()
-    order_rng = np.random.default_rng(np.random.SeedSequence((seed, 0x04DE)))
-    batch = cfg.batch_size
-    for epoch in range(cfg.epochs):
-        perm = order_rng.permutation(n)
-        for start in range(0, n - batch + 1, batch):
-            idxs = perm[start : start + batch]
-            params.zero_grads()
-            total = 0.0
-            for j, i in enumerate(idxs):
-                i = int(i)
-                aug_rng = np.random.default_rng(np.random.SeedSequence((seed, 1, epoch, i)))
-                img = trainer.augment_geometry(dataset.image(i), "train", aug_rng, cfg)
-                with ad.Tape() as tape:
-                    loss = ad.cross_entropy_logits(params.logits(img), dataset.label(i))
-                ad.backward(loss, tape)
-                total += loss.item()
-            for p in params.parameters():
-                p.grad /= batch
-            adam.step()
-            step += 1
-            if step % log_every == 0 or step == 1:
-                log.append((step, total / batch, cfg.learning_rate, time.time() - t0))
-    params.freeze()
-    return params, log
-
-
-def evaluate_accuracy(params: ClassifierParams, dataset, cfg) -> float:
-    """Top-1 accuracy on the val-split geometry (resize, center crop)."""
-    from . import trainer
-
-    correct = 0
-    n = len(dataset)
-    for i in range(n):
-        img = trainer.augment_geometry(dataset.image(i), "val", None, cfg)
-        label, _ = classify(img, params)
-        correct += int(label == dataset.label(i))
-    return correct / n

@@ -1,9 +1,12 @@
-"""Codec training: data pipeline, Adam, and the unrolled training loop.
+"""Training: data pipeline, Adam, and the one minibatch loop
+(``_minibatch_adam``) that trains both the codec and the classifier.
+Both fit their normalization and augment their crops the same way.
 
-The per-step loss averages the observer distortion over every unrolled
-reconstruction, L = (1/T) * sum_t d(x, x_hat_t), with stochastic
+The codec's per-image loss averages the observer distortion over every
+unrolled reconstruction, L = (1/T) * sum_t d(x, x_hat_t), with stochastic
 binarization during training. There is no entropy term, so TrainConfig
 has no rate weight: the bit rate is set by the iteration count alone.
+The classifier's is the cross-entropy of its logits, unclipped.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from . import imageops, losses
 from .autodiff import Parameter, Tensor
 from .codec import (CodecLayout, CodecParams, progressive_from_normalized,
                     reconstruct_progressive)
+from .lossnet import ClassifierLayout, ClassifierParams, classify
 
 TRAIN_LOG_HEADER = ("step", "loss", "d_H", "d_C", "lr", "wall_time")
 VAL_LOG_HEADER = ("step", "val_loss", "val_msssim")
@@ -104,12 +108,11 @@ def fit_normalization(dataset, cfg: TrainConfig, sample: int = 256) -> tuple:
     """Per-channel stats from a deterministic prefix of the training set."""
     n = min(len(dataset), sample)
     imgs = (imageops.resize_smallest_side(dataset.image(i), cfg.resize_side) for i in range(n))
-    mean, std = imageops.channel_stats(imgs)
-    return mean, std
+    return imageops.channel_stats(imgs)
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# optimizer and the training loop
 
 
 class Adam:
@@ -152,6 +155,47 @@ def clip_global_norm(params: list, max_norm: float) -> float:
         for p in params:
             p.grad *= s
     return norm
+
+
+def _rng(*key):
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def _minibatch_adam(train_set, params, cfg: TrainConfig, stream: int, image_loss,
+                    clip: float, on_step):
+    """Minibatch Adam over per-image losses, in full batches of a
+    permutation seeded from (cfg.seed, stream). ``image_loss(epoch, i)``
+    runs on its own tape and returns (loss, info); the mean gradient is
+    clipped to a global norm of ``clip`` (0 = off). After every step it
+    calls ``on_step(step, epoch, mean loss, infos, wall time)``.
+    """
+    n = len(train_set)
+    if n < cfg.batch_size:
+        raise TrainError(f"training set of {n} images smaller than one batch of {cfg.batch_size}")
+    opt = Adam(params.parameters(), cfg.learning_rate, **asdict(cfg.adam))
+    order_rng = _rng(cfg.seed, stream)
+    step = 0
+    t0 = time.time()
+    for epoch in range(cfg.epochs):
+        perm = order_rng.permutation(n)
+        for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
+            params.zero_grads()
+            total, infos = 0.0, []
+            for i in perm[start : start + cfg.batch_size]:
+                with ad.Tape() as tape:
+                    loss, info = image_loss(epoch, int(i))
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainingDiverged(f"loss became {value} at step {step + 1}")
+                ad.backward(loss, tape)
+                total += value
+                infos.append(info)
+            for p in params.parameters():
+                p.grad /= cfg.batch_size
+            clip_global_norm(params.parameters(), clip)
+            opt.step()
+            step += 1
+            on_step(step, epoch, total / cfg.batch_size, infos, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,70 +274,86 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
     if cfg.unroll_steps > layout.t_max:
         raise TrainError(f"unroll_steps {cfg.unroll_steps} exceeds layout t_max {layout.t_max}")
 
-    norm = cfg.normalization or fit_normalization(train_set, cfg)
-    mean, std = (np.asarray(v, dtype=np.float32) for v in norm)
+    mean, std = cfg.normalization or fit_normalization(train_set, cfg)
     params = CodecParams(layout, seed=cfg.seed, norm_mean=mean, norm_std=std)
-
-    opt = Adam(params.parameters(), lr=cfg.learning_rate,
-               beta1=cfg.adam.beta1, beta2=cfg.adam.beta2, eps=cfg.adam.eps)
-    order_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xB0)))
-    n = len(train_set)
-    if n < cfg.batch_size:
-        raise TrainError(f"training set of {n} images smaller than one batch of {cfg.batch_size}")
-
+    steps_per_epoch = len(train_set) // cfg.batch_size
     log, val_log = [], []
-    step = 0
-    t0 = time.time()
     last_good = None
 
-    def emit_checkpoint(tag):
-        nonlocal last_good
-        if out_dir is None:
-            return None
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"codec_{tag}.ckpt")
-        params.save(path)
-        last_good = path
-        return path
+    def image_loss(epoch, i):
+        crop = augment_geometry(train_set.image(i), "train", _rng(cfg.seed, 2, epoch, i), cfg)
+        loss, info = step_loss(imageops.pad_to_multiple(crop, 16), cfg.unroll_steps, params,
+                               loss_cfg, lossnet=lossnet, rng=_rng(cfg.seed, 3, epoch, i))
+        return loss, (info["d_h"], info["d_c"])
 
-    for epoch in range(cfg.epochs):
-        perm = order_rng.permutation(n)
-        for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
-            idxs = [int(i) for i in perm[start : start + cfg.batch_size]]
-            params.zero_grads()
-            batch_loss, batch_dh, batch_dc = 0.0, [], []
-            for i in idxs:
-                aug_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2, epoch, i)))
-                bin_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3, epoch, i)))
-                crop = augment_geometry(train_set.image(i), "train", aug_rng, cfg)
-                x01p = imageops.pad_to_multiple(crop, 16)
-                with ad.Tape() as tape:
-                    loss, info = step_loss(x01p, cfg.unroll_steps, params,
-                                           loss_cfg, lossnet=lossnet, rng=bin_rng)
-                value = loss.item()
-                if not math.isfinite(value):
-                    where = f"; last good checkpoint: {last_good}" if last_good else ""
-                    raise TrainingDiverged(f"loss became {value} at step {step + 1}{where}")
-                ad.backward(loss, tape)
-                batch_loss += value
-                batch_dh.append(info["d_h"])
-                batch_dc.append(info["d_c"])
-            for p in params.parameters():
-                p.grad /= cfg.batch_size
-            clip_global_norm(params.parameters(), cfg.grad_clip)
-            opt.step()
-            step += 1
-            log.append((step, batch_loss / cfg.batch_size,
-                        float(np.mean(batch_dh)), float(np.mean(batch_dc)),
-                        cfg.learning_rate, time.time() - t0))
-            if progress is not None:
-                progress(step, log[-1])
-            if cfg.val_interval and step % cfg.val_interval == 0:
-                val_log.append((step, *_val_probe(val_set, params, cfg, loss_cfg, lossnet)))
-        emit_checkpoint(f"epoch{epoch + 1}")
-    emit_checkpoint("final")
+    def save(tag):
+        nonlocal last_good
+        os.makedirs(out_dir, exist_ok=True)
+        last_good = os.path.join(out_dir, f"codec_{tag}.ckpt")
+        params.save(last_good)
+
+    def on_step(step, epoch, loss, infos, wall_time):
+        d_h, d_c = (float(np.mean(v)) for v in zip(*infos))
+        log.append((step, loss, d_h, d_c, cfg.learning_rate, wall_time))
+        if progress is not None:
+            progress(step, log[-1])
+        if cfg.val_interval and step % cfg.val_interval == 0:
+            val_log.append((step, *_val_probe(val_set, params, cfg, loss_cfg, lossnet)))
+        if out_dir is not None and step % steps_per_epoch == 0:
+            save(f"epoch{epoch + 1}")
+
+    try:
+        _minibatch_adam(train_set, params, cfg, 0xB0, image_loss, cfg.grad_clip, on_step)
+    except TrainingDiverged as e:
+        raise TrainingDiverged(f"{e}; last good checkpoint: {last_good}") if last_good else e
     if out_dir is not None:
         from .configio import write_csv
+        save("final")
         write_csv(os.path.join(out_dir, "train_log.csv"), TRAIN_LOG_HEADER, log)
         write_csv(os.path.join(out_dir, "val_log.csv"), VAL_LOG_HEADER, val_log)
     return params, log, val_log
+
+
+# ---------------------------------------------------------------------------
+# classifier training
+
+
+def train_classifier(dataset, cfg: TrainConfig, layout: ClassifierLayout | None = None):
+    """Cross-entropy training on (image, label) pairs with the same loop,
+    geometry and normalization rule as the codec, without clipping.
+
+    Returns the frozen parameter snapshot and one log row per step:
+    (step, loss, lr, wall_time).
+    """
+    layout = layout or ClassifierLayout(classes=max(dataset.class_count, 2),
+                                        input_resolution=cfg.crop_size)
+    if layout.classes < 2:
+        raise TrainError("train_classifier: a classifier needs at least 2 classes")
+    for i in range(min(len(dataset), 512)):
+        lbl = dataset.label(i)
+        if not 0 <= lbl < layout.classes:
+            raise TrainError(f"train_classifier: degenerate label {lbl} outside "
+                             f"0..{layout.classes - 1}")
+    mean, std = cfg.normalization or fit_normalization(dataset, cfg)
+    params = ClassifierParams(layout, seed=cfg.seed, norm_mean=mean, norm_std=std)
+    log = []
+
+    def image_loss(epoch, i):
+        img = augment_geometry(dataset.image(i), "train", _rng(cfg.seed, 1, epoch, i), cfg)
+        return ad.cross_entropy_logits(params.logits(img), dataset.label(i)), None
+
+    def on_step(step, epoch, loss, infos, wall_time):
+        log.append((step, loss, cfg.learning_rate, wall_time))
+
+    _minibatch_adam(dataset, params, cfg, 0x04DE, image_loss, 0.0, on_step)
+    params.freeze()
+    return params, log
+
+
+def evaluate_accuracy(params: ClassifierParams, dataset, cfg: TrainConfig) -> float:
+    """Top-1 accuracy on the val-split geometry (resize, center crop)."""
+    correct = 0
+    for i in range(len(dataset)):
+        label, _ = classify(augment_geometry(dataset.image(i), "val", None, cfg), params)
+        correct += int(label == dataset.label(i))
+    return correct / len(dataset)

@@ -13,8 +13,10 @@ save); bitstreams and decodes of 64 px and 256 px images at T = 1..8;
 the eval-quality, eval-accuracy and sweep CSVs of two small seeded codec
 checkpoints; step_loss losses, d_H / d_C and every codec gradient at
 alpha in {0, 0.5, 1}; the checkpoints of 3-step train_codec runs; an
-eval_quality_curve on an unsorted grid with a repeated level; and the
-ablate_layers rows of two tap sets.
+eval_quality_curve on an unsorted grid with a repeated level; the
+ablate_layers rows of two tap sets; and two classifiers trained through
+`odlc train-classifier`, one on images whose smallest side equals the
+desk resize side and one on images that are resized first.
 """
 
 from __future__ import annotations
@@ -171,6 +173,15 @@ def lock_protocols(net):
     emit(sha(repr(losses_only).encode()), "ablate_layers training losses")
 
 
+def lock_trained_classifiers(tmp):
+    for n, res in ((8, 64), (9, 48)):
+        data = f"shapes:seed=8,split=train,n={n},classes=3,res={res}"
+        out = os.path.join(tmp, f"classifier_{res}px.ckpt")
+        run_cli("train-classifier", "--data", data, "--out", out, "--seed", "4",
+                "--epochs", "2", "--batch-size", "4")
+        emit(file_sha(out), f"train-classifier {data} epochs=2 batch=4 seed=4")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         lock_checkpoints(tmp)
@@ -186,6 +197,7 @@ def main() -> int:
             lock_bitstreams(f"trained{alpha}", trained, 64, (0,))
         lock_eval_csvs(tmp)
         lock_protocols(net)
+        lock_trained_classifiers(tmp)
     return 0
 
 

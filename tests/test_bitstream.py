@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from odlc import bitstream as bsm
 from odlc import ppm
@@ -155,3 +155,54 @@ class TestPpm:
         p = tmp_path / "r.ppm"
         ppm.write_ppm(p, img)
         assert p.read_bytes()[-1] == 101
+
+
+@st.composite
+def mutated(draw, raw: bytes, alphabet: bytes):
+    """raw truncated, or with 1-4 bytes replaced (often by a syntax byte)."""
+    raw = bytearray(raw)
+    if draw(st.booleans(), label="truncate"):
+        return bytes(raw[: draw(st.integers(0, len(raw) - 1), label="cut")])
+    for _ in range(draw(st.integers(1, 4), label="flips")):
+        i = draw(st.integers(0, len(raw) - 1), label="at")
+        raw[i] = draw(st.one_of(st.integers(0, 255), st.sampled_from(alphabet)), label="byte")
+    return bytes(raw)
+
+
+VALID_PPM = b"P6\n# c\n4 3\n255\n" + bytes(range(36))
+VALID_ODLC = bsm.Bitstream.from_codes(
+    [np.where(np.arange(16).reshape(4, 2, 2) % 3, 1.0, -1.0)] * 2, width=20, height=17).to_bytes()
+
+
+class TestParsersFuzz:
+    """Untrusted bytes give the parser's own error or a valid object."""
+
+    @settings(max_examples=300)
+    @given(raw=st.one_of(st.binary(max_size=64),
+                         st.binary(max_size=48).map(lambda b: b"P6 " + b),
+                         mutated(VALID_PPM, b"P6 #\n\t0123456789-+_")))
+    def test_read_ppm(self, raw, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "x.ppm"
+        path.write_bytes(raw)
+        try:
+            img = ppm.read_ppm(path)
+        except ppm.PpmError:
+            return
+        assert img.dtype == np.float32 and img.ndim == 3 and img.shape[0] == 3
+        assert 3 * img.shape[1] * img.shape[2] <= len(raw)
+        assert img.min() >= 0.0 and img.max() <= 1.0
+
+    @settings(max_examples=300)
+    @given(raw=st.one_of(st.binary(max_size=64),
+                         st.binary(max_size=48).map(lambda b: bsm.MAGIC + b"\x01" + b),
+                         mutated(VALID_ODLC, b"\x00\x01\x02\xff")))
+    def test_bitstream_from_bytes(self, raw):
+        try:
+            bs = bsm.Bitstream.from_bytes(raw)
+        except bsm.BitstreamError:
+            return
+        assert bs.to_bytes() == raw
+        codes = bs.iteration_codes()
+        h = bs.header
+        assert len(codes) == h.iterations
+        assert all(c.shape == (h.c_b, h.code_height, h.code_width) for c in codes)

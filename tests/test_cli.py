@@ -78,6 +78,49 @@ class TestConfigIO:
         assert p.read_text() == "a,b\n1,0.5\n2,0.25\n"
 
 
+class TestConfigKeys:
+    """Each command accepts exactly the config-file keys it reads."""
+
+    def _run_with(self, tmp_path, capsys, line, *argv):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        rc = run(*argv, "--config", str(p))
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["alpha = 0.5", "unroll_steps = 2", "grad_clip = 1"])
+    def test_train_classifier(self, line, tmp_path, capsys):
+        rc, err = self._run_with(tmp_path, capsys, line, "train-classifier",
+                                 "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
+                                 "--out", str(tmp_path / "c.ckpt"), "--seed", "0")
+        key = line.split(" = ")[0]
+        assert rc == 1 and "Traceback" not in err
+        assert f"unknown config key '{key}' for train-classifier" in err
+        known = err.split("known:")[1]
+        assert "'crop_size'" in known and "'adam.beta1'" in known
+        assert "'unroll_steps'" not in known and "'alpha'" not in known
+        assert not (tmp_path / "c.ckpt").exists()
+
+    def test_train_codec_seed_comes_from_the_flag(self, tmp_path, capsys):
+        rc, err = self._run_with(tmp_path, capsys, "seed = 9", "train-codec",
+                                 "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
+                                 "--out", str(tmp_path / "run"), "--seed", "3")
+        assert rc == 1 and "unknown config key 'seed' for train-codec" in err
+        known = err.split("known:")[1]
+        assert "'alpha'" in known and "'unroll_steps'" in known and "'seed'" not in known
+
+    @pytest.mark.parametrize("line", ["lambda_h = 7", "layer_ids = 1.1", "seed = 9"])
+    def test_ablate_layers(self, line, tmp_path, capsys):
+        # the config is checked before any checkpoint is opened
+        rc, err = self._run_with(tmp_path, capsys, line, "ablate-layers", "--sets", "1.1",
+                                 "--lossnet", str(tmp_path / "none.ckpt"),
+                                 "--classifier", str(tmp_path / "none.ckpt"),
+                                 "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
+                                 "--out", str(tmp_path / "a.csv"), "--seed", "0")
+        key = line.split(" = ")[0]
+        assert rc == 1 and f"unknown config key '{key}' for ablate-layers" in err
+        assert "'grad_clip'" in err.split("known:")[1]
+
+
 class TestCliBasics:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -221,6 +264,14 @@ class TestTrainAndEvalCli:
         assert "val accuracy" in capsys.readouterr().out
         loaded = ClassifierParams.load(cls_path)
         assert loaded.layout.classes == 3
+
+    def test_train_classifier_smaller_than_one_batch_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "cls.ckpt"
+        rc = run("train-classifier", "--data", "shapes:seed=1,split=train,n=3,classes=2,res=64",
+                 "--batch-size", "4", "--out", str(out), "--seed", "0")
+        assert rc == 1
+        assert "3 images smaller than one batch of 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_codec_then_curves_and_sweep(self, tmp_path):
         data = "shapes:seed=2,split=train,n=8,classes=3,res=48"

@@ -3,8 +3,7 @@ import pytest
 
 from odlc import autodiff as ad
 from odlc import checkpoint as ckpt
-from odlc import lossnet, losses, trainer
-from odlc.datasets import ShapesDataset, ShapesSpec
+from odlc import lossnet, losses
 from oracles import conv2d_direct
 
 
@@ -118,62 +117,6 @@ class TestClassify:
         label_p, logits_p = lossnet.classify(x, permuted)
         np.testing.assert_allclose(logits_p, logits[perm], rtol=1e-6)
         assert label_p == int(np.argmax(logits[perm]))
-
-
-class TestTrainClassifier:
-    def test_empty_dataset_rejected(self):
-        class Empty:
-            def __len__(self):
-                return 0
-            class_count = 2
-        with pytest.raises(lossnet.LossnetError, match="empty"):
-            lossnet.train_classifier(Empty(), trainer.TrainConfig.desk(), seed=0)
-
-    def test_degenerate_labels_rejected(self):
-        class Bad:
-            def __len__(self):
-                return 4
-            class_count = 3
-            def image(self, i):
-                return img(i, 64)
-            def label(self, i):
-                return 7  # outside the 3-class layout
-        with pytest.raises(lossnet.LossnetError, match="degenerate label"):
-            lossnet.train_classifier(Bad(), trainer.TrainConfig.desk(), seed=0)
-
-    def test_single_example_overfits(self):
-        class One:
-            def __len__(self):
-                return 1
-            class_count = 4
-            def image(self, i):
-                return img(42, 32)
-            def label(self, i):
-                return 2
-        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, batch_size=1,
-                                       epochs=500, learning_rate=2e-3)
-        layout = lossnet.ClassifierLayout(widths=(4, 8), classes=4, input_resolution=32)
-        params, log = lossnet.train_classifier(One(), cfg, seed=0, layout=layout)
-        assert log[-1][1] < 1e-2
-
-    def test_fixed_seed_reproducible(self, tmp_path):
-        ds = ShapesDataset(ShapesSpec(seed=3, split="train", size=16, classes=4, resolution=32))
-        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, batch_size=4, epochs=2)
-        layout = lossnet.ClassifierLayout(widths=(4, 8), classes=4, input_resolution=32)
-        p1, log1 = lossnet.train_classifier(ds, cfg, seed=7, layout=layout)
-        p2, log2 = lossnet.train_classifier(ds, cfg, seed=7, layout=layout)
-        assert [r[1] for r in log1] == [r[1] for r in log2]
-        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        p1.save(a)
-        p2.save(b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_frozen_after_training(self):
-        ds = ShapesDataset(ShapesSpec(seed=3, split="train", size=8, classes=4, resolution=32))
-        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, batch_size=4, epochs=1)
-        layout = lossnet.ClassifierLayout(widths=(4,), classes=4, input_resolution=32)
-        params, _ = lossnet.train_classifier(ds, cfg, seed=0, layout=layout)
-        assert all(not p.tensor.requires_grad for p in params.parameters())
 
 
 class TestPersistence:

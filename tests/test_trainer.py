@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from odlc import autodiff as ad
-from odlc import cli, imageops, losses, trainer
+from odlc import cli, imageops, losses, lossnet, trainer
 from odlc.codec import CodecLayout, CodecParams, reconstruct_progressive
 from odlc.lossnet import ClassifierLayout, ClassifierParams
 from odlc.datasets import ShapesDataset, ShapesSpec
@@ -10,6 +10,7 @@ from oracles import adam_trajectory_direct
 
 MICRO = CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4), bottleneck=4, t_max=8)
 TAPS = ("1.1", "2.1")
+NORM = ((0.45, 0.5, 0.55), (0.25, 0.3, 0.2))
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +259,93 @@ class TestTrainCodec:
         with pytest.raises(trainer.TrainError, match="t_max"):
             trainer.train_codec(ds, ds, losses.LossConfig(alpha=0.0),
                                 self._cfg(unroll_steps=9), layout=MICRO)
+
+    def test_divergence_names_the_last_good_checkpoint(self, tmp_path):
+        class GoesBad(FixedDataset):
+            calls = 0
+
+            def image(self, i):  # finite for the first epoch, NaN after it
+                self.calls += 1
+                img = self.images[i]
+                return img if self.calls <= len(self) else np.full_like(img, np.nan)
+
+        ds = GoesBad(self._sets(n=4).images)
+        cfg = self._cfg(epochs=2, normalization=NORM)
+        with pytest.raises(trainer.TrainingDiverged,
+                           match=r"at step 2; last good checkpoint: .*codec_epoch1\.ckpt"):
+            trainer.train_codec(ds, ds, losses.LossConfig(alpha=0.0), cfg, layout=MICRO,
+                                out_dir=str(tmp_path))
+
+
+def img(seed, res):
+    return np.random.default_rng(seed).random((3, res, res), dtype=np.float32)
+
+
+class TestTrainClassifier:
+    def test_empty_dataset_rejected(self):
+        cfg = trainer.TrainConfig.desk(normalization=NORM)
+        with pytest.raises(trainer.TrainError, match="0 images smaller than one batch"):
+            trainer.train_classifier(FixedDataset([], [1]), cfg)
+
+    def test_smaller_than_one_batch_rejected(self):
+        ds = FixedDataset([img(i, 64) for i in range(3)], [0, 1, 0])
+        with pytest.raises(trainer.TrainError, match="3 images smaller than one batch of 4"):
+            trainer.train_classifier(ds, trainer.TrainConfig.desk(batch_size=4))
+
+    def test_degenerate_labels_rejected(self):
+        ds = FixedDataset([img(i, 64) for i in range(4)], [7] * 4)
+        ds.class_count = 3  # label 7 lies outside the 3-class layout
+        with pytest.raises(trainer.TrainError, match="degenerate label"):
+            trainer.train_classifier(ds, trainer.TrainConfig.desk())
+
+    def test_single_example_overfits(self):
+        ds = FixedDataset([img(42, 32)], [2])
+        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, batch_size=1,
+                                       epochs=500, learning_rate=2e-3)
+        layout = ClassifierLayout(widths=(4, 8), classes=4, input_resolution=32)
+        params, log = trainer.train_classifier(ds, cfg, layout=layout)
+        assert log[-1][1] < 1e-2
+
+    def test_fixed_seed_reproducible(self, tmp_path):
+        ds = ShapesDataset(ShapesSpec(seed=3, split="train", size=16, classes=4, resolution=32))
+        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, batch_size=4, epochs=2,
+                                       seed=7)
+        layout = ClassifierLayout(widths=(4, 8), classes=4, input_resolution=32)
+        p1, log1 = trainer.train_classifier(ds, cfg, layout=layout)
+        p2, log2 = trainer.train_classifier(ds, cfg, layout=layout)
+        assert [r[1] for r in log1] == [r[1] for r in log2]
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        p1.save(a)
+        p2.save(b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_frozen_after_training(self):
+        ds = ShapesDataset(ShapesSpec(seed=3, split="train", size=8, classes=4, resolution=32))
+        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, batch_size=4, epochs=1)
+        layout = ClassifierLayout(widths=(4,), classes=4, input_resolution=32)
+        params, _ = trainer.train_classifier(ds, cfg, layout=layout)
+        assert all(not p.tensor.requires_grad for p in params.parameters())
+
+    def test_one_row_per_step_and_the_codec_normalization(self):
+        # 9 images at batch 4: 2 steps per epoch, the ninth image dropped
+        ds = ShapesDataset(ShapesSpec(seed=8, split="train", size=9, classes=3, resolution=48))
+        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, batch_size=4, epochs=2)
+        layout = ClassifierLayout(widths=(4,), classes=3, input_resolution=32)
+        params, log = trainer.train_classifier(ds, cfg, layout=layout)
+        assert [row[0] for row in log] == [1, 2, 3, 4]
+        assert all(np.isfinite(row[1]) and row[2] == cfg.learning_rate for row in log)
+        # fitted on the resized 32 px images, not on the raw 48 px ones
+        mean, std = trainer.fit_normalization(ds, cfg)
+        np.testing.assert_array_equal(params.norm_mean, mean)
+        np.testing.assert_array_equal(params.norm_std, std)
+        raw_mean, _ = imageops.channel_stats(ds.image(i) for i in range(len(ds)))
+        assert not np.array_equal(params.norm_mean, raw_mean)
+
+    def test_evaluate_accuracy_counts_top1(self):
+        ds = ShapesDataset(ShapesSpec(seed=3, split="val", size=6, classes=3, resolution=32))
+        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32)
+        net = ClassifierParams(ClassifierLayout(widths=(4,), classes=3, input_resolution=32),
+                               seed=2)
+        hits = [lossnet.classify(imageops.center_crop(ds.image(i), 32), net)[0] == ds.label(i)
+                for i in range(len(ds))]
+        assert trainer.evaluate_accuracy(net, ds, cfg) == sum(hits) / len(ds)
