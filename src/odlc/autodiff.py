@@ -20,6 +20,7 @@ forward call or one VJP call.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ __all__ = [
     "tanh", "sigmoid", "relu", "add", "sub", "mul", "div", "scale", "add_const",
     "square", "pow_const", "clamp_min", "mean", "avg_pool2", "global_avg_pool",
     "dense", "channel_affine", "cross_entropy_logits", "xavier_uniform",
+    "conv_shapes", "make_parameters",
 ]
 
 FLOAT_DTYPES = (np.float32, np.float64)
@@ -592,6 +594,9 @@ def _s2d_data(arr: np.ndarray, r: int) -> np.ndarray:
 # convolutional GRU cell
 
 
+_GRU_TENSORS = ("wxu", "whu", "bu", "wxr", "whr", "br", "wxc", "whc", "bc")
+
+
 @dataclass
 class GruParams:
     """Gate parameters of one convolutional GRU layer.
@@ -612,25 +617,16 @@ class GruParams:
     bc: Parameter
     stride: int = 1
 
-    def parameters(self):
-        return [self.wxu, self.whu, self.bu, self.wxr, self.whr, self.br,
-                self.wxc, self.whc, self.bc]
+    @staticmethod
+    def shapes(prefix: str, c_in: int, c_hidden: int, k: int) -> list:
+        """(name, shape) rows in field order: per gate, x-kernel, h-kernel, bias."""
+        x, h, b = (c_hidden, c_in, k, k), (c_hidden, c_hidden, k, k), (c_hidden,)
+        return [(f"{prefix}.{n}", shape) for n, shape in zip(_GRU_TENSORS, (x, h, b) * 3)]
 
     @staticmethod
-    def init(rng: np.random.Generator, prefix: str, c_in: int, c_hidden: int,
-             k: int = 3, stride: int = 1, dtype=np.float32) -> "GruParams":
-        def conv_w(name, ci, co):
-            return Parameter(f"{prefix}.{name}", xavier_uniform(rng, (co, ci, k, k)), dtype=dtype)
-
-        def bias(name, co):
-            return Parameter(f"{prefix}.{name}", np.zeros(co), dtype=dtype)
-
-        return GruParams(
-            wxu=conv_w("wxu", c_in, c_hidden), whu=conv_w("whu", c_hidden, c_hidden), bu=bias("bu", c_hidden),
-            wxr=conv_w("wxr", c_in, c_hidden), whr=conv_w("whr", c_hidden, c_hidden), br=bias("br", c_hidden),
-            wxc=conv_w("wxc", c_in, c_hidden), whc=conv_w("whc", c_hidden, c_hidden), bc=bias("bc", c_hidden),
-            stride=stride,
-        )
+    def of(params: dict, prefix: str, stride: int = 1) -> "GruParams":
+        """The layer whose tensors ``params`` holds under ``prefix``."""
+        return GruParams(*(params[f"{prefix}.{n}"] for n in _GRU_TENSORS), stride=stride)
 
 
 def conv_gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
@@ -659,12 +655,24 @@ def conv_gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Glorot-uniform init; fans derived from OIHW or (out, in) shapes."""
-    if len(shape) == 4:
-        rec = shape[2] * shape[3]
-        fan_in, fan_out = shape[1] * rec, shape[0] * rec
-    elif len(shape) == 2:
-        fan_in, fan_out = shape[1], shape[0]
-    else:
-        fan_in = fan_out = int(np.prod(shape))
-    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
+    rec = math.prod(shape[2:])
+    limit = float(np.sqrt(6.0 / (shape[1] * rec + shape[0] * rec)))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def conv_shapes(name: str, c_in: int, c_out: int, k: int) -> list:
+    """(name, shape) rows of one convolution: OIHW kernel, then bias."""
+    return [(f"{name}.kernel", (c_out, c_in, k, k)), (f"{name}.bias", (c_out,))]
+
+
+def make_parameters(table, source, dtype=np.float32) -> dict:
+    """Name -> Parameter for an ordered (name, shape) table: drawn from a
+    seed (or Generator) in table order as ``dtype``, Glorot-uniform for 2+
+    dims and zero 1-d biases; or wrapping a name -> array mapping as is."""
+    if isinstance(source, dict):
+        return {name: Parameter(name, source[name], dtype=source[name].dtype)
+                for name, _ in table}
+    rng = np.random.default_rng(source)
+    return {name: Parameter(name, xavier_uniform(rng, shape) if len(shape) > 1
+                            else np.zeros(shape), dtype=dtype)
+            for name, shape in table}

@@ -1,4 +1,5 @@
-"""Versioned checkpoint container shared by codec and classifier params.
+"""Versioned checkpoint container and the parameter-set base of the codec
+and the classifier.
 
 Layout: one ASCII header line, one JSON manifest line (metadata plus the
 ordered tensor table of names/shapes/dtype), then raw little-endian
@@ -6,11 +7,16 @@ float32 tensor data in manifest order, with nothing after the last
 tensor. Writing is deterministic byte for byte, so reproducibility tests
 can compare files directly.
 
-``save``/``load`` move the raw (kind, meta, tensors) triple. A parameter
-set (``CodecParams``, ``ClassifierParams``) goes through
-``save_params``/``load_params``: its layout dataclass fields plus
-``norm_mean`` and ``norm_std`` are the meta, its parameters the tensors.
-Every malformed file raises CheckpointError naming the file.
+``save``/``load`` move the raw (kind, meta, tensors) triple. A
+``ParamSet`` (``CodecParams``, ``ClassifierParams``) stores its layout
+dataclass fields plus ``norm_mean`` and ``norm_std`` as the meta and its
+parameters as the tensors. ``ParamSet.load`` rebuilds and validates the
+layout, then compares the file's tensor table with ``layout.shapes()`` by
+name and shape: a missing, extra or misshapen tensor is rejected before
+any parameter exists. The parameters then wrap the file's arrays; no
+random init runs. Since the tensor table is checked against the file
+size, the file bounds what a load allocates. Every malformed file raises
+CheckpointError naming the file.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import os
 
 import numpy as np
 
-from .autodiff import ShapeError
+from .autodiff import make_parameters
 
 HEADER_PREFIX = b"ODLC-CKPT 1 "
 
@@ -115,35 +121,72 @@ def load(path, expect_kind: str | None = None):
         return kind, Meta(path, manifest["meta"]), tensors
 
 
-def save_params(path, kind: str, params):
-    """Checkpoint a parameter set: layout fields and normalization stats as
-    meta, every parameter tensor under its name."""
-    meta = dataclasses.asdict(params.layout)
-    meta["norm_mean"] = [float(v) for v in params.norm_mean]
-    meta["norm_std"] = [float(v) for v in params.norm_std]
-    save(path, kind, meta, {p.name: p.value for p in params.parameters()})
+class ParamSet:
+    """Base of the codec and classifier parameter sets: normalization stats,
+    the parameters its layout's ``shapes()`` table names, and checkpoints.
+    A subclass sets ``kind`` and ``layout_cls``; its ``__init__`` calls
+    ``_init_params`` and then binds its layers."""
 
+    kind: str
+    layout_cls: type
 
-def load_params(path, kind: str, params_cls, layout_cls):
-    """Inverse of save_params: rebuild the layout from its dataclass fields,
-    construct params_cls around it and fill every tensor by name."""
-    _, meta, tensors = load(path, expect_kind=kind)
-    fields = {}
-    for fld in dataclasses.fields(layout_cls):
-        value = meta[fld.name]
-        fields[fld.name] = tuple(value) if isinstance(value, list) else value
-    norm_mean, norm_std = meta["norm_mean"], meta["norm_std"]
-    try:
-        params = params_cls(layout_cls(**fields), norm_mean=norm_mean, norm_std=norm_std)
-    except (ValueError, TypeError) as e:
-        raise CheckpointError(f"{path}: bad layout meta: {e}") from None
-    if params.norm_mean.shape != (3,) or params.norm_std.shape != (3,):
-        raise CheckpointError(f"{path}: normalization stats must hold 3 channels")
-    for p in params.parameters():
-        if p.name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {p.name}")
+    def _init_params(self, layout, seed, norm_mean, norm_std, arrays):
+        self.layout = layout
+        self.norm_mean = np.asarray([0.5] * 3 if norm_mean is None else norm_mean, dtype=np.float32)
+        self.norm_std = np.asarray([0.5] * 3 if norm_std is None else norm_std, dtype=np.float32)
+        self._params = make_parameters(layout.shapes(), seed if arrays is None else arrays)
+        self.dtype = next(iter(self._params.values())).value.dtype
+
+    def _conv(self, name) -> tuple:
+        return self._params[f"{name}.kernel"], self._params[f"{name}.bias"]
+
+    def parameters(self) -> list:
+        return list(self._params.values())
+
+    def zero_grads(self):
+        for p in self._params.values():
+            p.zero_grad()
+
+    def freeze(self):
+        for p in self._params.values():
+            p.freeze()
+
+    def save(self, path):
+        meta = dataclasses.asdict(self.layout)
+        meta["norm_mean"] = [float(v) for v in self.norm_mean]
+        meta["norm_std"] = [float(v) for v in self.norm_std]
+        save(path, self.kind, meta, {name: p.value for name, p in self._params.items()})
+
+    @classmethod
+    def load(cls, path):
+        _, meta, tensors = load(path, expect_kind=cls.kind)
+        fields = {f.name: meta[f.name] for f in dataclasses.fields(cls.layout_cls)}
+        stats = meta["norm_mean"], meta["norm_std"]
         try:
-            p.value = tensors[p.name]
-        except ShapeError as e:
-            raise CheckpointError(f"{path}: {e}") from None
-    return params
+            layout = cls.layout_cls(**{k: tuple(v) if isinstance(v, list) else v
+                                       for k, v in fields.items()})
+            norm = [np.asarray(v, dtype=np.float32) for v in stats]
+        except (ValueError, TypeError) as e:
+            raise CheckpointError(f"{path}: bad layout meta: {e}") from None
+        if any(v.shape != (3,) for v in norm):
+            raise CheckpointError(f"{path}: normalization stats must hold 3 channels")
+        want = dict(layout.shapes())
+        for name in [*want, *tensors]:
+            if name not in tensors:
+                raise CheckpointError(f"{path}: missing tensor {name}")
+            if name not in want:
+                raise CheckpointError(f"{path}: extra tensor {name} not in the {cls.kind} layout")
+            if tensors[name].shape != want[name]:
+                raise CheckpointError(f"{path}: parameter {name}: file holds shape "
+                                      f"{tensors[name].shape}, the layout wants {want[name]}")
+        return cls(layout, norm_mean=norm[0], norm_std=norm[1], arrays=tensors)
+
+
+def check_layout(widths, kernel, error: type):
+    """Raise ``error`` unless every width is an int >= 1 and the kernel an
+    odd int >= 1."""
+    for w in widths:
+        if type(w) is not int or w < 1:
+            raise error(f"layer width {w!r} is not an int >= 1")
+    if type(kernel) is not int or kernel < 1 or kernel % 2 == 0:
+        raise error(f"kernel size {kernel!r} is not an odd int >= 1")

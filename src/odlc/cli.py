@@ -46,8 +46,8 @@ def _config_kv(args) -> dict:
     return kv
 
 
-def _train_cfg(args) -> trainer.TrainConfig:
-    kv = {k: v for k, v in _config_kv(args).items() if k not in _LOSS_KEYS}
+def _train_cfg(args, kv) -> trainer.TrainConfig:
+    kv = {k: v for k, v in kv.items() if k not in _LOSS_KEYS}
     cfg = configio.apply_kv(trainer.TrainConfig.desk(seed=args.seed), kv)
     for name in ("epochs", "batch_size", "unroll_steps", "learning_rate"):
         v = getattr(args, name, None)
@@ -56,9 +56,9 @@ def _train_cfg(args) -> trainer.TrainConfig:
     return cfg
 
 
-def _loss_cfg(args) -> losses.LossConfig:
-    """The loss keys of the config file, overridden by --alpha and --layers."""
-    kv = {k: v for k, v in _config_kv(args).items() if k in _LOSS_KEYS}
+def _loss_cfg(args, kv) -> losses.LossConfig:
+    """The loss keys of the config file ``kv``, overridden by --alpha and --layers."""
+    kv = {k: v for k, v in kv.items() if k in _LOSS_KEYS}
     if getattr(args, "alpha", None) is not None:
         kv["alpha"] = repr(args.alpha)
     if getattr(args, "layers", None):
@@ -76,7 +76,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train_classifier(args):
-    cfg = _train_cfg(args)
+    cfg = _train_cfg(args, _config_kv(args))
     train_set = datasets.parse_spec(args.data, default_split="train")
     params, log = trainer.train_classifier(train_set, cfg)
     params.save(args.out)
@@ -90,8 +90,9 @@ def cmd_train_classifier(args):
 
 
 def cmd_train_codec(args):
-    cfg = _train_cfg(args)
-    loss_cfg = _loss_cfg(args)
+    kv = _config_kv(args)
+    cfg = _train_cfg(args, kv)
+    loss_cfg = _loss_cfg(args, kv)
     train_set = datasets.parse_spec(args.data, default_split="train")
     val_set = datasets.parse_spec(args.val_data or args.data, default_split="val")
     net = ClassifierParams.load(args.lossnet) if args.lossnet else None
@@ -182,7 +183,7 @@ def cmd_sweep(args):
 
 
 def cmd_ablate_layers(args):
-    cfg = _train_cfg(args)
+    cfg = _train_cfg(args, _config_kv(args))
     f_l = ClassifierParams.load(args.lossnet)
     classifier = ClassifierParams.load(args.classifier)
     train_set = datasets.parse_spec(args.data, default_split="train")
@@ -226,6 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, required=True,
                         help="rng seed (required: runs must be reproducible)")
 
+    def data_out(sp):
+        sp.add_argument("--data", required=True, help="dataset spec or folder")
+        sp.add_argument("--out", required=True)
+
+    def eval_common(sp):
+        data_out(sp)
+        sp.add_argument("--s-comp", dest="s_comp", type=int, default=64)
+        sp.add_argument("--s-inf", dest="s_inf", type=int, default=56)
+
+    def training(sp, unroll_steps=False, evaluated=False):
+        (eval_common if evaluated else data_out)(sp)
+        sp.add_argument("--val-data", default=None)
+        sp.add_argument("--config", default=None, help="key = value config file")
+        sp.add_argument("--epochs", type=int, default=None)
+        sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
+        sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
+        if unroll_steps:
+            sp.add_argument("--unroll-steps", dest="unroll_steps", type=int, default=None)
+        seeded(sp)
+
     sp = sub.add_parser("gen-data", help="materialize the procedural dataset")
     sp.add_argument("--out", required=True)
     sp.add_argument("--split", default="train", choices=sorted(datasets._SPLIT_TAGS))
@@ -236,30 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gen_data)
 
     sp = sub.add_parser("train-classifier", help="train a desk-scale classifier")
-    sp.add_argument("--data", required=True, help="dataset spec or folder")
-    sp.add_argument("--val-data", default=None)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--config", default=None, help="key = value config file")
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    seeded(sp)
+    training(sp)
     sp.set_defaults(fn=cmd_train_classifier, config_keys=_CLASSIFIER_KEYS)
 
-    sp = sub.add_parser("train-codec", help="train the codec at one alpha")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--val-data", default=None)
-    sp.add_argument("--out", required=True, help="output directory")
+    sp = sub.add_parser("train-codec", help="train the codec at one alpha (--out: a directory)")
+    training(sp, unroll_steps=True)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--layers", default=None, help="comma-separated tap ids, e.g. 1.1,5.1")
     sp.add_argument("--lossnet", default=None, help="classifier checkpoint for alpha > 0")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    sp.add_argument("--unroll-steps", dest="unroll_steps", type=int, default=None)
-    sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     sp.add_argument("--verbose", action="store_true")
-    seeded(sp)
     sp.set_defaults(fn=cmd_train_codec, config_keys=_CODEC_TRAIN_KEYS + _LOSS_KEYS)
 
     sp = sub.add_parser("compress", help="image -> bitstream")
@@ -274,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_decompress)
-
-    def eval_common(sp):
-        sp.add_argument("--data", required=True)
-        sp.add_argument("--out", required=True)
-        sp.add_argument("--s-comp", dest="s_comp", type=int, default=64)
-        sp.add_argument("--s-inf", dest="s_inf", type=int, default=56)
 
     sp = sub.add_parser("eval-quality", help="(bpp, MS-SSIM) curve")
     sp.add_argument("--model", required=True)
@@ -307,18 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pipe-separated tap sets, e.g. '1.1|5.1|1.1,5.1|all'")
     sp.add_argument("--lossnet", required=True)
     sp.add_argument("--classifier", required=True)
-    sp.add_argument("--val-data", default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    sp.add_argument("--unroll-steps", dest="unroll_steps", type=int, default=None)
-    sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     sp.add_argument("--iters", default="1,2,3,4")
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--s-comp", dest="s_comp", type=int, default=64)
-    sp.add_argument("--s-inf", dest="s_inf", type=int, default=56)
-    seeded(sp)
+    training(sp, unroll_steps=True, evaluated=True)
     sp.set_defaults(fn=cmd_ablate_layers, config_keys=_CODEC_TRAIN_KEYS)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient suites")

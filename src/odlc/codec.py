@@ -21,11 +21,17 @@ import numpy as np
 
 from . import autodiff as ad
 from . import imageops
-from .autodiff import GruParams, Parameter, Tensor
+from .autodiff import GruParams, Tensor
 from .bitstream import Bitstream, BitstreamError, ceil16
 from . import checkpoint as ckpt
 
 DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
+
+# Cap on ceil16(H) * ceil16(W), checked by compress and decompress before
+# they allocate. Decoding peaks at ~580 bytes per padded pixel (default
+# layout, float32, tracemalloc at 256 and 512 px, T = 8; encoding ~800), so
+# 2^22 pixels (2048 x 2048, ~10x a 768 x 512 Kodak image) bound it at ~2.4 GB.
+MAX_PADDED_PIXELS = 1 << 22
 
 
 class CodecError(ValueError):
@@ -45,81 +51,46 @@ class CodecLayout:
     def __post_init__(self):
         if len(self.enc_widths) != 4 or len(self.dec_widths) != 4:
             raise CodecError("layout needs 4 encoder and 4 decoder widths")
+        ckpt.check_layout((*self.enc_widths, *self.dec_widths, self.bottleneck), self.kernel,
+                          CodecError)
         for w in self.dec_widths:
             if w % 4 != 0:
                 raise CodecError(f"decoder width {w} not divisible by 4 (depth-to-space x2)")
-        if not 1 <= self.bottleneck <= 255:
+        if self.bottleneck > 255:
             raise CodecError(f"bottleneck channels must be in 1..255, got {self.bottleneck}")
-        if self.t_max < 1:
-            raise CodecError("t_max must be >= 1")
+        if type(self.t_max) is not int or self.t_max < 1:
+            raise CodecError(f"t_max must be an int >= 1, got {self.t_max!r}")
 
-    def dec_inputs(self) -> tuple:
-        """Input channel count of each decoder GRU."""
-        ins = [self.dec_widths[0]]
-        for w in self.dec_widths[:-1]:
-            ins.append(w // 4)
-        return tuple(ins)
+    def shapes(self) -> list:
+        """The ordered (name, shape) table of the codec's tensors, which is
+        also their init draw order and checkpoint order."""
+        k, ew, dw, cb = self.kernel, self.enc_widths, self.dec_widths, self.bottleneck
+        dec_in = (dw[0],) + tuple(w // 4 for w in dw[:-1])
+        rows = ad.conv_shapes("enc.conv_in", 3, ew[0], k)
+        for i in range(3):
+            rows += GruParams.shapes(f"enc.gru{i+1}", ew[i], ew[i + 1], k)
+        rows += ad.conv_shapes("enc.conv_code", ew[-1], cb, 1)
+        rows += ad.conv_shapes("dec.conv_expand", cb, dec_in[0], 1)
+        for i in range(4):
+            rows += GruParams.shapes(f"dec.gru{i+1}", dec_in[i], dw[i], k)
+        return rows + ad.conv_shapes("dec.conv_out", dw[-1] // 4, 3, k)
 
 
-class CodecParams:
-    """All trainable tensors of the codec plus its normalization stats."""
+class CodecParams(ckpt.ParamSet):
+    """The codec's tensors, drawn from ``seed`` or wrapping ``arrays``."""
+
+    kind = "codec"
+    layout_cls = CodecLayout
 
     def __init__(self, layout: CodecLayout, seed: int = 0,
-                 norm_mean=None, norm_std=None, dtype=np.float32):
-        self.layout = layout
-        self.dtype = np.dtype(dtype)
-        self.norm_mean = np.asarray(norm_mean if norm_mean is not None else [0.5, 0.5, 0.5],
-                                    dtype=np.float32)
-        self.norm_std = np.asarray(norm_std if norm_std is not None else [0.5, 0.5, 0.5],
-                                   dtype=np.float32)
-        rng = np.random.default_rng(seed)
-        k = layout.kernel
-        ew = layout.enc_widths
-        dw = layout.dec_widths
-        din = layout.dec_inputs()
-
-        def conv(name, ci, co, ksize):
-            kern = Parameter(f"{name}.kernel", ad.xavier_uniform(rng, (co, ci, ksize, ksize)), dtype=dtype)
-            bias = Parameter(f"{name}.bias", np.zeros(co), dtype=dtype)
-            return kern, bias
-
-        self.enc_in = conv("enc.conv_in", 3, ew[0], k)
-        self.enc_grus = [
-            GruParams.init(rng, f"enc.gru{i+1}", c_in, c_h, k=k, stride=2, dtype=dtype)
-            for i, (c_in, c_h) in enumerate(zip(ew[:-1], ew[1:]))
-        ]
-        self.enc_code = conv("enc.conv_code", ew[-1], layout.bottleneck, 1)
-        self.dec_expand = conv("dec.conv_expand", layout.bottleneck, din[0], 1)
-        self.dec_grus = [
-            GruParams.init(rng, f"dec.gru{i+1}", din[i], dw[i], k=k, stride=1, dtype=dtype)
-            for i in range(4)
-        ]
-        self.dec_out = conv("dec.conv_out", dw[-1] // 4, 3, k)
-
-    def parameters(self) -> list:
-        ps = list(self.enc_in)
-        for g in self.enc_grus:
-            ps += g.parameters()
-        ps += list(self.enc_code) + list(self.dec_expand)
-        for g in self.dec_grus:
-            ps += g.parameters()
-        ps += list(self.dec_out)
-        names = [p.name for p in ps]
-        assert len(names) == len(set(names))
-        return ps
-
-    def zero_grads(self):
-        for p in self.parameters():
-            p.zero_grad()
-
-    # -- persistence ------------------------------------------------------
-
-    def save(self, path):
-        ckpt.save_params(path, "codec", self)
-
-    @staticmethod
-    def load(path) -> "CodecParams":
-        return ckpt.load_params(path, "codec", CodecParams, CodecLayout)
+                 norm_mean=None, norm_std=None, arrays=None):
+        self._init_params(layout, seed, norm_mean, norm_std, arrays)
+        self.enc_in = self._conv("enc.conv_in")
+        self.enc_grus = [GruParams.of(self._params, f"enc.gru{i+1}", stride=2) for i in range(3)]
+        self.enc_code = self._conv("enc.conv_code")
+        self.dec_expand = self._conv("dec.conv_expand")
+        self.dec_grus = [GruParams.of(self._params, f"dec.gru{i+1}") for i in range(4)]
+        self.dec_out = self._conv("dec.conv_out")
 
 
 @dataclass
@@ -130,21 +101,18 @@ class CodecState:
     dec_h: list
 
     @staticmethod
-    def zeros(params: CodecParams, height: int, width: int) -> "CodecState":
+    def zeros(params: CodecParams, height: int, width: int,
+              encoder: bool = True) -> "CodecState":
+        """Zero state for a padded input; decoder part alone if not ``encoder``."""
         if height % DOWNSAMPLE or width % DOWNSAMPLE:
             raise CodecError(f"state dims {height}x{width} must be multiples of {DOWNSAMPLE}")
-        lay = params.layout
-        dt = params.dtype
-        enc_h = []
-        h, w = height // 2, width // 2
-        for c in lay.enc_widths[1:]:
-            h, w = h // 2, w // 2
-            enc_h.append(Tensor(np.zeros((c, h, w)), dtype=dt))
-        dec_h = []
-        h, w = height // DOWNSAMPLE, width // DOWNSAMPLE
-        for c in lay.dec_widths:
-            dec_h.append(Tensor(np.zeros((c, h, w)), dtype=dt))
-            h, w = h * 2, w * 2
+        lay, dt = params.layout, params.dtype
+        enc = lay.enc_widths[1:] if encoder else ()
+        # encoder GRUs run at 1/4, 1/8, 1/16 scale; decoder GRUs at 1/16 .. 1/2
+        enc_h = [Tensor(np.zeros((c, height >> (i + 2), width >> (i + 2)), dt))
+                 for i, c in enumerate(enc)]
+        dec_h = [Tensor(np.zeros((c, height // (DOWNSAMPLE >> i), width // (DOWNSAMPLE >> i)), dt))
+                 for i, c in enumerate(lay.dec_widths)]
         return CodecState(enc_h=enc_h, dec_h=dec_h)
 
 
@@ -291,6 +259,9 @@ def encoder_input(x: np.ndarray, levels, params: CodecParams) -> np.ndarray:
     _, h, w = x.shape
     if h > 0xFFFF or w > 0xFFFF:
         raise CodecError(f"compress: dimensions {h}x{w} exceed the u16 header fields")
+    if ceil16(h) * ceil16(w) > MAX_PADDED_PIXELS:
+        raise CodecError(f"compress: {h}x{w} pads to {ceil16(h) * ceil16(w)} pixels, "
+                         f"over the decoder's cap of {MAX_PADDED_PIXELS}")
     for t in levels:
         if not 1 <= t <= params.layout.t_max:
             raise CodecError(f"compress: {t} iterations outside the trained range "
@@ -319,12 +290,15 @@ def decompress(bs: Bitstream, params: CodecParams) -> np.ndarray:
             f"dimension mismatch: bitstream carries {hdr.iterations} iterations, "
             f"model is trained for at most {params.layout.t_max}")
     ph, pw = ceil16(hdr.height), ceil16(hdr.width)
-    state = CodecState.zeros(params, ph, pw)
+    if ph * pw > MAX_PADDED_PIXELS:
+        raise BitstreamError(
+            f"dimension mismatch: {hdr.width}x{hdr.height} pads to {ph * pw} pixels, "
+            f"over the decoder's cap of {MAX_PADDED_PIXELS}")
+    dec_h = CodecState.zeros(params, ph, pw, encoder=False).dec_h
     xhat = None
     for code in bs.iteration_codes():
         bits = Tensor(code.astype(params.dtype))
-        delta, dec_h = _decode_step(bits, state.dec_h, params)
-        state = CodecState(enc_h=state.enc_h, dec_h=dec_h)
+        delta, dec_h = _decode_step(bits, dec_h, params)
         xhat = delta if xhat is None else ad.add(xhat, delta)
     img = imageops.denormalize(xhat.data[:, : hdr.height, : hdr.width],
                                params.norm_mean, params.norm_std)

@@ -31,12 +31,6 @@ def read_kv(path) -> dict:
 
 
 def _coerce(text: str, pytype):
-    if pytype is bool:
-        if text.lower() in ("1", "true", "yes"):
-            return True
-        if text.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {text!r}")
     if pytype in (int, float, str):
         return pytype(text)
     if pytype is tuple:
@@ -73,8 +67,7 @@ def apply_kv(cfg, kv: dict):
 
 
 def config_digest(cfg) -> str:
-    as_dict = dataclasses.asdict(cfg) if dataclasses.is_dataclass(cfg) else dict(cfg)
-    blob = json.dumps(as_dict, sort_keys=True, default=str).encode()
+    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -112,7 +105,7 @@ def write_manifest(path, command: str, configs: dict, seed, inputs: list,
     for name, cfg in configs.items():
         lines.append(f"config.{name}: {config_digest(cfg)}")
     for p in inputs:
-        if p and os.path.exists(p) and os.path.isfile(p):
+        if p and os.path.isfile(p):
             lines.append(f"input: {p} sha256={file_digest(p)}")
         elif p:
             lines.append(f"input: {p}")

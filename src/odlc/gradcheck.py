@@ -165,11 +165,12 @@ def op_cases(rng: np.random.Generator, dtype) -> list:
 
 class GruCase:
     def __init__(self, rng, dtype, c_in, c_h, hw, stride):
-        self.p = ad.GruParams.init(rng, "g", c_in, c_h, k=3, stride=stride, dtype=dtype)
+        params = ad.make_parameters(ad.GruParams.shapes("g", c_in, c_h, 3), rng, dtype)
+        self.p = ad.GruParams.of(params, "g", stride)
         h_hw = (-(-hw[0] // stride), -(-hw[1] // stride))
         self.x = _t(rng, (c_in,) + hw, dtype)
         self.h = _t(rng, (c_h,) + h_hw, dtype)
-        self.wrt = [self.x, self.h] + [q.tensor for q in self.p.parameters()]
+        self.wrt = [self.x, self.h] + [q.tensor for q in params.values()]
 
     def build(self):
         return ad.mean(ad.square(ad.conv_gru_cell(self.x, self.h, self.p)))

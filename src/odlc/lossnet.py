@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 
 
 class LossnetError(ValueError):
@@ -33,46 +33,38 @@ class ClassifierLayout:
     classes: int = 10
     input_resolution: int = 56
 
+    def __post_init__(self):
+        if len(self.widths) == 0:
+            raise LossnetError("layout needs at least one block width")
+        ckpt.check_layout(self.widths, self.kernel, LossnetError)
+        if type(self.classes) is not int or self.classes < 2:
+            raise LossnetError(f"classes must be an int >= 2, got {self.classes!r}")
 
-class ClassifierParams:
+    def shapes(self) -> list:
+        """The ordered (name, shape) table of the classifier's tensors,
+        which is also their init draw order and checkpoint order."""
+        chans = (3,) + tuple(self.widths)
+        rows = []
+        for i in range(len(self.widths)):
+            rows += ad.conv_shapes(f"block{i+1}.conv1", chans[i], chans[i + 1], self.kernel)
+        return rows + [("head.weight", (self.classes, self.widths[-1])),
+                       ("head.bias", (self.classes,))]
+
+
+class ClassifierParams(ckpt.ParamSet):
+    """The classifier's tensors, drawn from ``seed`` or wrapping ``arrays``."""
+
+    kind = "classifier"
+    layout_cls = ClassifierLayout
+
     def __init__(self, layout: ClassifierLayout, seed: int = 0,
-                 norm_mean=None, norm_std=None, dtype=np.float32):
-        self.layout = layout
-        self.dtype = np.dtype(dtype)
-        self.norm_mean = np.asarray(norm_mean if norm_mean is not None else [0.5, 0.5, 0.5],
-                                    dtype=np.float32)
-        self.norm_std = np.asarray(norm_std if norm_std is not None else [0.5, 0.5, 0.5],
-                                   dtype=np.float32)
-        rng = np.random.default_rng(seed)
-        k = layout.kernel
-        chans = (3,) + tuple(layout.widths)
-        self.blocks = []
-        for i in range(len(layout.widths)):
-            kern = Parameter(f"block{i+1}.conv1.kernel",
-                             ad.xavier_uniform(rng, (chans[i + 1], chans[i], k, k)), dtype=dtype)
-            bias = Parameter(f"block{i+1}.conv1.bias", np.zeros(chans[i + 1]), dtype=dtype)
-            self.blocks.append((kern, bias))
-        self.head_w = Parameter("head.weight",
-                                ad.xavier_uniform(rng, (layout.classes, layout.widths[-1])),
-                                dtype=dtype)
-        self.head_b = Parameter("head.bias", np.zeros(layout.classes), dtype=dtype)
+                 norm_mean=None, norm_std=None, arrays=None):
+        self._init_params(layout, seed, norm_mean, norm_std, arrays)
+        self.blocks = [self._conv(f"block{i+1}.conv1") for i in range(len(layout.widths))]
+        self.head_w, self.head_b = self._params["head.weight"], self._params["head.bias"]
 
     def layer_names(self) -> tuple:
         return tuple(f"{i+1}.1" for i in range(len(self.blocks)))
-
-    def parameters(self) -> list:
-        ps = []
-        for kern, bias in self.blocks:
-            ps += [kern, bias]
-        return ps + [self.head_w, self.head_b]
-
-    def zero_grads(self):
-        for p in self.parameters():
-            p.zero_grad()
-
-    def freeze(self):
-        for p in self.parameters():
-            p.freeze()
 
     # -- forward ----------------------------------------------------------
 
@@ -109,14 +101,9 @@ class ClassifierParams:
         pooled = ad.global_avg_pool(t)
         return ad.dense(pooled, self.head_w.tensor, self.head_b.tensor)
 
-    # -- persistence ------------------------------------------------------
-
-    def save(self, path):
-        ckpt.save_params(path, "classifier", self)
-
-    @staticmethod
-    def load(path) -> "ClassifierParams":
-        params = ckpt.load_params(path, "classifier", ClassifierParams, ClassifierLayout)
+    @classmethod
+    def load(cls, path) -> "ClassifierParams":
+        params = super().load(path)
         params.freeze()
         return params
 

@@ -327,8 +327,6 @@ def train_classifier(dataset, cfg: TrainConfig, layout: ClassifierLayout | None 
     """
     layout = layout or ClassifierLayout(classes=max(dataset.class_count, 2),
                                         input_resolution=cfg.crop_size)
-    if layout.classes < 2:
-        raise TrainError("train_classifier: a classifier needs at least 2 classes")
     for i in range(min(len(dataset), 512)):
         lbl = dataset.label(i)
         if not 0 <= lbl < layout.classes:

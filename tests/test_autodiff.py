@@ -123,11 +123,15 @@ class TestConv2d:
             ad.conv2d(t(np.zeros((1, 5, 5))), t(np.zeros((1, 1, 2, 2))))
 
 
+def gru_params(seed, c_in, c_h, stride=1):
+    params = ad.make_parameters(ad.GruParams.shapes("g", c_in, c_h, 3), seed)
+    return ad.GruParams.of(params, "g", stride), list(params.values())
+
+
 class TestConvGru:
     def _zero_params(self, c_in=2, c_h=3, stride=1):
-        rng = np.random.default_rng(0)
-        p = ad.GruParams.init(rng, "g", c_in, c_h, stride=stride)
-        for q in p.parameters():
+        p, params = gru_params(0, c_in, c_h, stride=stride)
+        for q in params:
             q.value = np.zeros_like(q.value)
         return p
 
@@ -140,7 +144,7 @@ class TestConvGru:
 
     def test_saturated_update_gate_keeps_hidden(self):
         rng = np.random.default_rng(2)
-        p = ad.GruParams.init(rng, "g", 2, 3, stride=1)
+        p, _ = gru_params(rng, 2, 3)
         p.bu.value = np.full(3, -1000.0, dtype=np.float32)  # force u ~ 0
         x = t(rng.random((2, 6, 6)))
         h = t(rng.random((3, 6, 6)))

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from odlc import autodiff as ad
 from odlc import checkpoint as ckpt
+from odlc import cli, ppm
 from odlc.codec import CodecLayout, CodecParams
 from odlc.lossnet import ClassifierLayout, ClassifierParams
 
@@ -22,6 +25,20 @@ GOLDEN = {
     ("classifier", 1): "e80dd49c6eb22062686a97c8c00f89dbd433b7d20b32d2bdb32ebc0a18363ae1",
 }
 KINDS = {"codec": (CodecParams, CodecLayout), "classifier": (ClassifierParams, ClassifierLayout)}
+SMALL = {"codec": MICRO, "classifier": ClassifierLayout(widths=(4, 6), classes=3)}
+
+# well-formed files whose layout meta cannot make a network
+DEGENERATE = [
+    ("classifier", {"widths": []}),
+    ("classifier", {"kernel": 0}),
+    ("codec", {"enc_widths": [0, 0, 0, 0]}),
+    ("codec", {"kernel": 0}),
+    ("codec", {"kernel": 2}),
+    ("codec", {"dec_widths": [8, 8, True, 4]}),
+    ("classifier", {"widths": [4, -6]}),
+    ("classifier", {"classes": 1}),
+]
+DEGENERATE_IDS = [f"{kind}-{k}={v}" for kind, edit in DEGENERATE for k, v in edit.items()]
 
 
 def write_raw(path, manifest, data=b"", kind=b"codec"):
@@ -138,48 +155,48 @@ class TestParserRejects:
         assert isinstance(kind, str) and isinstance(meta, dict) and isinstance(tensors, dict)
 
 
-class TestLoadParams:
-    def _resave(self, path, meta_edit=None, tensor_edit=None):
-        _, meta, tensors = ckpt.load(path)
-        if meta_edit:
-            meta_edit(meta)
-        if tensor_edit:
-            tensor_edit(tensors)
-        ckpt.save(path, "codec", dict(meta), tensors)
+def edited_checkpoint(path, kind, meta_edit=None, tensor_edit=None):
+    """A small seeded checkpoint of ``kind``, with its meta and tensors edited."""
+    params_cls, _ = KINDS[kind]
+    params_cls(SMALL[kind], seed=0).save(path)
+    _, meta, tensors = ckpt.load(path)
+    if meta_edit:
+        meta_edit(meta)
+    if tensor_edit:
+        tensor_edit(tensors)
+    ckpt.save(path, kind, dict(meta), tensors)
+    return path
 
+
+class TestLoadParams:
     def test_layout_error_names_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        CodecParams(MICRO, seed=0).save(path)
-        self._resave(path, meta_edit=lambda m: m.update(dec_widths=[3, 3, 3, 3]))
+        edited_checkpoint(path, "codec", meta_edit=lambda m: m.update(dec_widths=[3, 3, 3, 3]))
         with pytest.raises(ckpt.CheckpointError, match="m.ckpt: bad layout meta.*divisible"):
             CodecParams.load(path)
 
     def test_layout_wrong_type_names_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        CodecParams(MICRO, seed=0).save(path)
-        self._resave(path, meta_edit=lambda m: m.update(enc_widths=[4, 6, "8", 8]))
+        edited_checkpoint(path, "codec", meta_edit=lambda m: m.update(enc_widths=[4, 6, "8", 8]))
         with pytest.raises(ckpt.CheckpointError, match="m.ckpt: bad layout meta"):
             CodecParams.load(path)
 
     def test_norm_stats_need_three_channels(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        CodecParams(MICRO, seed=0).save(path)
-        self._resave(path, meta_edit=lambda m: m.update(norm_std=[0.5]))
+        edited_checkpoint(path, "codec", meta_edit=lambda m: m.update(norm_std=[0.5]))
         with pytest.raises(ckpt.CheckpointError, match="3 channels"):
             CodecParams.load(path)
 
     def test_tensor_shape_mismatch_names_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        CodecParams(MICRO, seed=0).save(path)
-        self._resave(path, tensor_edit=lambda t: t.update(
+        edited_checkpoint(path, "codec", tensor_edit=lambda t: t.update(
             {"dec.conv_out.bias": np.zeros(4, dtype=np.float32)}))
         with pytest.raises(ckpt.CheckpointError, match="m.ckpt: parameter dec.conv_out.bias"):
             CodecParams.load(path)
 
     def test_missing_tensor_names_it(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        CodecParams(MICRO, seed=0).save(path)
-        self._resave(path, tensor_edit=lambda t: t.pop("enc.conv_in.bias"))
+        edited_checkpoint(path, "codec", tensor_edit=lambda t: t.pop("enc.conv_in.bias"))
         with pytest.raises(ckpt.CheckpointError, match="missing tensor enc.conv_in.bias"):
             CodecParams.load(path)
 
@@ -188,3 +205,93 @@ class TestLoadParams:
         ClassifierParams(ClassifierLayout(widths=(4,), classes=2), seed=0).save(path)
         net = ClassifierParams.load(path)
         assert not any(p.tensor.requires_grad for p in net.parameters())
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        path = edited_checkpoint(tmp_path / "m.ckpt", "codec", tensor_edit=lambda t: t.update(
+            {"enc.conv_extra.bias": np.zeros(2, dtype=np.float32)}))
+        with pytest.raises(ckpt.CheckpointError, match="m.ckpt: extra tensor enc.conv_extra.bias"):
+            CodecParams.load(path)
+
+    def test_load_runs_no_random_init(self, tmp_path, monkeypatch):
+        saved = [params_cls(SMALL[kind], seed=4, norm_mean=NORM[0], norm_std=NORM[1])
+                 for kind, (params_cls, _) in KINDS.items()]
+        for i, params in enumerate(saved):
+            params.save(tmp_path / f"{i}.ckpt")
+
+        def no_draw(*args):
+            raise AssertionError("load ran a random init")
+        monkeypatch.setattr(ad, "xavier_uniform", no_draw)
+        for i, params in enumerate(saved):
+            loaded = type(params).load(tmp_path / f"{i}.ckpt")
+            assert loaded.layout == params.layout and loaded.dtype == np.float32
+            np.testing.assert_array_equal(loaded.norm_std, params.norm_std)
+            assert [p.name for p in loaded.parameters()] == [p.name for p in params.parameters()]
+            for p, q in zip(loaded.parameters(), params.parameters()):
+                np.testing.assert_array_equal(p.value, q.value)
+
+    @pytest.mark.parametrize("kind,edit", DEGENERATE, ids=DEGENERATE_IDS)
+    def test_degenerate_layout_meta(self, kind, edit, tmp_path):
+        path = edited_checkpoint(tmp_path / "m.ckpt", kind, meta_edit=lambda m: m.update(edit))
+        with pytest.raises(ckpt.CheckpointError, match="m.ckpt: bad layout meta"):
+            KINDS[kind][0].load(path)
+
+    @pytest.mark.parametrize("kind,edit", DEGENERATE, ids=DEGENERATE_IDS)
+    def test_degenerate_layout_meta_exits_1(self, kind, edit, tmp_path, capsys):
+        model = edited_checkpoint(tmp_path / "m.ckpt", kind, meta_edit=lambda m: m.update(edit))
+        if kind == "codec":
+            src = tmp_path / "x.ppm"
+            ppm.write_ppm(src, np.zeros((3, 32, 32), dtype=np.float32))
+            argv = ["compress", "--in", str(src), "--model", str(model), "--iters", "1"]
+        else:
+            argv = ["sweep", "--models", f"0={tmp_path / 'none.ckpt'}", "--classifier", str(model),
+                    "--data", "shapes:seed=1,split=val,n=2,classes=3,res=32"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "m.ckpt: bad layout meta" in err and "Traceback" not in err
+
+
+# layout fields as a hostile file may hold them: half of the edits are
+# valid ints up to 2^40, which reach the tensor table check; the rest may
+# hold anything
+_INT = st.one_of(st.integers(1, 9), st.integers(1, 1 << 40))
+_ANY = st.one_of(_INT, st.integers(-2, 0), st.booleans(), st.none(),
+                 st.floats(allow_nan=False), st.text(max_size=2), st.lists(_INT, max_size=6))
+_ODD = st.integers(0, 1 << 39).map(lambda k: 2 * k + 1)
+
+
+def _edits(**fields):
+    valid = st.fixed_dictionaries({}, optional=fields)
+    return st.one_of(valid, st.fixed_dictionaries({}, optional={k: _ANY for k in fields}))
+
+
+_META_EDITS = {
+    "codec": _edits(enc_widths=st.lists(_INT, min_size=4, max_size=4),
+                    dec_widths=st.lists(_INT.map(lambda w: 4 * w), min_size=4, max_size=4),
+                    bottleneck=st.integers(1, 255), kernel=_ODD, t_max=st.integers(1, 8)),
+    "classifier": _edits(widths=st.lists(_INT, min_size=1, max_size=6), kernel=_ODD,
+                         classes=st.integers(2, 1 << 40)),
+}
+
+
+class TestLayoutMetaFuzz:
+    """Whatever layout a well-formed file declares, loading returns or
+    raises CheckpointError, and allocates within a small multiple of the
+    file size: the file bounds the load."""
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_load_bounded_by_file(self, data, tmp_path_factory):
+        kind = data.draw(st.sampled_from(sorted(KINDS)), label="kind")
+        edit = data.draw(_META_EDITS[kind], label="meta")
+        path = edited_checkpoint(tmp_path_factory.mktemp("fuzz") / "m.ckpt", kind,
+                                 meta_edit=lambda m: m.update(edit))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            KINDS[kind][0].load(path)
+        except ckpt.CheckpointError:
+            pass
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < 4 * size + (1 << 20)

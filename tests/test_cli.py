@@ -45,9 +45,10 @@ class TestConfigIO:
         p.write_text("alpha = 0.5\nlayer_ids = 1.1, 5.1\nlambda_h = 2500\nepochs = 2\n")
         args = cli.build_parser().parse_args(["train-codec", "--data", "d", "--out", "o",
                                               "--seed", "0", "--config", str(p)])
-        assert cli._loss_cfg(args) == LossConfig(alpha=0.5, layer_ids=("1.1", "5.1"),
-                                                 lambda_h=2500.0)
-        assert cli._train_cfg(args).epochs == 2
+        kv = cli._config_kv(args)
+        assert cli._loss_cfg(args, kv) == LossConfig(alpha=0.5, layer_ids=("1.1", "5.1"),
+                                                     lambda_h=2500.0)
+        assert cli._train_cfg(args, kv).epochs == 2
 
     def test_flags_override_file_before_validation(self, tmp_path):
         # the file alone is invalid (alpha > 0 without taps); --layers mends it
@@ -56,7 +57,18 @@ class TestConfigIO:
         args = cli.build_parser().parse_args(["train-codec", "--data", "d", "--out", "o",
                                               "--seed", "0", "--config", str(p),
                                               "--alpha", "0.25", "--layers", "2.1"])
-        assert cli._loss_cfg(args) == LossConfig(alpha=0.25, layer_ids=("2.1",))
+        assert cli._loss_cfg(args, cli._config_kv(args)) == LossConfig(alpha=0.25,
+                                                                       layer_ids=("2.1",))
+
+    def test_train_codec_reads_config_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "c.cfg"
+        p.write_text("alpha = 0.5\nlayer_ids = 1.1\nepochs = 2\n")
+        reads, read_kv = [], configio.read_kv
+        monkeypatch.setattr(configio, "read_kv", lambda path: reads.append(path) or read_kv(path))
+        rc = run("train-codec", "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
+                 "--out", str(tmp_path / "run"), "--seed", "0", "--config", str(p),
+                 "--lossnet", str(tmp_path / "missing.ckpt"))
+        assert rc == 1 and reads == [str(p)]
 
     def test_unsettable_key_named(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"

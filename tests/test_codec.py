@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from odlc import autodiff as ad
 from odlc import checkpoint as ckpt
 from odlc import codec
-from odlc.bitstream import Bitstream, BitstreamError, BitstreamHeader, pack_bits, unpack_bits
+from odlc.bitstream import (Bitstream, BitstreamError, BitstreamHeader, ceil16, pack_bits,
+                            unpack_bits)
 
 MICRO = codec.CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4),
                           bottleneck=4, t_max=8)
@@ -214,6 +215,29 @@ class TestCompressDecompress:
         short = codec.CodecParams(replace(MICRO, t_max=2), seed=0)
         with pytest.raises(BitstreamError, match="5 iterations.*at most 2"):
             codec.decompress(bs, short)
+
+    def test_oversize_header_fails_before_any_state(self, params, monkeypatch):
+        def no_state(*args, **kwargs):
+            raise AssertionError("decoder state allocated")
+        monkeypatch.setattr(codec.CodecState, "zeros", no_state)
+        hdr = BitstreamHeader(width=65535, height=65535, iterations=1, c_b=4)
+        with pytest.raises(BitstreamError, match="cap of 4194304"):
+            codec.decompress(Bitstream(header=hdr, payload=b""), params)
+
+    def test_compress_refuses_what_decompress_would(self, params, monkeypatch):
+        def no_encode(*args, **kwargs):
+            raise AssertionError("encoder ran")
+        monkeypatch.setattr(codec, "reconstruct_progressive", no_encode)
+        # 2050 pads to 2064, and 2064^2 > 2^22; a broadcast view allocates nothing
+        x = np.broadcast_to(np.float32(0.5), (3, 2050, 2050))
+        with pytest.raises(codec.CodecError, match="cap of 4194304"):
+            codec.compress(x, 1, params)
+        assert ceil16(2048) ** 2 == codec.MAX_PADDED_PIXELS
+
+    def test_decoder_state_alone(self, params):
+        state = codec.CodecState.zeros(params, 32, 64, encoder=False)
+        assert state.enc_h == []
+        assert [h.shape for h in state.dec_h] == [(8, 2, 4), (8, 4, 8), (8, 8, 16), (4, 16, 32)]
 
     def test_missing_meta_key_names_it(self, params, tmp_path):
         path = tmp_path / "codec.ckpt"

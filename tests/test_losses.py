@@ -129,8 +129,10 @@ class TestHumanDistortion:
 
 @pytest.fixture(scope="module")
 def toy_net():
-    net = ClassifierParams(ClassifierLayout(widths=(4, 6), classes=3, input_resolution=16),
-                           seed=5, dtype=np.float64)
+    layout = ClassifierLayout(widths=(4, 6), classes=3, input_resolution=16)
+    drawn = ClassifierParams(layout, seed=5)
+    net = ClassifierParams(layout, arrays={p.name: p.value.astype(np.float64)
+                                           for p in drawn.parameters()})
     net.freeze()
     return net
 
