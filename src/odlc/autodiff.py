@@ -91,7 +91,8 @@ class Tensor:
 
 
 class Parameter:
-    """Named trainable tensor with a persistent gradient buffer."""
+    """Named trainable tensor with a persistent gradient buffer, allocated
+    on first use, so inference and frozen networks never hold one."""
 
     __slots__ = ("name", "tensor")
 
@@ -100,7 +101,6 @@ class Parameter:
         # owns its buffer: np.array copies, so later in-place updates can
         # never alias caller data
         self.tensor = Tensor(np.array(data, dtype=dtype), requires_grad=True)
-        self.tensor.ensure_grad()
 
     @property
     def value(self) -> np.ndarray:
@@ -187,7 +187,7 @@ def backward(loss: Tensor, tape: Tape):
 
     Gradients accumulate (fan-out sums); parameters keep their persistent
     buffers, so callers zero them between steps. Tensors not on a path to
-    the loss keep grad None (parameters keep their zero buffer).
+    the loss keep the grad they had: None, or a parameter's buffer.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")

@@ -24,7 +24,7 @@ from .lossnet import ClassifierParams
 def _manifest(out_path, args, configs, inputs):
     path = out_path + ".manifest.txt" if not os.path.isdir(out_path) \
         else os.path.join(out_path, "manifest.txt")
-    configio.write_manifest(path, command=" ".join(sys.argv[1:]), configs=configs,
+    configio.write_manifest(path, command=" ".join(args.argv), configs=configs,
                             seed=getattr(args, "seed", None), inputs=inputs,
                             tool_version=__version__)
 
@@ -32,8 +32,7 @@ def _manifest(out_path, args, configs, inputs):
 # The config-file keys each command reads. The seed comes from --seed and
 # the normalization is fitted, so neither is a file key.
 _LOSS_KEYS = tuple(f.name for f in dataclasses.fields(losses.LossConfig))
-_CLASSIFIER_KEYS = ("learning_rate", "batch_size", "epochs", "resize_side", "crop_size",
-                    "adam.beta1", "adam.beta2", "adam.eps")
+_CLASSIFIER_KEYS = ("learning_rate", "batch_size", "epochs", "resize_side", "crop_size")
 _CODEC_TRAIN_KEYS = _CLASSIFIER_KEYS + ("unroll_steps", "grad_clip", "val_interval")
 
 
@@ -84,7 +83,7 @@ def cmd_train_classifier(args):
         val_set = datasets.parse_spec(args.val_data, default_split="val")
         acc = trainer.evaluate_accuracy(params, val_set, cfg)
         print(f"val accuracy: {acc:.4f}")
-    _manifest(args.out, args, {"train": cfg}, [args.config] if args.config else [])
+    _manifest(args.out, args, {"train": cfg}, [args.config, args.data, args.val_data])
     print(f"saved classifier to {args.out} ({len(log)} log rows)")
     return 0
 
@@ -106,7 +105,7 @@ def cmd_train_codec(args):
                                          lossnet=net, out_dir=args.out,
                                          progress=progress)
     _manifest(args.out, args, {"train": cfg, "loss": loss_cfg},
-              [p for p in (args.config, args.lossnet) if p])
+              [args.config, args.lossnet, args.data, args.val_data])
     print(f"final loss {log[-1][1]:.5f} after {log[-1][0]} steps; "
           f"checkpoints in {args.out}")
     return 0
@@ -140,7 +139,7 @@ def cmd_eval_quality(args):
     points = evaluation.eval_quality_curve(params, val_set, cfg)
     configio.write_csv(args.out, evaluation.CURVE_HEADER,
                        [(p.level, p.bpp, p.value, p.n) for p in points])
-    _manifest(args.out, args, {"eval": cfg}, [args.model])
+    _manifest(args.out, args, {"eval": cfg}, [args.model, args.data])
     for p in points:
         print(f"T={p.level}: bpp {p.bpp:.4f} msssim {p.value:.4f} (n={p.n})")
     return 0
@@ -157,7 +156,7 @@ def cmd_eval_accuracy(args):
         path = args.out if metric == "accuracy" else f"{base}_{metric}{ext}"
         configio.write_csv(path, evaluation.CURVE_HEADER,
                            [(p.level, p.bpp, p.value, p.n) for p in points])
-    _manifest(args.out, args, {"eval": cfg}, [args.model, args.classifier])
+    _manifest(args.out, args, {"eval": cfg}, [args.model, args.classifier, args.data])
     for metric, points in curves.items():
         for p in points:
             print(f"{metric} T={p.level}: bpp {p.bpp:.4f} value {p.value:.4f}")
@@ -165,17 +164,20 @@ def cmd_eval_accuracy(args):
 
 
 def cmd_sweep(args):
-    checkpoints = {}
+    checkpoints, loaded = {}, []
     for pair in args.models.split(","):
         alpha, path = pair.split("=", 1)
-        checkpoints[float(alpha)] = CodecParams.load(path) if os.path.exists(path) else None
+        checkpoints[float(alpha)] = None
+        if os.path.exists(path):
+            checkpoints[float(alpha)] = CodecParams.load(path)
+            loaded.append(path)
     classifier = ClassifierParams.load(args.classifier)
     val_set = datasets.parse_spec(args.data, default_split="val")
     cfg = evaluation.EvalConfig(s_comp=args.s_comp, s_inf=args.s_inf)
     rows, skipped = evaluation.tradeoff_sweep(checkpoints, classifier, val_set,
                                               _grid(args.iters), cfg)
     configio.write_csv(args.out, evaluation.SWEEP_HEADER, rows)
-    _manifest(args.out, args, {"eval": cfg}, [args.classifier])
+    _manifest(args.out, args, {"eval": cfg}, [*loaded, args.classifier, args.data])
     for a in skipped:
         print(f"warning: no checkpoint for alpha={a}, rows skipped", file=sys.stderr)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
@@ -196,24 +198,20 @@ def cmd_ablate_layers(args):
                                        losses.LossConfig(alpha=1.0), cfg,
                                        _grid(args.iters), eval_cfg)
     configio.write_csv(args.out, evaluation.ABLATION_HEADER, rows)
-    _manifest(args.out, args, {"train": cfg}, [args.lossnet, args.classifier])
+    _manifest(args.out, args, {"train": cfg, "eval": eval_cfg},
+              [args.config, args.lossnet, args.classifier, args.data, args.val_data])
     print(f"wrote {len(rows)} ablation rows to {args.out}")
     return 0
 
 
 def cmd_gradcheck(args):
     dtype = np.float64 if args.dtype == "f64" else np.float32
-    rows = gradcheck.run_op_suite(dtype, seed=args.seed)
-    worst = {}
-    for name, err, tol, ok in rows:
-        prev = worst.get(name, (0.0, tol, True))
-        worst[name] = (max(prev[0], err), tol, prev[2] and ok)
+    rows = sorted(gradcheck.run_op_suite(dtype, seed=args.seed))
     failed = 0
-    for name in sorted(worst):
-        err, tol, ok = worst[name]
+    for name, err, tol, ok in rows:
         print(f"{'PASS' if ok else 'FAIL'} {name}: max rel err {err:.3e} (tol {tol:g})")
         failed += 0 if ok else 1
-    print(f"{len(worst) - failed}/{len(worst)} gradient suites passed [{args.dtype}]")
+    print(f"{len(rows) - failed}/{len(rows)} gradient suites passed [{args.dtype}]")
     return 0 if failed == 0 else 1
 
 
@@ -321,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         return args.fn(args)
     except (ValueError, OSError) as e:

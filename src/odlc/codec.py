@@ -7,6 +7,10 @@ hidden state to the next step:
     x_hat[t] = x_hat[t-1] + decode(binarize(encode(r[t]))),
     r[1] = x, r[t+1] = x - x_hat[t], x_hat[0] = 0.
 
+The binarizer is stochastic exactly when it is handed a generator: a
+generator means training, and without one every code is sign(z), which
+is what compress, decompress and the evaluation protocols use.
+
 The loop runs in the normalized image domain; [0,1] outputs are produced
 by denormalize + clamp at the boundary only. Spatial dims are padded to
 multiples of 16 (bottom/right, reflect) and true dims travel in the
@@ -144,27 +148,23 @@ class ReconstructionTrace:
         return np.clip(img, 0.0, 1.0)
 
 
-def binarize(z: Tensor, mode: str = "deterministic",
-             rng: np.random.Generator | None = None) -> Tensor:
+def binarize(z: Tensor, rng: np.random.Generator | None = None) -> Tensor:
     """Map (-1,1) activations to {-1,+1} codes.
 
-    stochastic: +1 with probability (1+z)/2 (mean-preserving draw);
-    deterministic: sign(z) with sign(0) = +1. The backward pass is the
+    A generator means training: +1 with probability (1+z)/2, a
+    mean-preserving draw from ``rng``. Without one the code is sign(z)
+    with sign(0) = +1, as deployed. The backward pass is the
     straight-through identity either way.
     """
     zd = z.data
     if np.abs(zd).max(initial=0.0) > 1.0:
         worst = zd.reshape(-1)[np.abs(zd).reshape(-1).argmax()]
         raise CodecError(f"binarize: activation {worst} outside [-1, 1]")
-    if mode == "deterministic":
+    if rng is None:
         out_data = np.where(zd >= 0, 1.0, -1.0).astype(zd.dtype)
-    elif mode == "stochastic":
-        if rng is None:
-            raise CodecError("binarize: stochastic mode needs a seeded generator")
+    else:
         draws = rng.random(zd.shape)
         out_data = np.where(draws < (1.0 + zd) / 2.0, 1.0, -1.0).astype(zd.dtype)
-    else:
-        raise CodecError(f"binarize: unknown mode {mode!r}")
     out = Tensor(out_data)
     return ad.record_op(out, (z,), (lambda g: g,))
 
@@ -192,14 +192,9 @@ def _decode_step(bits: Tensor, dec_h: list, params: CodecParams):
     return delta, new_h
 
 
-def codec_step(r_t: Tensor, state: CodecState, params: CodecParams,
-               mode: str = "deterministic", rng=None):
+def codec_step(r_t: Tensor, state: CodecState, params: CodecParams, rng=None):
     """One unrolling step on a residual: returns (delta, codes, new state).
-
-    mode is the binarization rule; "bypass" skips quantization entirely
-    and exists for gradient verification only (the straight-through
-    contract differentiates the codec as if the quantizer were identity).
-    """
+    The codes are drawn from ``rng`` when given (training), else sign(z)."""
     if r_t.data.ndim != 3 or r_t.shape[0] != 3:
         raise CodecError(f"codec_step: residual must be 3xHxW, got {r_t.shape}")
     _, h, w = r_t.shape
@@ -208,18 +203,15 @@ def codec_step(r_t: Tensor, state: CodecState, params: CodecParams,
     if h % DOWNSAMPLE or w % DOWNSAMPLE:
         raise CodecError(f"codec_step: resolution {h}x{w} not a multiple of {DOWNSAMPLE}")
     z, enc_h = _encode_step(r_t, state, params)
-    if mode == "bypass":
-        bits = z
-    else:
-        bits = binarize(z, mode=mode, rng=rng)
+    bits = binarize(z, rng=rng)
     delta, dec_h = _decode_step(bits, state.dec_h, params)
     return delta, bits, CodecState(enc_h=enc_h, dec_h=dec_h)
 
 
 def progressive_from_normalized(xn: Tensor, iterations: int, params: CodecParams,
-                                mode: str = "deterministic", rng=None,
-                                true_size: tuple | None = None) -> ReconstructionTrace:
-    """Run the additive loop on an already normalized, 16-aligned input."""
+                                rng=None, true_size: tuple | None = None) -> ReconstructionTrace:
+    """Run the additive loop on an already normalized, 16-aligned input;
+    stochastic binarization from ``rng`` when given, else deterministic."""
     if not 1 <= iterations <= params.layout.t_max:
         raise CodecError(f"iterations {iterations} outside 1..{params.layout.t_max}")
     _, h, w = xn.shape
@@ -231,22 +223,21 @@ def progressive_from_normalized(xn: Tensor, iterations: int, params: CodecParams
     for t in range(1, iterations + 1):
         r = xn if xhat is None else ad.sub(xn, xhat)
         trace.residuals.append(r)
-        delta, bits, state = codec_step(r, state, params, mode=mode, rng=rng)
+        delta, bits, state = codec_step(r, state, params, rng=rng)
         xhat = delta if xhat is None else ad.add(xhat, delta)
         trace.reconstructions.append(xhat)
         trace.codes.append(bits)
     return trace
 
 
-def reconstruct_progressive(x: np.ndarray, iterations: int, params: CodecParams,
-                            mode: str = "deterministic", rng=None) -> ReconstructionTrace:
-    """Progressive reconstruction of a [0,1] CHW image."""
+def reconstruct_progressive(x: np.ndarray, iterations: int,
+                            params: CodecParams) -> ReconstructionTrace:
+    """Deterministic progressive reconstruction of a [0,1] CHW image."""
     x = np.asarray(x, dtype=np.float32)
     _, h, w = x.shape
     xp = imageops.pad_to_multiple(x, DOWNSAMPLE)
     xn = Tensor(imageops.normalize(xp, params.norm_mean, params.norm_std).astype(params.dtype))
-    return progressive_from_normalized(xn, iterations, params, mode=mode, rng=rng,
-                                       true_size=(h, w))
+    return progressive_from_normalized(xn, iterations, params, true_size=(h, w))
 
 
 def encoder_input(x: np.ndarray, levels, params: CodecParams) -> np.ndarray:
@@ -273,7 +264,7 @@ def compress(x: np.ndarray, iterations: int, params: CodecParams) -> Bitstream:
     """Deterministic encode of a [0,1] CHW image to a bitstream."""
     x = encoder_input(x, (iterations,), params)
     _, h, w = x.shape
-    trace = reconstruct_progressive(x, iterations, params, mode="deterministic")
+    trace = reconstruct_progressive(x, iterations, params)
     codes = [c.data for c in trace.codes]
     return Bitstream.from_codes(codes, width=w, height=h)
 

@@ -41,28 +41,18 @@ def _coerce(text: str, pytype):
 def apply_kv(cfg, kv: dict):
     """Rebuild a (frozen) dataclass with fields overridden from a kv dict.
 
-    Unknown keys raise; nested dataclass fields use dotted keys
-    (e.g. adam.beta1). A field is typed by its current value, so a
+    Unknown keys raise. A field is typed by its current value, so a
     None-valued field cannot be set from text.
     """
-    fields = {f.name: f for f in dataclasses.fields(cfg)}
+    fields = {f.name for f in dataclasses.fields(cfg)}
     updates = {}
-    nested = {}
     for key, text in kv.items():
-        if "." in key:
-            head, rest = key.split(".", 1)
-            nested.setdefault(head, {})[rest] = text
-            continue
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r}; known: {sorted(fields)}")
         try:
             updates[key] = _coerce(text, type(getattr(cfg, key)))
         except ValueError as e:
             raise ConfigError(f"config key {key!r}: {e}") from None
-    for head, sub in nested.items():
-        if head not in fields:
-            raise ConfigError(f"unknown config key {head!r}")
-        updates[head] = apply_kv(getattr(cfg, head), sub)
     return dataclasses.replace(cfg, **updates)
 
 

@@ -159,9 +159,9 @@ class ShapesDataset:
 class FolderDataset:
     """Images from a directory plus a labels file of "<name> <class>" lines."""
 
-    def __init__(self, root: str, labels_file: str = "labels.txt"):
+    def __init__(self, root: str):
         self.root = root
-        path = os.path.join(root, labels_file)
+        path = os.path.join(root, "labels.txt")
         if not os.path.exists(path):
             raise DatasetError(f"labels file not found: {path}")
         self.entries = []

@@ -40,6 +40,13 @@ class EvalError(ValueError):
     pass
 
 
+def _check_classifier(classifier, cfg: EvalConfig):
+    """The classifier reads s_inf-pixel crops; checked before any encode."""
+    if classifier.layout.input_resolution != cfg.s_inf:
+        raise EvalError(f"classifier expects {classifier.layout.input_resolution}px inputs, "
+                        f"config says s_inf={cfg.s_inf}")
+
+
 def _check_levels(levels, what: str):
     """A level list is non-empty and holds ints >= 1."""
     if len(levels) == 0:
@@ -90,7 +97,7 @@ def _decodes(codec, img: np.ndarray, levels) -> list:
         return [roundtrip(codec, img, t) for t in levels]
     x = encoder_input(img, levels, codec)
     _, h, w = x.shape
-    trace = reconstruct_progressive(x, max(levels), codec, mode="deterministic")
+    trace = reconstruct_progressive(x, max(levels), codec)
     header = Bitstream.from_codes([c.data for c in trace.codes], width=w, height=h).header
     return [(trace.decoded(t), t * header.bits_per_iteration) for t in levels]
 
@@ -147,9 +154,7 @@ def eval_accuracy_curve(codec, classifier, val_set, cfg: EvalConfig):
     n = len(val_set)
     if n == 0:
         raise EvalError("eval_accuracy_curve: empty validation set")
-    if classifier.layout.input_resolution != cfg.s_inf:
-        raise EvalError(f"classifier expects {classifier.layout.input_resolution}px inputs, "
-                        f"config says s_inf={cfg.s_inf}")
+    _check_classifier(classifier, cfg)
     crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
     truths = [val_set.label(i) for i in range(n)]
     clean = [_label(c, classifier, cfg.s_inf) for c in crops]
@@ -200,6 +205,7 @@ def tradeoff_sweep(checkpoints: dict, classifier, val_set, t_list, cfg: EvalConf
     n = len(val_set)
     if n == 0:
         raise EvalError("tradeoff_sweep: empty validation set")
+    _check_classifier(classifier, cfg)
     crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
     truths = [val_set.label(i) for i in range(n)]
     clean = [_label(c, classifier, cfg.s_inf) for c in crops]
@@ -228,10 +234,10 @@ def ablate_layers(layer_sets, train_set, val_set, f_lossnet, classifier,
     n = len(val_set)
     if n == 0:
         raise EvalError("ablate_layers: empty validation set")
+    _check_classifier(classifier, cfg)
     crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
-    s_inf = classifier.layout.input_resolution
-    clean = [_label(c, classifier, s_inf) for c in crops]
-    label = _labeler(classifier, s_inf)
+    clean = [_label(c, classifier, cfg.s_inf) for c in crops]
+    label = _labeler(classifier, cfg.s_inf)
     for layer_ids in layer_sets:
         tag = "+".join(layer_ids)
         loss_cfg = replace(loss_cfg_base, alpha=1.0, layer_ids=tuple(layer_ids))

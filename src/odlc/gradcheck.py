@@ -52,8 +52,7 @@ def numeric_gradient(fn, wrt: ad.Tensor, step: float, indices=None) -> np.ndarra
 
 
 def check_gradients(build_loss, wrt: list, dtype=np.float32,
-                    step: float | None = None, sample: int | None = None,
-                    seed: int = 0) -> float:
+                    sample: int | None = None, seed: int = 0) -> float:
     """Compare tape gradients of build_loss() against finite differences.
 
     build_loss runs a fresh forward pass and returns the scalar loss
@@ -63,7 +62,6 @@ def check_gradients(build_loss, wrt: list, dtype=np.float32,
     positions per tensor for expensive losses.
     """
     dt = np.dtype(dtype)
-    h = FD_STEP[dt] if step is None else step
     for t in wrt:
         t.requires_grad = True
         t.grad = None
@@ -80,7 +78,7 @@ def check_gradients(build_loss, wrt: list, dtype=np.float32,
         idx = None
         if sample is not None and t.data.size > sample:
             idx = np.random.default_rng(seed).choice(t.data.size, size=sample, replace=False)
-        n = numeric_gradient(scalar, t, h, indices=idx)
+        n = numeric_gradient(scalar, t, FD_STEP[dt], indices=idx)
         if idx is not None:
             worst = max(worst, rel_error(a.reshape(-1)[idx], n.reshape(-1)[idx]))
         else:
@@ -176,17 +174,15 @@ class GruCase:
         return ad.mean(ad.square(ad.conv_gru_cell(self.x, self.h, self.p)))
 
 
-def run_op_suite(dtype, seed: int = 0, instances: int = 1) -> list:
-    """Run every op case `instances` times with fresh random draws.
+def run_op_suite(dtype, seed: int = 0) -> list:
+    """Run every op case once on draws seeded from ``seed``.
 
     Returns (name, worst_rel_error, tolerance, passed) rows.
     """
     dt = np.dtype(dtype)
     tol = FD_TOL[dt]
     rows = []
-    for rep in range(instances):
-        rng = np.random.default_rng(seed + rep)
-        for name, wrt, build in op_cases(rng, dt):
-            err = check_gradients(build, wrt, dtype=dt)
-            rows.append((name, err, tol, err < tol))
+    for name, wrt, build in op_cases(np.random.default_rng(seed), dt):
+        err = check_gradients(build, wrt, dtype=dt)
+        rows.append((name, err, tol, err < tol))
     return rows

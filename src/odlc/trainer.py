@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +42,6 @@ class TrainingDiverged(TrainError):
 
 
 @dataclass(frozen=True)
-class AdamConfig:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 4e-4
     batch_size: int = 4
@@ -59,7 +52,6 @@ class TrainConfig:
     crop_size: int = 224
     grad_clip: float = 5.0
     val_interval: int = 200
-    adam: AdamConfig = field(default_factory=AdamConfig)
     normalization: tuple | None = None  # ((mean r,g,b), (std r,g,b)); None = fit to data
 
     def __post_init__(self):
@@ -116,13 +108,14 @@ def fit_normalization(dataset, cfg: TrainConfig, sample: int = 256) -> tuple:
 
 
 class Adam:
-    """Bias-corrected Adam over Parameter objects (reads .grad in place)."""
+    """Bias-corrected Adam over Parameter objects (reads .grad in place),
+    at Kingma & Ba's constants β1 = 0.9, β2 = 0.999, ε = 1e-8."""
 
-    def __init__(self, params: list, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -172,7 +165,7 @@ def _minibatch_adam(train_set, params, cfg: TrainConfig, stream: int, image_loss
     n = len(train_set)
     if n < cfg.batch_size:
         raise TrainError(f"training set of {n} images smaller than one batch of {cfg.batch_size}")
-    opt = Adam(params.parameters(), cfg.learning_rate, **asdict(cfg.adam))
+    opt = Adam(params.parameters(), cfg.learning_rate)
     order_rng = _rng(cfg.seed, stream)
     step = 0
     t0 = time.time()
@@ -203,9 +196,10 @@ def _minibatch_adam(train_set, params, cfg: TrainConfig, stream: int, image_loss
 
 
 def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
-              loss_cfg: losses.LossConfig, lossnet=None, rng=None,
-              mode: str = "stochastic"):
-    """Forward the progressive loop and build the averaged per-step loss.
+              loss_cfg: losses.LossConfig, lossnet=None, rng=None):
+    """Forward the progressive loop and build the averaged per-step loss,
+    binarizing stochastically from ``rng`` when given (training) and
+    deterministically without it.
 
     Returns (loss tensor, info) where info carries the per-iteration
     distortion terms plus d_H / d_C component means (nan when a component
@@ -214,7 +208,7 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
     x01_t = Tensor(x01_padded.astype(params.dtype))
     xn = Tensor(imageops.normalize(x01_padded, params.norm_mean, params.norm_std)
                 .astype(params.dtype))
-    trace = progressive_from_normalized(xn, iterations, params, mode=mode, rng=rng)
+    trace = progressive_from_normalized(xn, iterations, params, rng=rng)
     inv = params.norm_std.astype(np.float32)
     terms = []
     dh_vals, dc_vals = [], []
@@ -249,7 +243,7 @@ def _val_probe(val_set, params, cfg, loss_cfg, lossnet=None, limit: int = 16):
     objective, scores = [], []
     for i in range(n):
         img = augment_geometry(val_set.image(i), "val", None, cfg)
-        trace = reconstruct_progressive(img, cfg.unroll_steps, params, mode="deterministic")
+        trace = reconstruct_progressive(img, cfg.unroll_steps, params)
         objective.append(np.mean([
             losses.observer_distortion(img, trace.decoded(t), loss_cfg, lossnet)[0].item()
             for t in range(1, trace.iterations + 1)]))

@@ -229,6 +229,22 @@ class TestLoadParams:
             for p, q in zip(loaded.parameters(), params.parameters()):
                 np.testing.assert_array_equal(p.value, q.value)
 
+    def test_load_holds_no_gradient_buffers(self, tmp_path):
+        # the file's arrays are copied once into the parameters; a gradient
+        # buffer is allocated only when training first touches it
+        path = tmp_path / "m.ckpt"
+        CodecParams(CodecLayout(), seed=0).save(path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = CodecParams.load(path)
+            held, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * size and held <= 1.1 * size
+        assert all(p.tensor.grad is None for p in loaded.parameters())
+
     @pytest.mark.parametrize("kind,edit", DEGENERATE, ids=DEGENERATE_IDS)
     def test_degenerate_layout_meta(self, kind, edit, tmp_path):
         path = edited_checkpoint(tmp_path / "m.ckpt", kind, meta_edit=lambda m: m.update(edit))

@@ -1,10 +1,12 @@
+import argparse
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from odlc import bitstream, checkpoint, cli, configio, ppm
+from odlc import bitstream, checkpoint, cli, configio, ppm, trainer
 from odlc.codec import CodecLayout, CodecParams, compress
 from odlc.losses import LossConfig
 from odlc.lossnet import ClassifierLayout, ClassifierParams
@@ -14,6 +16,55 @@ MICRO = CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4), bottleneck
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+# Every option of every command as flag -> (dest, type, default), and the
+# config-file keys the command reads. A new knob has to be added here.
+_SEED = {"--seed": ("seed", int, None)}
+_DATA_OUT = {"--data": ("data", None, None), "--out": ("out", None, None)}
+_EVAL = {**_DATA_OUT, "--s-comp": ("s_comp", int, 64), "--s-inf": ("s_inf", int, 56)}
+_TRAINING = {"--val-data": ("val_data", None, None), "--config": ("config", None, None),
+             "--epochs": ("epochs", int, None), "--batch-size": ("batch_size", int, None),
+             "--learning-rate": ("learning_rate", float, None), **_SEED}
+_UNROLL = {"--unroll-steps": ("unroll_steps", int, None)}
+_MODEL = {"--model": ("model", None, None)}
+_CLASSIFIER = {"--classifier": ("classifier", None, None)}
+_GRID = {"--grid": ("grid", None, "1,2,3,4")}
+_ITERS = {"--iters": ("iters", None, "1,2,3,4")}
+_CLASSIFIER_KEYS = {"batch_size", "crop_size", "epochs", "learning_rate", "resize_side"}
+_CODEC_KEYS = _CLASSIFIER_KEYS | {"grad_clip", "unroll_steps", "val_interval"}
+CLI_SURFACE = {
+    "gen-data": ({"--out": ("out", None, None), "--split": ("split", None, "train"),
+                  "--n": ("n", int, 2000), "--classes": ("classes", int, 10),
+                  "--res": ("res", int, 64), **_SEED}, set()),
+    "train-classifier": ({**_DATA_OUT, **_TRAINING}, _CLASSIFIER_KEYS),
+    "train-codec": ({**_DATA_OUT, **_TRAINING, **_UNROLL,
+                     "--alpha": ("alpha", float, None), "--layers": ("layers", None, None),
+                     "--lossnet": ("lossnet", None, None), "--verbose": ("verbose", None, False)},
+                    _CODEC_KEYS | {"alpha", "lambda_h", "layer_ids"}),
+    "compress": ({"--in": ("infile", None, None), **_MODEL, "--iters": ("iters", int, None),
+                  "--out": ("out", None, None)}, set()),
+    "decompress": ({"--in": ("infile", None, None), **_MODEL, "--out": ("out", None, None)},
+                   set()),
+    "eval-quality": ({**_EVAL, **_MODEL, **_GRID}, set()),
+    "eval-accuracy": ({**_EVAL, **_MODEL, **_CLASSIFIER, **_GRID}, set()),
+    "sweep": ({**_EVAL, "--models": ("models", None, None), **_CLASSIFIER, **_ITERS}, set()),
+    "ablate-layers": ({**_EVAL, **_TRAINING, **_UNROLL, "--sets": ("sets", None, None),
+                       "--lossnet": ("lossnet", None, None), **_CLASSIFIER, **_ITERS},
+                      _CODEC_KEYS),
+    "gradcheck": ({"--dtype": ("dtype", None, "f32"), **_SEED}, set()),
+}
+
+
+def test_cli_surface():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for command, sp in sub.choices.items():
+        options = {"/".join(a.option_strings): (a.dest, a.type, a.default)
+                   for a in sp._actions if a.dest != "help"}
+        surface[command] = (options, set(sp.get_default("config_keys") or ()))
+    assert surface == CLI_SURFACE
 
 
 class TestConfigIO:
@@ -28,12 +79,6 @@ class TestConfigIO:
         p.write_text("just a line\n")
         with pytest.raises(configio.ConfigError, match="key = value"):
             configio.read_kv(p)
-
-    def test_apply_kv_nested(self):
-        from odlc.trainer import TrainConfig
-        cfg = configio.apply_kv(TrainConfig.desk(),
-                                {"epochs": "7", "adam.beta1": "0.8", "crop_size": "48"})
-        assert cfg.epochs == 7 and cfg.adam.beta1 == 0.8 and cfg.crop_size == 48
 
     def test_apply_kv_unknown_key(self):
         from odlc.trainer import TrainConfig
@@ -99,7 +144,8 @@ class TestConfigKeys:
         rc = run(*argv, "--config", str(p))
         return rc, capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["alpha = 0.5", "unroll_steps = 2", "grad_clip = 1"])
+    @pytest.mark.parametrize("line", ["alpha = 0.5", "unroll_steps = 2", "grad_clip = 1",
+                                      "adam.beta1 = 0.8"])
     def test_train_classifier(self, line, tmp_path, capsys):
         rc, err = self._run_with(tmp_path, capsys, line, "train-classifier",
                                  "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
@@ -108,7 +154,7 @@ class TestConfigKeys:
         assert rc == 1 and "Traceback" not in err
         assert f"unknown config key '{key}' for train-classifier" in err
         known = err.split("known:")[1]
-        assert "'crop_size'" in known and "'adam.beta1'" in known
+        assert "'crop_size'" in known and "'adam.beta1'" not in known
         assert "'unroll_steps'" not in known and "'alpha'" not in known
         assert not (tmp_path / "c.ckpt").exists()
 
@@ -353,6 +399,69 @@ class TestTrainAndEvalCli:
         assert rc == 0
         assert out.exists()
         assert (tmp_path / "acc_preservation.csv").exists()
+
+
+    def test_ablate_layers_s_inf_mismatch_exits_1_before_training(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a codec was trained")
+        monkeypatch.setattr(trainer, "train_codec", no_training)
+        net = tmp_path / "c32.ckpt"
+        ClassifierParams(ClassifierLayout(widths=(4,), classes=3, input_resolution=32),
+                         seed=0).save(net)
+        out = tmp_path / "a.csv"
+        rc = run("ablate-layers", "--sets", "1.1", "--lossnet", str(net),
+                 "--classifier", str(net), "--data", "shapes:seed=3,split=val,n=2,classes=3,res=64",
+                 "--s-comp", "64", "--s-inf", "48", "--out", str(out), "--seed", "0")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "expects 32px inputs, config says s_inf=48" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestManifest:
+    """A run manifest records the argv given to cli.main and every file read."""
+
+    @staticmethod
+    def _read(path):
+        return path.read_text().splitlines()
+
+    def test_sweep_lists_the_codec_checkpoints(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["host-program", "--unrelated"])
+        a, b, cls = tmp_path / "a.ckpt", tmp_path / "b.ckpt", tmp_path / "c.ckpt"
+        CodecParams(MICRO, seed=1).save(a)
+        CodecParams(MICRO, seed=2).save(b)
+        ClassifierParams(ClassifierLayout(widths=(4,), classes=3, input_resolution=16),
+                         seed=0).save(cls)
+        data = "shapes:seed=3,split=val,n=2,classes=3,res=16"
+        argv = ["sweep", "--models", f"0={a},0.5={tmp_path / 'missing.ckpt'},1={b}",
+                "--classifier", str(cls), "--data", data, "--iters", "1",
+                "--s-comp", "16", "--s-inf", "16", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+        lines = self._read(tmp_path / "s.csv.manifest.txt")
+        assert lines[0] == "command: " + " ".join(argv)
+        inputs = [ln for ln in lines if ln.startswith("input: ")]
+        assert inputs == [f"input: {p} sha256={configio.file_digest(p)}" for p in (a, b, cls)] \
+            + [f"input: {data}"]
+
+    def test_ablate_layers_lists_its_config(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trainer, "train_codec",
+                            lambda *args, **kwargs: (CodecParams(MICRO, seed=0), [], []))
+        net = tmp_path / "c.ckpt"
+        ClassifierParams(ClassifierLayout(widths=(4,), classes=3, input_resolution=16),
+                         seed=0).save(net)
+        cfgfile = tmp_path / "t.cfg"
+        cfgfile.write_text("epochs = 1\n")
+        argv = ["ablate-layers", "--sets", "1.1", "--lossnet", str(net), "--classifier",
+                str(net), "--data", "shapes:seed=3,split=val,n=2,classes=3,res=16",
+                "--iters", "1", "--s-comp", "16", "--s-inf", "16", "--config", str(cfgfile),
+                "--out", str(tmp_path / "a.csv"), "--seed", "0"]
+        assert cli.main(argv) == 0
+        lines = self._read(tmp_path / "a.csv.manifest.txt")
+        assert lines[0] == "command: " + " ".join(argv)
+        assert [ln.split(":")[0] for ln in lines if ln.startswith("config.")] == [
+            "config.train", "config.eval"]
+        assert f"input: {cfgfile} sha256={configio.file_digest(cfgfile)}" in lines
 
 
 class TestGradcheckCli:

@@ -28,22 +28,18 @@ def image(seed=0, h=32, w=32):
 class TestBinarize:
     def test_deterministic_signs(self):
         z = ad.Tensor(np.array([0.7, -0.3, 0.0], dtype=np.float32))
-        out = codec.binarize(z, "deterministic")
+        out = codec.binarize(z)
         np.testing.assert_array_equal(out.data, [1.0, -1.0, 1.0])  # sign(0) = +1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(codec.CodecError, match="outside"):
-            codec.binarize(ad.Tensor(np.array([1.2], dtype=np.float32)), "deterministic")
-
-    def test_stochastic_needs_rng(self):
-        with pytest.raises(codec.CodecError, match="generator"):
-            codec.binarize(ad.Tensor(np.zeros(4, dtype=np.float32)), "stochastic")
+            codec.binarize(ad.Tensor(np.array([1.2], dtype=np.float32)))
 
     @pytest.mark.parametrize("z,seed", [(0.0, 11), (0.5, 12), (-0.5, 13)])
     def test_stochastic_unbiased(self, z, seed):
         n = 10_000
         t = ad.Tensor(np.full(n, z, dtype=np.float32))
-        out = codec.binarize(t, "stochastic", np.random.default_rng(seed))
+        out = codec.binarize(t, np.random.default_rng(seed))
         tol = 3.0 * np.sqrt(1.0 - z * z) / np.sqrt(n)
         assert abs(out.data.mean() - z) <= max(tol, 0.03)
 
@@ -52,7 +48,7 @@ class TestBinarize:
                       requires_grad=True)
         with ad.Tape() as tape:
             z = ad.tanh(x)
-            b = codec.binarize(z, "deterministic")
+            b = codec.binarize(z)
             loss = ad.mean(ad.square(b))
         ad.backward(loss, tape)
         np.testing.assert_array_equal(z.grad, b.grad)
@@ -63,7 +59,7 @@ class TestBinarize:
         data = np.random.default_rng(1).uniform(-0.9, 0.9, (3, 3)).astype(np.float32)
         x1 = ad.Tensor(data.copy(), requires_grad=True)
         with ad.Tape() as tape:
-            loss = ad.mean(codec.binarize(ad.tanh(x1), "deterministic"))
+            loss = ad.mean(codec.binarize(ad.tanh(x1)))
         ad.backward(loss, tape)
         x2 = ad.Tensor(data.copy(), requires_grad=True)
         with ad.Tape() as tape2:
@@ -94,7 +90,7 @@ class TestCodecStep:
 
         def run():
             state = codec.CodecState.zeros(params, 32, 32)
-            d, b, _ = codec.codec_step(x, state, params, mode="deterministic")
+            d, b, _ = codec.codec_step(x, state, params)
             return d.data, b.data
 
         d1, b1 = run()
@@ -179,7 +175,7 @@ class TestCompressDecompress:
     def test_decompress_equals_trace(self, params):
         x = image(8, 48, 32)
         bs = codec.compress(x, 3, params)
-        tr = codec.reconstruct_progressive(x, 3, params, mode="deterministic")
+        tr = codec.reconstruct_progressive(x, 3, params)
         np.testing.assert_array_equal(codec.decompress(bs, params), tr.decoded(3))
 
     def test_truncated_stream_matches_prefix(self, params):
@@ -192,7 +188,7 @@ class TestCompressDecompress:
         bits = unpack_bits(bs.payload, hdr.payload_bits)
         cut_payload = pack_bits([bits[: cut.payload_bits]])
         truncated = Bitstream(header=cut, payload=cut_payload)
-        tr = codec.reconstruct_progressive(x, full, params, mode="deterministic")
+        tr = codec.reconstruct_progressive(x, full, params)
         np.testing.assert_array_equal(codec.decompress(truncated, params), tr.decoded(t_cut))
 
     def test_random_bits_valid_header_decodes(self, params):
@@ -258,7 +254,10 @@ class TestCompressDecompress:
 
 
 class TestFullCodecGradient:
-    def test_finite_differences_t2_16px(self):
+    def test_finite_differences_t2_16px(self, monkeypatch):
+        # the straight-through contract differentiates the codec as if the
+        # quantizer were the identity, so finite differences run without it
+        monkeypatch.setattr(codec, "binarize", lambda z, rng=None: z)
         lay = codec.CodecLayout(enc_widths=(2, 2, 4, 4), dec_widths=(4, 4, 4, 4),
                                 bottleneck=2, t_max=4)
         p = codec.CodecParams(lay, seed=6)
@@ -267,7 +266,7 @@ class TestFullCodecGradient:
         target = ad.Tensor(xn.data.copy())
 
         def build():
-            tr = codec.progressive_from_normalized(xn, 2, p, mode="bypass")
+            tr = codec.progressive_from_normalized(xn, 2, p)
             loss = None
             for rec in tr.reconstructions:
                 term = ad.mean(ad.square(ad.sub(rec, target)))

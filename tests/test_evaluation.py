@@ -341,6 +341,25 @@ class TestLevelChecks:
                                      losses.LossConfig(alpha=1.0), None, (),
                                      EvalConfig(s_comp=16, s_inf=16))
 
+    @pytest.mark.parametrize("protocol", ["accuracy", "sweep", "ablation"])
+    def test_classifier_resolution_checked_before_any_encode(self, protocol, classifier,
+                                                             balanced_images, monkeypatch):
+        def no_encode(img, iters):
+            raise AssertionError("an image was encoded")
+        monkeypatch.setattr(trainer, "train_codec", lambda *a, **k: no_encode(None, 1))
+        ds = Labeled(balanced_images, [0] * 10)
+        cfg = EvalConfig(s_comp=32, s_inf=24, grid=(1,))  # the classifier reads 16 px
+        run = {
+            "accuracy": lambda: evaluation.eval_accuracy_curve(no_encode, classifier, ds, cfg),
+            "sweep": lambda: evaluation.tradeoff_sweep({0.0: no_encode, 1.0: no_encode},
+                                                       classifier, ds, (1,), cfg),
+            "ablation": lambda: evaluation.ablate_layers([("1.1",)], ds, ds, None, classifier,
+                                                         losses.LossConfig(alpha=1.0), None,
+                                                         (1,), cfg),
+        }[protocol]
+        with pytest.raises(evaluation.EvalError, match="expects 16px inputs, config says s_inf=24"):
+            run()
+
     def test_core_keeps_the_compress_checks(self, micro):
         from odlc.codec import CodecError
         img = np.zeros((3, 16, 16), dtype=np.float32)

@@ -28,7 +28,7 @@ class TestTrainConfig:
         assert cfg.batch_size == 4
         assert cfg.epochs == 3
         assert cfg.unroll_steps == 8
-        assert (cfg.adam.beta1, cfg.adam.beta2, cfg.adam.eps) == (0.9, 0.999, 1e-8)
+        assert (trainer.Adam.beta1, trainer.Adam.beta2, trainer.Adam.eps) == (0.9, 0.999, 1e-8)
 
     def test_entropy_term_structurally_rejected(self, tmp_path, capsys):
         # no rate weight exists, so a config file cannot ask for one
@@ -148,7 +148,7 @@ class TestStepLoss:
         params = CodecParams(MICRO, seed=2)
         x = np.random.default_rng(1).random((3, 32, 32), dtype=np.float32)
         cfg = losses.LossConfig(alpha=0.0)
-        loss, info = trainer.step_loss(x, 1, params, cfg, mode="deterministic")
+        loss, info = trainer.step_loss(x, 1, params, cfg)
         trace = info["trace"]
         y01 = imageops.denormalize(trace.reconstructions[0].data,
                                    params.norm_mean, params.norm_std)
@@ -247,7 +247,7 @@ class TestTrainCodec:
         objective, scores = [], []
         for i in range(len(ds)):
             img = trainer.augment_geometry(ds.image(i), "val", None, cfg)
-            trace = reconstruct_progressive(img, 2, params, mode="deterministic")
+            trace = reconstruct_progressive(img, 2, params)
             objective.append(np.mean([
                 losses.observer_distortion(img, trace.decoded(t), lc, toy_net)[0].item()
                 for t in (1, 2)]))
