@@ -166,10 +166,15 @@ def cmd_eval_accuracy(args):
 def cmd_sweep(args):
     checkpoints, loaded = {}, []
     for pair in args.models.split(","):
-        alpha, path = pair.split("=", 1)
-        checkpoints[float(alpha)] = None
+        try:
+            alpha, path = pair.split("=", 1)
+            alpha = float(alpha)
+        except ValueError:
+            raise configio.ConfigError(f"--models: {pair!r} is not an ALPHA=PATH pair "
+                                       f"(e.g. 0=a.ckpt,1=b.ckpt)") from None
+        checkpoints[alpha] = None
         if os.path.exists(path):
-            checkpoints[float(alpha)] = CodecParams.load(path)
+            checkpoints[alpha] = CodecParams.load(path)
             loaded.append(path)
     classifier = ClassifierParams.load(args.classifier)
     val_set = datasets.parse_spec(args.data, default_split="val")

@@ -11,15 +11,17 @@ The binarizer is stochastic exactly when it is handed a generator: a
 generator means training, and without one every code is sign(z), which
 is what compress, decompress and the evaluation protocols use.
 
-The loop runs in the normalized image domain; [0,1] outputs are produced
-by denormalize + clamp at the boundary only. Spatial dims are padded to
-multiples of 16 (bottom/right, reflect) and true dims travel in the
-bitstream header.
+The loop, `progressive_from_normalized`, is a Python generator of
+(x_hat_t, codes_t) that keeps nothing: each caller keeps what it reads.
+It runs in the normalized domain: images enter through `normalized_input`
+(padded bottom/right to multiples of 16, reflect) and leave through
+`unit_image` (denormalized, cropped to the true dims, which travel in the
+bitstream header, and clamped to [0,1]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +34,10 @@ from . import checkpoint as ckpt
 DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 
 # Cap on ceil16(H) * ceil16(W), checked by compress and decompress before
-# they allocate. Decoding peaks at ~580 bytes per padded pixel (default
-# layout, float32, tracemalloc at 256 and 512 px, T = 8; encoding ~800), so
-# 2^22 pixels (2048 x 2048, ~10x a 768 x 512 Kodak image) bound it at ~2.4 GB.
+# they allocate. Decoding peaks at ~590 bytes per padded pixel and encoding
+# at ~670, and neither grows with T (default layout, float32, tracemalloc at
+# 64 and 256 px, T = 1..8), so 2^22 pixels (2048 x 2048, ~10x a 768 x 512
+# Kodak image) bound either at ~2.8 GB.
 MAX_PADDED_PIXELS = 1 << 22
 
 
@@ -122,30 +125,26 @@ class CodecState:
 
 @dataclass
 class ReconstructionTrace:
-    """Progressive decoding record: residuals r_1..r_T, estimates
-    x_hat_1..x_hat_T and the per-step binary codes, all in the normalized
-    padded domain."""
+    """The [0,1] decodes x_hat_1..x_hat_T of one image at its true size."""
 
-    input_normalized: Tensor
-    residuals: list = field(default_factory=list)
-    reconstructions: list = field(default_factory=list)
-    codes: list = field(default_factory=list)
-    true_size: tuple = (0, 0)
-    norm_mean: np.ndarray = None
-    norm_std: np.ndarray = None
-
-    @property
-    def iterations(self) -> int:
-        return len(self.reconstructions)
+    decodes: list
 
     def decoded(self, t: int | None = None) -> np.ndarray:
-        """x_hat_t as a [0,1] image cropped to the true size (1-based t,
-        default last)."""
-        t = self.iterations if t is None else t
-        xhat = self.reconstructions[t - 1].data
-        h, w = self.true_size
-        img = imageops.denormalize(xhat[:, :h, :w], self.norm_mean, self.norm_std)
-        return np.clip(img, 0.0, 1.0)
+        """x_hat_t (1-based t, default last)."""
+        return self.decodes[-1 if t is None else t - 1]
+
+
+def normalized_input(x01: np.ndarray, params: CodecParams) -> Tensor:
+    """The loop's input: a [0,1] CHW image padded, normalized and cast."""
+    xp = imageops.pad_to_multiple(x01, DOWNSAMPLE)
+    return Tensor(imageops.normalize(xp, params.norm_mean, params.norm_std).astype(params.dtype))
+
+
+def unit_image(xhat: np.ndarray, true_size: tuple, params: CodecParams) -> np.ndarray:
+    """A normalized padded estimate as a [0,1] image of the true size."""
+    h, w = true_size
+    img = imageops.denormalize(xhat[:, :h, :w], params.norm_mean, params.norm_std)
+    return np.clip(img, 0.0, 1.0)
 
 
 def binarize(z: Tensor, rng: np.random.Generator | None = None) -> Tensor:
@@ -208,36 +207,28 @@ def codec_step(r_t: Tensor, state: CodecState, params: CodecParams, rng=None):
     return delta, bits, CodecState(enc_h=enc_h, dec_h=dec_h)
 
 
-def progressive_from_normalized(xn: Tensor, iterations: int, params: CodecParams,
-                                rng=None, true_size: tuple | None = None) -> ReconstructionTrace:
-    """Run the additive loop on an already normalized, 16-aligned input;
-    stochastic binarization from ``rng`` when given, else deterministic."""
+def progressive_from_normalized(xn: Tensor, iterations: int, params: CodecParams, rng=None):
+    """Run the additive loop on an already normalized, 16-aligned input,
+    yielding (x_hat_t, codes_t) for t = 1..iterations; stochastic
+    binarization from ``rng`` when given, else deterministic."""
     if not 1 <= iterations <= params.layout.t_max:
         raise CodecError(f"iterations {iterations} outside 1..{params.layout.t_max}")
-    _, h, w = xn.shape
-    trace = ReconstructionTrace(
-        input_normalized=xn, true_size=true_size or (h, w),
-        norm_mean=params.norm_mean, norm_std=params.norm_std)
-    state = CodecState.zeros(params, h, w)
+    state = CodecState.zeros(params, *xn.shape[1:])
     xhat = None
-    for t in range(1, iterations + 1):
+    for _ in range(iterations):
         r = xn if xhat is None else ad.sub(xn, xhat)
-        trace.residuals.append(r)
         delta, bits, state = codec_step(r, state, params, rng=rng)
         xhat = delta if xhat is None else ad.add(xhat, delta)
-        trace.reconstructions.append(xhat)
-        trace.codes.append(bits)
-    return trace
+        del r, delta  # across the yield, hold only what the next step reads
+        yield xhat, bits
 
 
 def reconstruct_progressive(x: np.ndarray, iterations: int,
                             params: CodecParams) -> ReconstructionTrace:
     """Deterministic progressive reconstruction of a [0,1] CHW image."""
     x = np.asarray(x, dtype=np.float32)
-    _, h, w = x.shape
-    xp = imageops.pad_to_multiple(x, DOWNSAMPLE)
-    xn = Tensor(imageops.normalize(xp, params.norm_mean, params.norm_std).astype(params.dtype))
-    return progressive_from_normalized(xn, iterations, params, true_size=(h, w))
+    steps = progressive_from_normalized(normalized_input(x, params), iterations, params)
+    return ReconstructionTrace([unit_image(xhat.data, x.shape[1:], params) for xhat, _ in steps])
 
 
 def encoder_input(x: np.ndarray, levels, params: CodecParams) -> np.ndarray:
@@ -263,10 +254,8 @@ def encoder_input(x: np.ndarray, levels, params: CodecParams) -> np.ndarray:
 def compress(x: np.ndarray, iterations: int, params: CodecParams) -> Bitstream:
     """Deterministic encode of a [0,1] CHW image to a bitstream."""
     x = encoder_input(x, (iterations,), params)
-    _, h, w = x.shape
-    trace = reconstruct_progressive(x, iterations, params)
-    codes = [c.data for c in trace.codes]
-    return Bitstream.from_codes(codes, width=w, height=h)
+    steps = progressive_from_normalized(normalized_input(x, params), iterations, params)
+    return Bitstream.from_codes([bits.data for _, bits in steps], x.shape[2], x.shape[1])
 
 
 def decompress(bs: Bitstream, params: CodecParams) -> np.ndarray:
@@ -291,6 +280,5 @@ def decompress(bs: Bitstream, params: CodecParams) -> np.ndarray:
         bits = Tensor(code.astype(params.dtype))
         delta, dec_h = _decode_step(bits, dec_h, params)
         xhat = delta if xhat is None else ad.add(xhat, delta)
-    img = imageops.denormalize(xhat.data[:, : hdr.height, : hdr.width],
-                               params.norm_mean, params.norm_std)
-    return np.clip(img, 0.0, 1.0)
+        del delta  # freed before the next step runs, not after it
+    return unit_image(xhat.data, (hdr.height, hdr.width), params)

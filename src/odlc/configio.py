@@ -75,7 +75,15 @@ def _fmt(v) -> str:
 
 
 def file_digest(path) -> str:
+    """sha256 of a file's bytes; of a directory, over each regular file's
+    path relative to it, in sorted order, and that file's digest."""
     h = hashlib.sha256()
+    if os.path.isdir(path):
+        for rel in sorted(os.path.relpath(os.path.join(d, name), path)
+                          for d, _, names in os.walk(path) for name in names):
+            if os.path.isfile(os.path.join(path, rel)):
+                h.update(f"{rel}\0{file_digest(os.path.join(path, rel))}\n".encode())
+        return h.hexdigest()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
@@ -84,8 +92,8 @@ def file_digest(path) -> str:
 
 def write_manifest(path, command: str, configs: dict, seed, inputs: list,
                    tool_version: str):
-    """Text run manifest: command, config digests, seed, input digests,
-    version and timestamps."""
+    """Text run manifest: command, config digests, seed, input digests (a
+    folder's over its files), version and timestamps."""
     lines = [
         f"command: {command}",
         f"tool_version: {tool_version}",
@@ -95,7 +103,7 @@ def write_manifest(path, command: str, configs: dict, seed, inputs: list,
     for name, cfg in configs.items():
         lines.append(f"config.{name}: {config_digest(cfg)}")
     for p in inputs:
-        if p and os.path.isfile(p):
+        if p and (os.path.isfile(p) or os.path.isdir(p)):
             lines.append(f"input: {p} sha256={file_digest(p)}")
         elif p:
             lines.append(f"input: {p}")

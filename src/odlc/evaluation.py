@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imageops, losses, lossnet as lossnet_mod
-from .bitstream import Bitstream
+from .bitstream import BitstreamHeader
 from .codec import CodecParams, encoder_input, reconstruct_progressive
 # Not called here; both names stay bound because bench/tracing.py rebinds them in this module.
 from .codec import compress, decompress  # noqa: F401
@@ -98,8 +98,9 @@ def _decodes(codec, img: np.ndarray, levels) -> list:
     x = encoder_input(img, levels, codec)
     _, h, w = x.shape
     trace = reconstruct_progressive(x, max(levels), codec)
-    header = Bitstream.from_codes([c.data for c in trace.codes], width=w, height=h).header
-    return [(trace.decoded(t), t * header.bits_per_iteration) for t in levels]
+    per = BitstreamHeader(width=w, height=h, iterations=max(levels),
+                          c_b=codec.layout.bottleneck).bits_per_iteration
+    return [(trace.decoded(t), t * per) for t in levels]
 
 
 def _per_level(codec, images, levels, *measures) -> list:

@@ -15,13 +15,14 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
 from . import imageops, losses
 from .autodiff import Parameter, Tensor
-from .codec import (CodecLayout, CodecParams, progressive_from_normalized,
+from .codec import (CodecLayout, CodecParams, normalized_input, progressive_from_normalized,
                     reconstruct_progressive)
 from .lossnet import ClassifierLayout, ClassifierParams, classify
 
@@ -206,13 +207,14 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
     is not part of the objective).
     """
     x01_t = Tensor(x01_padded.astype(params.dtype))
-    xn = Tensor(imageops.normalize(x01_padded, params.norm_mean, params.norm_std)
-                .astype(params.dtype))
-    trace = progressive_from_normalized(xn, iterations, params, rng=rng)
+    # the whole loop goes on the tape before any loss term: tape order sets
+    # the order in which backward sums the gradients
+    recons = [xhat for xhat, _ in progressive_from_normalized(
+        normalized_input(x01_padded, params), iterations, params, rng=rng)]
     inv = params.norm_std.astype(np.float32)
     terms = []
     dh_vals, dc_vals = [], []
-    for recon in trace.reconstructions:
+    for recon in recons:
         y01 = ad.channel_affine(recon, inv, params.norm_mean)  # denorm, unclamped
         term, d_h, d_c = losses.observer_distortion(x01_t, y01, loss_cfg, lossnet)
         if d_h is not None:
@@ -220,13 +222,9 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
         if d_c is not None:
             dc_vals.append(d_c.item())
         terms.append(term)
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    loss = ad.scale(total, 1.0 / iterations)
+    loss = ad.scale(reduce(ad.add, terms), 1.0 / iterations)
     info = {
         "terms": terms,
-        "trace": trace,
         "d_h": float(np.mean(dh_vals)) if dh_vals else float("nan"),
         "d_c": float(np.mean(dc_vals)) if dc_vals else float("nan"),
     }
@@ -243,11 +241,10 @@ def _val_probe(val_set, params, cfg, loss_cfg, lossnet=None, limit: int = 16):
     objective, scores = [], []
     for i in range(n):
         img = augment_geometry(val_set.image(i), "val", None, cfg)
-        trace = reconstruct_progressive(img, cfg.unroll_steps, params)
+        decodes = reconstruct_progressive(img, cfg.unroll_steps, params).decodes
         objective.append(np.mean([
-            losses.observer_distortion(img, trace.decoded(t), loss_cfg, lossnet)[0].item()
-            for t in range(1, trace.iterations + 1)]))
-        scores.append(losses.ms_ssim(img, trace.decoded()).item())
+            losses.observer_distortion(img, y, loss_cfg, lossnet)[0].item() for y in decodes]))
+        scores.append(losses.ms_ssim(img, decodes[-1]).item())
     return float(np.mean(objective)), float(np.mean(scores))
 
 

@@ -17,6 +17,10 @@ eval_quality_curve on an unsorted grid with a repeated level; the
 ablate_layers rows of two tap sets; and two classifiers trained through
 `odlc train-classifier`, one on images whose smallest side equals the
 desk resize side and one on images that are resized first.
+
+BLAS is pinned to one thread before numpy is imported, and the first
+line of output says so: threaded GEMM sums in another order, which moves
+the train-classifier digests with the machine's core count.
 """
 
 from __future__ import annotations
@@ -27,7 +31,11 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+BLAS_THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
+
+import numpy as np  # imported after the thread pin
 
 from odlc import autodiff as ad
 from odlc import bitstream, cli, codec, evaluation, losses, trainer
@@ -183,6 +191,7 @@ def lock_trained_classifiers(tmp):
 
 
 def main() -> int:
+    print(f"blas_threads={BLAS_THREADS} (OPENBLAS, OMP and MKL_NUM_THREADS)", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         lock_checkpoints(tmp)
         full = [CodecParams(CodecLayout(), seed=s, norm_mean=NORM[0], norm_std=NORM[1])

@@ -384,6 +384,17 @@ class TestTrainAndEvalCli:
         assert "t_list must be non-empty" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("models", ["0a.ckpt", "x=a.ckpt,1=b.ckpt"])
+    def test_sweep_malformed_model_pair_exits_1(self, models, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = run("sweep", "--models", models, "--classifier", str(tmp_path / "c.ckpt"),
+                 "--data", "shapes:seed=3,split=val,n=2,classes=3,res=16", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        bad = models.split(",")[0]
+        assert f"--models: {bad!r} is not an ALPHA=PATH pair" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_eval_accuracy_cli(self, tmp_path):
         model = tmp_path / "m.ckpt"
         CodecParams(MICRO, seed=2).save(model)
@@ -462,6 +473,22 @@ class TestManifest:
         assert [ln.split(":")[0] for ln in lines if ln.startswith("config.")] == [
             "config.train", "config.eval"]
         assert f"input: {cfgfile} sha256={configio.file_digest(cfgfile)}" in lines
+
+    def test_folder_input_digests_its_files(self, tmp_path):
+        def manifest_input(folder):
+            path = tmp_path / f"{folder.name}.manifest.txt"
+            configio.write_manifest(path, "cmd", {}, 0, [str(folder)], "0")
+            [line] = [ln for ln in self._read(path) if ln.startswith("input: ")]
+            return line
+        folders = [tmp_path / name for name in ("a", "b", "c")]
+        for folder in folders:
+            (folder / "sub").mkdir(parents=True)
+            (folder / "labels.txt").write_text("sub/x.ppm 0\n")
+            (folder / "sub" / "x.ppm").write_bytes(b"P6 1 1 255 \x00\x00\x00")
+        (folders[2] / "sub" / "x.ppm").write_bytes(b"P6 1 1 255 \x00\x00\x01")
+        a, b, c = (manifest_input(folder) for folder in folders)
+        assert a.startswith(f"input: {folders[0]} sha256=")
+        assert a.split("sha256=")[1] == b.split("sha256=")[1] != c.split("sha256=")[1]
 
 
 class TestGradcheckCli:

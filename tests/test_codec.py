@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -106,25 +107,33 @@ class TestCodecStep:
 
 class TestReconstruct:
     def test_t1_single_delta(self, params):
-        tr = codec.reconstruct_progressive(image(1), 1, params)
-        assert tr.iterations == 1
+        xn = codec.normalized_input(image(1), params)
+        [(xhat, _)] = codec.progressive_from_normalized(xn, 1, params)
         state = codec.CodecState.zeros(params, 32, 32)
-        delta, _, _ = codec.codec_step(tr.input_normalized, state, params)
-        np.testing.assert_array_equal(tr.reconstructions[0].data, delta.data)
+        delta, _, _ = codec.codec_step(xn, state, params)
+        np.testing.assert_array_equal(xhat.data, delta.data)
 
     def test_trace_invariants_exact(self, params):
-        tr = codec.reconstruct_progressive(image(2), 4, params)
-        x = tr.input_normalized.data
-        np.testing.assert_array_equal(tr.residuals[0].data, x)  # r_1 = x
-        for t in range(1, 4):
-            np.testing.assert_array_equal(tr.residuals[t].data,
-                                          x - tr.reconstructions[t - 1].data)
-        for r in tr.residuals:
-            assert np.isfinite(r.data).all()
+        # replay each step on r_t = x - x_hat_{t-1} (r_1 = x) from the
+        # generator's own estimates: x_hat_t = x_hat_{t-1} + delta_t exactly
+        xn = codec.normalized_input(image(2), params)
+        state = codec.CodecState.zeros(params, 32, 32)
+        prev = None
+        steps = list(codec.progressive_from_normalized(xn, 4, params))
+        assert len(steps) == 4
+        for xhat, bits in steps:
+            r = xn.data if prev is None else xn.data - prev
+            assert np.isfinite(r).all()
+            delta, want_bits, state = codec.codec_step(ad.Tensor(r), state, params)
+            want = delta.data if prev is None else prev + delta.data
+            np.testing.assert_array_equal(xhat.data, want)
+            np.testing.assert_array_equal(bits.data, want_bits.data)
+            prev = xhat.data
 
     def test_padding_and_crop(self, params):
+        assert codec.normalized_input(image(3, 40, 50), params).shape == (3, 48, 64)
         tr = codec.reconstruct_progressive(image(3, 40, 50), 2, params)
-        assert tr.input_normalized.shape == (3, 48, 64)
+        assert len(tr.decodes) == 2
         out = tr.decoded()
         assert out.shape == (3, 40, 50)
         assert out.min() >= 0.0 and out.max() <= 1.0
@@ -223,12 +232,26 @@ class TestCompressDecompress:
     def test_compress_refuses_what_decompress_would(self, params, monkeypatch):
         def no_encode(*args, **kwargs):
             raise AssertionError("encoder ran")
-        monkeypatch.setattr(codec, "reconstruct_progressive", no_encode)
+        monkeypatch.setattr(codec, "progressive_from_normalized", no_encode)
         # 2050 pads to 2064, and 2064^2 > 2^22; a broadcast view allocates nothing
         x = np.broadcast_to(np.float32(0.5), (3, 2050, 2050))
         with pytest.raises(codec.CodecError, match="cap of 4194304"):
             codec.compress(x, 1, params)
         assert ceil16(2048) ** 2 == codec.MAX_PADDED_PIXELS
+
+    def test_compress_peak_does_not_grow_with_iterations(self):
+        p = codec.CodecParams(codec.CodecLayout(), seed=3)
+        x = image(0, 64, 64)
+        codec.compress(x, 1, p)  # first-call allocations stay out of the peaks
+
+        def peak(t):
+            tracemalloc.start()
+            try:
+                codec.compress(x, t, p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(8) <= 1.02 * peak(2)
 
     def test_decoder_state_alone(self, params):
         state = codec.CodecState.zeros(params, 32, 64, encoder=False)
@@ -266,9 +289,8 @@ class TestFullCodecGradient:
         target = ad.Tensor(xn.data.copy())
 
         def build():
-            tr = codec.progressive_from_normalized(xn, 2, p)
             loss = None
-            for rec in tr.reconstructions:
+            for rec, _ in codec.progressive_from_normalized(xn, 2, p):
                 term = ad.mean(ad.square(ad.sub(rec, target)))
                 loss = term if loss is None else ad.add(loss, term)
             return ad.scale(loss, 0.5)

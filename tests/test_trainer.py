@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from odlc import autodiff as ad
-from odlc import cli, imageops, losses, lossnet, trainer
+from odlc import cli, codec, imageops, losses, lossnet, trainer
 from odlc.codec import CodecLayout, CodecParams, reconstruct_progressive
 from odlc.lossnet import ClassifierLayout, ClassifierParams
 from odlc.datasets import ShapesDataset, ShapesSpec
@@ -148,10 +148,10 @@ class TestStepLoss:
         params = CodecParams(MICRO, seed=2)
         x = np.random.default_rng(1).random((3, 32, 32), dtype=np.float32)
         cfg = losses.LossConfig(alpha=0.0)
-        loss, info = trainer.step_loss(x, 1, params, cfg)
-        trace = info["trace"]
-        y01 = imageops.denormalize(trace.reconstructions[0].data,
-                                   params.norm_mean, params.norm_std)
+        loss, _ = trainer.step_loss(x, 1, params, cfg)
+        [(xhat, _)] = codec.progressive_from_normalized(codec.normalized_input(x, params), 1,
+                                                        params)
+        y01 = imageops.denormalize(xhat.data, params.norm_mean, params.norm_std)
         want = losses.observer_distortion(x.astype(np.float32), y01, cfg)[0].item()
         assert loss.item() == pytest.approx(want, rel=1e-5)
 
@@ -167,7 +167,9 @@ class TestStepLoss:
         if alpha != 0.5:
             return
         d_h, d_c = [], []
-        for recon in info["trace"].reconstructions:
+        replay = codec.progressive_from_normalized(codec.normalized_input(x, params), 3, params,
+                                                   rng=np.random.default_rng(4))
+        for recon, _ in replay:
             y01 = imageops.denormalize(recon.data, params.norm_mean, params.norm_std)
             d_h.append(losses.human_distortion(x, y01).item())
             d_c.append(losses.feature_distortion(x, y01, toy_net, TAPS).item())
