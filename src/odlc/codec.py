@@ -13,10 +13,12 @@ is what compress, decompress and the evaluation protocols use.
 
 The loop, `progressive_from_normalized`, is a Python generator of
 (x_hat_t, codes_t) that keeps nothing: each caller keeps what it reads.
-It runs in the normalized domain: images enter through `normalized_input`
-(padded bottom/right to multiples of 16, reflect) and leave through
-`unit_image` (denormalized, cropped to the true dims, which travel in the
-bitstream header, and clamped to [0,1]).
+It checks the iteration count and runs in the normalized domain. Every
+encode (compress, the evaluation traces, training) enters through
+`normalized_input`, the one check of an image (3xHxW, within the header's
+u16 fields and MAX_PADDED_PIXELS), which pads bottom/right to multiples
+of 16 (reflect); images leave through `unit_image` (denormalized, cropped
+to the true dims, which travel in the bitstream header, and clamped).
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from . import checkpoint as ckpt
 
 DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 
-# Cap on ceil16(H) * ceil16(W), checked by compress and decompress before
-# they allocate. Decoding peaks at ~590 bytes per padded pixel and encoding
-# at ~670, and neither grows with T (default layout, float32, tracemalloc at
-# 64 and 256 px, T = 1..8), so 2^22 pixels (2048 x 2048, ~10x a 768 x 512
-# Kodak image) bound either at ~2.8 GB.
+# Cap on ceil16(H) * ceil16(W), checked before they allocate by
+# normalized_input, for every encode, and by decompress. Decoding peaks at
+# ~590 bytes per padded pixel and encoding at ~670, and neither grows with T
+# (default layout, float32, tracemalloc at 64 and 256 px, T = 1..8), so 2^22
+# pixels (2048 x 2048, ~10x a 768 x 512 Kodak image) bound either at ~2.8 GB.
 MAX_PADDED_PIXELS = 1 << 22
 
 
@@ -110,9 +112,7 @@ class CodecState:
     @staticmethod
     def zeros(params: CodecParams, height: int, width: int,
               encoder: bool = True) -> "CodecState":
-        """Zero state for a padded input; decoder part alone if not ``encoder``."""
-        if height % DOWNSAMPLE or width % DOWNSAMPLE:
-            raise CodecError(f"state dims {height}x{width} must be multiples of {DOWNSAMPLE}")
+        """Zero state for a 16-aligned input; decoder part alone if not ``encoder``."""
         lay, dt = params.layout, params.dtype
         enc = lay.enc_widths[1:] if encoder else ()
         # encoder GRUs run at 1/4, 1/8, 1/16 scale; decoder GRUs at 1/16 .. 1/2
@@ -135,7 +135,17 @@ class ReconstructionTrace:
 
 
 def normalized_input(x01: np.ndarray, params: CodecParams) -> Tensor:
-    """The loop's input: a [0,1] CHW image padded, normalized and cast."""
+    """The loop's input: a [0,1] 3xHxW image, checked against the header's
+    u16 fields and MAX_PADDED_PIXELS, then padded, normalized and cast."""
+    shape = np.shape(x01)
+    if len(shape) != 3 or shape[0] != 3:
+        raise CodecError(f"image must be 3xHxW, got {shape}")
+    _, h, w = shape
+    if not (1 <= h <= 0xFFFF and 1 <= w <= 0xFFFF):
+        raise CodecError(f"dimensions {h}x{w} outside the u16 header range 1..65535")
+    if ceil16(h) * ceil16(w) > MAX_PADDED_PIXELS:
+        raise CodecError(f"{h}x{w} pads to {ceil16(h) * ceil16(w)} pixels, "
+                         f"over the decoder's cap of {MAX_PADDED_PIXELS}")
     xp = imageops.pad_to_multiple(x01, DOWNSAMPLE)
     return Tensor(imageops.normalize(xp, params.norm_mean, params.norm_std).astype(params.dtype))
 
@@ -193,14 +203,8 @@ def _decode_step(bits: Tensor, dec_h: list, params: CodecParams):
 
 def codec_step(r_t: Tensor, state: CodecState, params: CodecParams, rng=None):
     """One unrolling step on a residual: returns (delta, codes, new state).
-    The codes are drawn from ``rng`` when given (training), else sign(z)."""
-    if r_t.data.ndim != 3 or r_t.shape[0] != 3:
-        raise CodecError(f"codec_step: residual must be 3xHxW, got {r_t.shape}")
-    _, h, w = r_t.shape
-    if h < DOWNSAMPLE or w < DOWNSAMPLE:
-        raise CodecError(f"codec_step: resolution {h}x{w} below {DOWNSAMPLE}x{DOWNSAMPLE}")
-    if h % DOWNSAMPLE or w % DOWNSAMPLE:
-        raise CodecError(f"codec_step: resolution {h}x{w} not a multiple of {DOWNSAMPLE}")
+    The codes are drawn from ``rng`` when given (training), else sign(z).
+    The residual is 16-aligned 3xHxW, as `normalized_input` gives."""
     z, enc_h = _encode_step(r_t, state, params)
     bits = binarize(z, rng=rng)
     delta, dec_h = _decode_step(bits, state.dec_h, params)
@@ -212,7 +216,8 @@ def progressive_from_normalized(xn: Tensor, iterations: int, params: CodecParams
     yielding (x_hat_t, codes_t) for t = 1..iterations; stochastic
     binarization from ``rng`` when given, else deterministic."""
     if not 1 <= iterations <= params.layout.t_max:
-        raise CodecError(f"iterations {iterations} outside 1..{params.layout.t_max}")
+        raise CodecError(f"{iterations} iterations outside the trained range "
+                         f"1..{params.layout.t_max}")
     state = CodecState.zeros(params, *xn.shape[1:])
     xhat = None
     for _ in range(iterations):
@@ -231,29 +236,9 @@ def reconstruct_progressive(x: np.ndarray, iterations: int,
     return ReconstructionTrace([unit_image(xhat.data, x.shape[1:], params) for xhat, _ in steps])
 
 
-def encoder_input(x: np.ndarray, levels, params: CodecParams) -> np.ndarray:
-    """A [0,1] CHW image as float32, checked as every encode to a bitstream
-    needs it: 3xHxW, dims that fit the u16 header fields, and each level
-    (iteration count) in the trained range."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 3 or x.shape[0] != 3:
-        raise CodecError(f"compress: image must be 3xHxW, got {x.shape}")
-    _, h, w = x.shape
-    if h > 0xFFFF or w > 0xFFFF:
-        raise CodecError(f"compress: dimensions {h}x{w} exceed the u16 header fields")
-    if ceil16(h) * ceil16(w) > MAX_PADDED_PIXELS:
-        raise CodecError(f"compress: {h}x{w} pads to {ceil16(h) * ceil16(w)} pixels, "
-                         f"over the decoder's cap of {MAX_PADDED_PIXELS}")
-    for t in levels:
-        if not 1 <= t <= params.layout.t_max:
-            raise CodecError(f"compress: {t} iterations outside the trained range "
-                             f"1..{params.layout.t_max}")
-    return x
-
-
 def compress(x: np.ndarray, iterations: int, params: CodecParams) -> Bitstream:
     """Deterministic encode of a [0,1] CHW image to a bitstream."""
-    x = encoder_input(x, (iterations,), params)
+    x = np.asarray(x, dtype=np.float32)
     steps = progressive_from_normalized(normalized_input(x, params), iterations, params)
     return Bitstream.from_codes([bits.data for _, bits in steps], x.shape[2], x.shape[1])
 

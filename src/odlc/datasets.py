@@ -139,10 +139,6 @@ class ShapesDataset:
     def class_count(self):
         return self.spec.classes
 
-    @property
-    def resolution(self):
-        return self.spec.resolution
-
     def image(self, i: int) -> np.ndarray:
         if not 0 <= i < self.spec.size:
             raise IndexError(i)
@@ -173,7 +169,10 @@ class FolderDataset:
                 parts = line.split()
                 if len(parts) != 2:
                     raise DatasetError(f"{path}:{ln}: expected '<file> <label>'")
-                self.entries.append((parts[0], int(parts[1])))
+                try:
+                    self.entries.append((parts[0], int(parts[1])))
+                except ValueError:
+                    raise DatasetError(f"{path}:{ln}: label {parts[1]!r} is not an int") from None
         if not self.entries:
             raise DatasetError(f"{path}: no entries")
 
@@ -191,27 +190,30 @@ class FolderDataset:
         return self.entries[i][1]
 
 
+# the int keys of a shapes spec -> their ShapesSpec fields
+_INT_KEYS = {"seed": "seed", "n": "size", "classes": "classes", "res": "resolution"}
+
+
 def parse_spec(text: str, default_split: str = "train"):
     """Dataset spec strings: "shapes:seed=0,split=train,n=2000[,classes=,res=]"
     or a directory path containing labels.txt."""
     if text.startswith("shapes:") or text == "shapes":
-        kv = {}
-        if ":" in text:
-            for part in text.split(":", 1)[1].split(","):
-                if not part:
-                    continue
-                if "=" not in part:
-                    raise DatasetError(f"bad spec fragment {part!r}")
-                k, v = part.split("=", 1)
-                kv[k.strip()] = v.strip()
-        spec = ShapesSpec(
-            seed=int(kv.get("seed", 0)),
-            split=kv.get("split", default_split),
-            size=int(kv.get("n", 2000)),
-            classes=int(kv.get("classes", 10)),
-            resolution=int(kv.get("res", 64)),
-        )
-        return ShapesDataset(spec)
+        fields = {"split": default_split}
+        for part in filter(None, text.partition(":")[2].split(",")):
+            if "=" not in part:
+                raise DatasetError(f"bad spec fragment {part!r}")
+            key, value = (s.strip() for s in part.split("=", 1))
+            if key == "split":
+                fields["split"] = value
+            elif key not in _INT_KEYS:
+                raise DatasetError(f"unknown shapes spec key {key!r}; "
+                                   "known: seed, split, n, classes, res")
+            else:
+                try:
+                    fields[_INT_KEYS[key]] = int(value)
+                except ValueError:
+                    raise DatasetError(f"shapes spec {key}={value!r} is not an int") from None
+        return ShapesDataset(ShapesSpec(**fields))
     if os.path.isdir(text):
         return FolderDataset(text)
     raise DatasetError(f"dataset spec {text!r} is neither 'shapes:...' nor a directory")

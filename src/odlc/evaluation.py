@@ -17,6 +17,8 @@ image's (decoded, payload_bits) at each requested level:
   off that trace.
 - Stub rule (callables). A stub is called once per (image, level),
   through `roundtrip`.
+Every encode checks its image in `codec.normalized_input`, as compress and
+training do, so all three accept the same images.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import imageops, losses, lossnet as lossnet_mod
 from .bitstream import BitstreamHeader
-from .codec import CodecParams, encoder_input, reconstruct_progressive
+from .codec import CodecParams, reconstruct_progressive
 # Not called here; both names stay bound because bench/tracing.py rebinds them in this module.
 from .codec import compress, decompress  # noqa: F401
 
@@ -38,13 +40,6 @@ ABLATION_HEADER = ("layers", "iters", "preservation")
 
 class EvalError(ValueError):
     pass
-
-
-def _check_classifier(classifier, cfg: EvalConfig):
-    """The classifier reads s_inf-pixel crops; checked before any encode."""
-    if classifier.layout.input_resolution != cfg.s_inf:
-        raise EvalError(f"classifier expects {classifier.layout.input_resolution}px inputs, "
-                        f"config says s_inf={cfg.s_inf}")
 
 
 def _check_levels(levels, what: str):
@@ -95,9 +90,8 @@ def _decodes(codec, img: np.ndarray, levels) -> list:
     encode to max(levels) for CodecParams, one stub call per level."""
     if not isinstance(codec, CodecParams):
         return [roundtrip(codec, img, t) for t in levels]
-    x = encoder_input(img, levels, codec)
-    _, h, w = x.shape
-    trace = reconstruct_progressive(x, max(levels), codec)
+    trace = reconstruct_progressive(img, max(levels), codec)
+    _, h, w = np.shape(img)
     per = BitstreamHeader(width=w, height=h, iterations=max(levels),
                           c_b=codec.layout.bottleneck).bits_per_iteration
     return [(trace.decoded(t), t * per) for t in levels]
@@ -134,31 +128,33 @@ def _agree(labels, reference) -> int:
     return sum(int(a == b) for a, b in zip(labels, reference))
 
 
-def preservation_rate(codec, classifier, images, iters: int) -> float:
-    """Fraction of images whose predicted label survives the round trip."""
-    if len(images) == 0:
-        raise EvalError("preservation_rate: empty image set")
-    s_inf = classifier.layout.input_resolution
-    clean = [_label(img, classifier, s_inf) for img in images]
-    [(_bits, (labels,))] = _per_level(codec, images, (iters,), _labeler(classifier, s_inf))
-    return _agree(labels, clean) / len(images)
-
-
 def _comp_crop(img: np.ndarray, s_comp: int) -> np.ndarray:
     return imageops.center_crop(imageops.resize_smallest_side(img, s_comp), s_comp)
+
+
+def _references(val_set, classifier, cfg: EvalConfig, what: str):
+    """(crops, true labels, clean labels) of a labelled set: the s_comp
+    crops every classifier protocol encodes, and the labels its decodes are
+    compared against. Raises before any encode on an empty set or a
+    classifier that does not read s_inf-pixel inputs."""
+    n = len(val_set)
+    if n == 0:
+        raise EvalError(f"{what}: empty validation set")
+    if classifier.layout.input_resolution != cfg.s_inf:
+        raise EvalError(f"classifier expects {classifier.layout.input_resolution}px inputs, "
+                        f"config says s_inf={cfg.s_inf}")
+    crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
+    truths = [val_set.label(i) for i in range(n)]
+    clean = [_label(c, classifier, cfg.s_inf) for c in crops]
+    return crops, truths, clean
 
 
 def eval_accuracy_curve(codec, classifier, val_set, cfg: EvalConfig):
     """Per quality level: resize to S_comp, center crop, round trip, center
     crop S_inf, classify. Returns {"accuracy": [CurvePoint], "preservation":
     [CurvePoint]} with bpp averaged over the set at each level."""
-    n = len(val_set)
-    if n == 0:
-        raise EvalError("eval_accuracy_curve: empty validation set")
-    _check_classifier(classifier, cfg)
-    crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
-    truths = [val_set.label(i) for i in range(n)]
-    clean = [_label(c, classifier, cfg.s_inf) for c in crops]
+    crops, truths, clean = _references(val_set, classifier, cfg, "eval_accuracy_curve")
+    n = len(crops)
     acc_points, pres_points = [], []
     levels = _per_level(codec, crops, cfg.grid, _labeler(classifier, cfg.s_inf))
     for level, (bits, (labels,)) in zip(cfg.grid, levels):
@@ -203,13 +199,8 @@ def tradeoff_sweep(checkpoints: dict, classifier, val_set, t_list, cfg: EvalConf
     if len(present) < 2:
         raise EvalError("tradeoff_sweep needs at least 2 alpha checkpoints")
     skipped = sorted(a for a in checkpoints if checkpoints[a] is None)
-    n = len(val_set)
-    if n == 0:
-        raise EvalError("tradeoff_sweep: empty validation set")
-    _check_classifier(classifier, cfg)
-    crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
-    truths = [val_set.label(i) for i in range(n)]
-    clean = [_label(c, classifier, cfg.s_inf) for c in crops]
+    crops, truths, clean = _references(val_set, classifier, cfg, "tradeoff_sweep")
+    n = len(crops)
     label = _labeler(classifier, cfg.s_inf)
     rows = []
     for alpha in sorted(present):
@@ -232,12 +223,8 @@ def ablate_layers(layer_sets, train_set, val_set, f_lossnet, classifier,
     _check_levels(t_list, "ablate_layers t_list")
     rows = []
     train_logs = {}
-    n = len(val_set)
-    if n == 0:
-        raise EvalError("ablate_layers: empty validation set")
-    _check_classifier(classifier, cfg)
-    crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
-    clean = [_label(c, classifier, cfg.s_inf) for c in crops]
+    crops, _, clean = _references(val_set, classifier, cfg, "ablate_layers")
+    n = len(crops)
     label = _labeler(classifier, cfg.s_inf)
     for layer_ids in layer_sets:
         tag = "+".join(layer_ids)

@@ -28,6 +28,7 @@ from .lossnet import ClassifierLayout, ClassifierParams, classify
 
 TRAIN_LOG_HEADER = ("step", "loss", "d_H", "d_C", "lr", "wall_time")
 VAL_LOG_HEADER = ("step", "val_loss", "val_msssim")
+VAL_PROBE_IMAGES = 16  # the val images each validation probe decodes
 
 
 class TrainError(ValueError):
@@ -69,9 +70,6 @@ class TrainConfig:
         base = dict(resize_side=64, crop_size=56, unroll_steps=4)
         base.update(overrides)
         return TrainConfig(**base)
-
-
-DESK_LAYOUT = CodecLayout()
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +200,9 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
     binarizing stochastically from ``rng`` when given (training) and
     deterministically without it.
 
-    Returns (loss tensor, info) where info carries the per-iteration
-    distortion terms plus d_H / d_C component means (nan when a component
-    is not part of the objective).
+    Returns (loss tensor, info) where info carries the d_H / d_C component
+    means over the iterations (nan when a component is not part of the
+    objective).
     """
     x01_t = Tensor(x01_padded.astype(params.dtype))
     # the whole loop goes on the tape before any loss term: tape order sets
@@ -223,19 +221,15 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
             dc_vals.append(d_c.item())
         terms.append(term)
     loss = ad.scale(reduce(ad.add, terms), 1.0 / iterations)
-    info = {
-        "terms": terms,
-        "d_h": float(np.mean(dh_vals)) if dh_vals else float("nan"),
-        "d_c": float(np.mean(dc_vals)) if dc_vals else float("nan"),
-    }
-    return loss, info
+    return loss, {"d_h": float(np.mean(dh_vals)) if dh_vals else float("nan"),
+                  "d_c": float(np.mean(dc_vals)) if dc_vals else float("nan")}
 
 
-def _val_probe(val_set, params, cfg, loss_cfg, lossnet=None, limit: int = 16):
-    """(val_loss, val_msssim) of deterministic reconstructions on a small val
-    slice: the training objective averaged over the unrolled steps, and the
-    MS-SSIM of the last step, each a mean over the slice."""
-    n = min(len(val_set), limit)
+def _val_probe(val_set, params, cfg, loss_cfg, lossnet=None):
+    """(val_loss, val_msssim) of deterministic reconstructions on the first
+    VAL_PROBE_IMAGES val images: the training objective averaged over the
+    unrolled steps, and the MS-SSIM of the last step, each a mean over them."""
+    n = min(len(val_set), VAL_PROBE_IMAGES)
     if n == 0:
         return float("nan"), float("nan")
     objective, scores = [], []
@@ -261,7 +255,7 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
         raise TrainError("alpha > 0 needs a frozen loss network")
     if lossnet is not None:
         lossnet.freeze()
-    layout = layout or DESK_LAYOUT
+    layout = layout or CodecLayout()
     if cfg.unroll_steps > layout.t_max:
         raise TrainError(f"unroll_steps {cfg.unroll_steps} exceeds layout t_max {layout.t_max}")
 

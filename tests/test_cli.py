@@ -331,6 +331,18 @@ class TestTrainAndEvalCli:
         assert "3 images smaller than one batch of 4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_data_spec_key_exits_1_before_training(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained")
+        monkeypatch.setattr(trainer, "train_classifier", no_training)
+        out = tmp_path / "cls.ckpt"
+        rc = run("train-classifier", "--data", "shapes:seed=0,size=4", "--batch-size", "4",
+                 "--out", str(out), "--seed", "0")
+        assert rc == 1
+        assert "unknown shapes spec key 'size'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_codec_then_curves_and_sweep(self, tmp_path):
         data = "shapes:seed=2,split=train,n=8,classes=3,res=48"
         val = "shapes:seed=2,split=val,n=4,classes=3,res=48"

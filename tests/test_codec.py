@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from odlc import autodiff as ad
 from odlc import checkpoint as ckpt
-from odlc import codec
+from odlc import codec, evaluation, losses, trainer
 from odlc.bitstream import (Bitstream, BitstreamError, BitstreamHeader, ceil16, pack_bits,
                             unpack_bits)
 
@@ -99,10 +99,33 @@ class TestCodecStep:
         np.testing.assert_array_equal(d1, d2)
         np.testing.assert_array_equal(b1, b2)
 
-    def test_small_resolution_rejected(self, params):
-        state = codec.CodecState.zeros(params, 16, 16)
-        with pytest.raises(codec.CodecError, match="below 16x16"):
-            codec.codec_step(ad.Tensor(np.zeros((3, 8, 8), dtype=np.float32)), state, params)
+
+class TestDoor:
+    """`normalized_input` is the one check of an image entering the codec."""
+
+    ENTRIES = {
+        "compress": lambda x, p: codec.compress(x, 1, p),
+        "reconstruct_progressive": lambda x, p: codec.reconstruct_progressive(x, 1, p),
+        "step_loss": lambda x, p: trainer.step_loss(x, 1, p, losses.LossConfig(alpha=0.0)),
+        "evaluation._decodes": lambda x, p: evaluation._decodes(p, x, (1,)),
+    }
+
+    @pytest.mark.parametrize("shape", [(1, 32, 32), (4, 32, 32), (3, 0, 32), (32, 32)])
+    def test_every_encode_entry_rejects_alike(self, shape, params):
+        x = np.zeros(shape, dtype=np.float32)
+        messages = {}
+        for name, entry in self.ENTRIES.items():
+            with pytest.raises(codec.CodecError) as err:
+                entry(x, params)
+            messages[name] = str(err.value)
+        assert len(set(messages.values())) == 1, messages
+
+    def test_small_image_padded_empty_rejected(self, params):
+        # below 16x16 an image is padded to one code cell, not refused
+        x = np.zeros((3, 8, 8), dtype=np.float32)
+        assert codec.normalized_input(x, params).shape == (3, 16, 16)
+        with pytest.raises(codec.CodecError, match="dimensions 0x8 outside"):
+            codec.normalized_input(x[:, :0], params)
 
 
 class TestReconstruct:

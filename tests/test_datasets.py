@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,21 @@ class TestSpecParsing:
     def test_shapes_spec(self):
         ds = datasets.parse_spec("shapes:seed=9,split=val,n=12,classes=5,res=32")
         assert isinstance(ds, ShapesDataset)
-        assert len(ds) == 12 and ds.class_count == 5 and ds.resolution == 32
+        assert len(ds) == 12 and ds.class_count == 5 and ds.spec.resolution == 32
         assert ds.spec.split == "val" and ds.spec.seed == 9
+        assert datasets.parse_spec("shapes", "val").spec == ShapesSpec(split="val")
+
+    @pytest.mark.parametrize("text,match", [
+        ("shapes:seed=0,size=4",
+         "unknown shapes spec key 'size'; known: seed, split, n, classes, res"),
+        ("shapes:n=4,split=val,colour=red", "unknown shapes spec key 'colour'"),
+        ("shapes:seed=zero", "seed='zero' is not an int"),
+        ("shapes:n=4.5", "n='4.5' is not an int"),
+        ("shapes:res=", "res='' is not an int"),
+    ], ids=["unknown-key", "unknown-key-among-known", "str-seed", "float-n", "empty-res"])
+    def test_bad_key_or_value_named(self, text, match):
+        with pytest.raises(datasets.DatasetError, match=re.escape(match)):
+            datasets.parse_spec(text)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(datasets.DatasetError):
@@ -74,4 +89,10 @@ class TestMaterialize:
 
     def test_missing_labels_rejected(self, tmp_path):
         with pytest.raises(datasets.DatasetError, match="labels"):
+            datasets.FolderDataset(str(tmp_path))
+
+    def test_non_int_label_names_its_line(self, tmp_path):
+        (tmp_path / "labels.txt").write_text("# name label\na.ppm 0\nb.ppm cat\n")
+        with pytest.raises(datasets.DatasetError,
+                           match=r"labels\.txt:3: label 'cat' is not an int"):
             datasets.FolderDataset(str(tmp_path))
