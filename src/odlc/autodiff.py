@@ -14,7 +14,10 @@ verification.
 Memory contract: a VJP closure holds only what its backward rule reads
 (operands, the op's output, small reductions), never scratch buffers. The
 convolution's column matrix (k*k times its input) lives only inside one
-forward call or one VJP call.
+forward call or one VJP call. A record, with the activations its closures
+hold, and the gradient of its output live until backward replays that
+record; then both are dropped, so a backward pass releases the forward's
+memory as it walks back instead of adding a gradient per activation.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tensor", "Parameter", "Tape", "ShapeError", "backward", "record_op",
+    "Tensor", "Parameter", "Tape", "ShapeError", "TapeError", "backward", "record_op",
     "conv2d", "conv_gru_cell", "GruParams", "depth_to_space",
     "tanh", "sigmoid", "relu", "add", "sub", "mul", "div", "scale", "add_const",
     "square", "pow_const", "clamp_min", "mean", "avg_pool2", "global_avg_pool",
@@ -42,11 +45,17 @@ class ShapeError(ValueError):
     """Raised when operand shapes or dtypes violate an op's contract."""
 
 
+class TapeError(RuntimeError):
+    """Raised when backward is asked to replay a tape it has consumed."""
+
+
 class Tensor:
     """Dense n-d float array plus a gradient slot.
 
-    ``grad`` is populated by :func:`backward` for every tensor on a path
-    that requires gradients; it has the same shape as ``data``.
+    ``grad`` has the same shape as ``data``. :func:`backward` fills it on
+    every tensor on a path that requires gradients, but it persists only
+    on leaves and parameters: an op's output loses its gradient once
+    backward has passed it on to the op's inputs.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -152,11 +161,14 @@ class Tape:
     """Ordered record of executed differentiable ops.
 
     Use as a context manager; ops executed inside record themselves.
-    ``backward`` walks the records once, in reverse execution order.
+    ``backward`` walks the records once, in reverse execution order, and
+    consumes them: each replayed record becomes None (the list keeps its
+    length), and the tape cannot be replayed again.
     """
 
     def __init__(self):
-        self.records = []  # (out, inputs, vjps)
+        self.records = []  # (out, inputs, vjps), None once replayed
+        self.consumed = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -183,21 +195,33 @@ def record_op(out: Tensor, inputs: tuple, vjps: tuple) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape):
-    """Populate grads of everything reachable from ``loss`` on ``tape``.
+    """Accumulate into the grads of the leaves and parameters that ``loss``
+    reaches on ``tape``, consuming the tape.
 
     Gradients accumulate (fan-out sums); parameters keep their persistent
-    buffers, so callers zero them between steps. Tensors not on a path to
-    the loss keep the grad they had: None, or a parameter's buffer.
+    buffers, so callers zero them between steps. Leaves and parameters
+    not on a path to the loss keep the grad they had: None, or a
+    parameter's buffer. Each record is dropped once replayed, and its
+    output's grad with it, so after the call no op output holds a grad.
+    A second call on the same tape raises TapeError.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape.consumed:
+        raise TapeError("backward: this tape was already replayed; record the forward again")
+    tape.consumed = True
     seed = np.ones_like(loss.data)
     if loss.grad is None:
         loss.grad = seed
     else:
         loss.grad = loss.grad + seed
-    for out, inputs, vjps in reversed(tape.records):
-        g = out.grad
+    records = tape.records
+    for i in range(len(records) - 1, -1, -1):
+        out, inputs, vjps = records[i]
+        # every consumer of ``out`` was recorded after it, so its gradient
+        # is complete here and nothing reads it or this record again
+        records[i] = None
+        g, out.grad = out.grad, None
         if g is None:
             continue
         for inp, vjp in zip(inputs, vjps):

@@ -130,8 +130,12 @@ class ReconstructionTrace:
     decodes: list
 
     def decoded(self, t: int | None = None) -> np.ndarray:
-        """x_hat_t (1-based t, default last)."""
-        return self.decodes[-1 if t is None else t - 1]
+        """x_hat_t for t in 1..T (default T)."""
+        if t is None:
+            return self.decodes[-1]
+        if not 1 <= t <= len(self.decodes):
+            raise CodecError(f"decode {t} outside 1..{len(self.decodes)}")
+        return self.decodes[t - 1]
 
 
 def normalized_input(x01: np.ndarray, params: CodecParams) -> Tensor:

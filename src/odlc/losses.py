@@ -10,6 +10,10 @@ Three quantities, all differentiable scalar tensors:
                        (total, human, feature) with None for a component
                        the objective leaves out
 
+A caller that scores many reconstructions y against one clean x (the
+unrolled steps of training, the validation probe) computes phi(x) once
+with `reference_taps` and hands it to every call.
+
 The SSIM statistics use an 11x11 Gaussian window (sigma 1.5) with valid
 placement and the constants K1 = 0.01, K2 = 0.03 on a data range of 1;
 MS-SSIM multiplies contrast/structure means across scales with the full
@@ -142,15 +146,25 @@ def human_distortion(x, y) -> Tensor:
     return ad.add_const(ad.scale(ms_ssim(x, y), -1.0), 1.0)
 
 
-def feature_distortion(x, y, lossnet, layer_ids) -> Tensor:
+def reference_taps(x, cfg: LossConfig, lossnet=None):
+    """phi(x): the lossnet taps of the clean image for `observer_distortion`,
+    or None when the objective has no feature term (or no lossnet, which
+    `observer_distortion` then refuses)."""
+    if cfg.alpha == 0.0 or lossnet is None:
+        return None
+    return lossnet.features(_as_tensor(x), cfg.layer_ids)
+
+
+def feature_distortion(x, y, lossnet, layer_ids, x_taps=None) -> Tensor:
     """Mean squared feature error summed over the tapped layers.
 
     The per-layer normalizer 1/(H W C) makes each term the plain mean over
     the feature map. Gradients flow into x and y but never into the
-    (frozen) lossnet parameters.
+    (frozen) lossnet parameters. ``x_taps``, when given, stands for
+    ``lossnet.features(x, layer_ids)``, and x is not run through the lossnet.
     """
     x, y = _as_tensor(x), _as_tensor(y)
-    fx = lossnet.features(x, layer_ids)
+    fx = lossnet.features(x, layer_ids) if x_taps is None else x_taps
     fy = lossnet.features(y, layer_ids)
     total = None
     for a, b in zip(fx, fy):
@@ -159,17 +173,19 @@ def feature_distortion(x, y, lossnet, layer_ids) -> Tensor:
     return total
 
 
-def observer_distortion(x, y, cfg: LossConfig, lossnet=None):
+def observer_distortion(x, y, cfg: LossConfig, lossnet=None, x_taps=None):
     """(total, d_human, d_feature), total = (1-alpha) * lambda_h * d_human
     + alpha * d_feature.
 
     A component outside the objective is None and never evaluated: alpha=0
-    never touches the lossnet, alpha=1 never computes MS-SSIM.
+    never touches the lossnet, alpha=1 never computes MS-SSIM. ``x_taps``
+    is `reference_taps` of x, when the caller has it.
     """
     if cfg.alpha > 0.0 and lossnet is None:
         raise LossError("observer_distortion: alpha > 0 needs a lossnet")
     d_h = human_distortion(x, y) if cfg.alpha < 1.0 else None
-    d_c = feature_distortion(x, y, lossnet, cfg.layer_ids) if cfg.alpha > 0.0 else None
+    d_c = (feature_distortion(x, y, lossnet, cfg.layer_ids, x_taps) if cfg.alpha > 0.0
+           else None)
     if d_c is None:
         total = ad.scale(d_h, cfg.lambda_h)
     elif d_h is None:

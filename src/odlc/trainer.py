@@ -209,12 +209,13 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
     # the order in which backward sums the gradients
     recons = [xhat for xhat, _ in progressive_from_normalized(
         normalized_input(x01_padded, params), iterations, params, rng=rng)]
+    x_taps = losses.reference_taps(x01_t, loss_cfg, lossnet)
     inv = params.norm_std.astype(np.float32)
     terms = []
     dh_vals, dc_vals = [], []
     for recon in recons:
         y01 = ad.channel_affine(recon, inv, params.norm_mean)  # denorm, unclamped
-        term, d_h, d_c = losses.observer_distortion(x01_t, y01, loss_cfg, lossnet)
+        term, d_h, d_c = losses.observer_distortion(x01_t, y01, loss_cfg, lossnet, x_taps)
         if d_h is not None:
             dh_vals.append(d_h.item())
         if d_c is not None:
@@ -236,8 +237,10 @@ def _val_probe(val_set, params, cfg, loss_cfg, lossnet=None):
     for i in range(n):
         img = augment_geometry(val_set.image(i), "val", None, cfg)
         decodes = reconstruct_progressive(img, cfg.unroll_steps, params).decodes
+        x_taps = losses.reference_taps(img, loss_cfg, lossnet)
         objective.append(np.mean([
-            losses.observer_distortion(img, y, loss_cfg, lossnet)[0].item() for y in decodes]))
+            losses.observer_distortion(img, y, loss_cfg, lossnet, x_taps)[0].item()
+            for y in decodes]))
         scores.append(losses.ms_ssim(img, decodes[-1]).item())
     return float(np.mean(objective)), float(np.mean(scores))
 

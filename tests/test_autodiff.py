@@ -280,6 +280,27 @@ class TestBackward:
         ad.backward(z, tape)
         np.testing.assert_allclose(x.grad, [12.0])
 
+    def test_op_output_grads_dropped_leaf_and_parameter_grads_kept(self):
+        x = t([1.0, -2.0], requires_grad=True)
+        p = ad.Parameter("p", [3.0, 0.5])
+        with ad.Tape() as tape:
+            y = ad.mul(x, p.tensor)
+            loss = ad.mean(ad.square(y))
+        ad.backward(loss, tape)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, [9.0, -0.5])  # mean((xp)^2): x p^2 and p x^2
+        np.testing.assert_allclose(p.grad, [3.0, 2.0])
+        assert tape.records == [None, None, None]  # consumed, length kept
+
+    def test_second_backward_on_a_tape_raises(self):
+        x = t([2.0], requires_grad=True)
+        with ad.Tape() as tape:
+            loss = ad.square(x)
+        ad.backward(loss, tape)
+        with pytest.raises(ad.TapeError, match="already replayed"):
+            ad.backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [4.0])
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(4)
         x = rng.random((3, 8, 8)).astype(np.float32)

@@ -45,14 +45,14 @@ class TestBinarize:
         assert abs(out.data.mean() - z) <= max(tol, 0.03)
 
     def test_straight_through_identity(self):
-        x = ad.Tensor(np.random.default_rng(0).uniform(-1, 1, (4, 4)).astype(np.float32),
+        # dL/dz is dL/db = 2b/n, passed through the quantizer unchanged
+        z = ad.Tensor(np.random.default_rng(0).uniform(-1, 1, (4, 4)).astype(np.float32),
                       requires_grad=True)
         with ad.Tape() as tape:
-            z = ad.tanh(x)
             b = codec.binarize(z)
             loss = ad.mean(ad.square(b))
         ad.backward(loss, tape)
-        np.testing.assert_array_equal(z.grad, b.grad)
+        np.testing.assert_array_equal(z.grad, 2.0 * b.data / b.size)
 
     def test_straight_through_matches_identity_for_linear_loss(self):
         # mean() is linear, so the full input gradient must match the
@@ -160,6 +160,13 @@ class TestReconstruct:
         out = tr.decoded()
         assert out.shape == (3, 40, 50)
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    def test_decoded_refuses_steps_outside_the_trace(self, params):
+        tr = codec.reconstruct_progressive(image(3), 3, params)
+        for t in (0, -1, 4):
+            with pytest.raises(codec.CodecError, match=f"decode {t} outside 1..3"):
+                tr.decoded(t)
+        assert tr.decoded(1) is tr.decodes[0] and tr.decoded() is tr.decoded(3)
 
     def test_iteration_bounds(self, params):
         with pytest.raises(codec.CodecError, match="outside"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,44 @@ class TestStepLoss:
         assert loss.item() == pytest.approx(want, rel=1e-5)
         assert info["d_h"] == pytest.approx(np.mean(d_h), rel=1e-5)
         assert info["d_c"] == pytest.approx(np.mean(d_c), rel=1e-5)
+
+    def test_clean_image_taps_computed_once(self, toy_net, monkeypatch):
+        # T=4 at alpha=1: phi(x) once plus phi(x_hat_t) per step, 5 forwards, not 8
+        calls = []
+        features = toy_net.features
+
+        def counted(x, layer_ids):
+            calls.append(x)
+            return features(x, layer_ids)
+        monkeypatch.setattr(toy_net, "features", counted)
+        x = np.random.default_rng(5).random((3, 32, 32), dtype=np.float32)
+        cfg = losses.LossConfig(alpha=1.0, layer_ids=TAPS)
+        trainer.step_loss(x, 4, CodecParams(MICRO, seed=4), cfg, lossnet=toy_net)
+        assert len(calls) == 5
+
+    def test_backward_peak_within_forward_memory(self):
+        # backward frees each record once replayed, so its peak stays near
+        # what the forward left on the tape instead of adding a gradient
+        # per activation (about twice that when nothing is freed)
+        params = CodecParams(CodecLayout(), seed=0)
+        net = ClassifierParams(ClassifierLayout(), seed=1)
+        net.freeze()
+        params.zero_grads()  # the persistent buffers are not backward's to count
+        x = np.random.default_rng(5).random((3, 64, 64), dtype=np.float32)
+        cfg = losses.LossConfig(alpha=0.5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with ad.Tape() as tape:
+                loss, _ = trainer.step_loss(x, 4, params, cfg, lossnet=net,
+                                            rng=np.random.default_rng(6))
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            ad.backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * held, (peak, held)
 
 
 class FixedDataset:
