@@ -14,10 +14,13 @@ verification.
 Memory contract: a VJP closure holds only what its backward rule reads
 (operands, the op's output, small reductions), never scratch buffers. The
 convolution's column matrix (k*k times its input) lives only inside one
-forward call or one VJP call. A record, with the activations its closures
-hold, and the gradient of its output live until backward replays that
-record; then both are dropped, so a backward pass releases the forward's
-memory as it walks back instead of adding a gradient per activation.
+forward call or one VJP call. The fused GRU cell is one record that holds
+x, h, its gates u, r, c and r*h, and rebuilds its columns in backward;
+the gradients its first VJP computes for all its inputs belong to that
+record. A record, with the activations its closures hold, and the gradient
+of its output live until backward replays that record; then both are
+dropped, so a backward pass releases the forward's memory as it walks back
+instead of adding a gradient per activation.
 """
 
 from __future__ import annotations
@@ -111,15 +114,23 @@ class Parameter:
         # never alias caller data
         self.tensor = Tensor(np.array(data, dtype=dtype), requires_grad=True)
 
+    @classmethod
+    def view(cls, name: str, storage: np.ndarray) -> "Parameter":
+        """A parameter whose buffer is ``storage`` itself, not a copy."""
+        p = cls.__new__(cls)
+        p.name, p.tensor = name, Tensor(storage, requires_grad=True)
+        return p
+
     @property
     def value(self) -> np.ndarray:
         return self.tensor.data
 
     @value.setter
     def value(self, arr: np.ndarray):
+        """Writes in place: the buffer may be a view of shared storage."""
         if arr.shape != self.tensor.data.shape:
             raise ShapeError(f"parameter {self.name}: cannot assign shape {arr.shape} over {self.tensor.data.shape}")
-        self.tensor.data = np.array(arr, dtype=self.tensor.data.dtype)
+        self.tensor.data[...] = arr
 
     @property
     def grad(self) -> np.ndarray:
@@ -318,6 +329,24 @@ def _conv_columns(xd: np.ndarray, k: int, s: int, ho: int, wq: int, links) -> np
     return cols.reshape(c * k * k, n)
 
 
+def _col2im(dcols: np.ndarray, shape: tuple, k: int, s: int, ho: int, wq: int,
+            links) -> np.ndarray:
+    """Adjoint of `_conv_columns`: scatter-add a (C*k*k, ho*wq) column
+    gradient back onto the (C, H, W) input of that shape."""
+    c, n = shape[0], ho * wq
+    dcols = dcols.reshape(c, k, k, n)
+    dbuf, grids = _phase_buffer(c, k, s, ho, wq, dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            off = (i // s) * wq + j // s
+            dbuf[i % s, j % s, :, off : off + n] += dcols[:, i, j]
+    dx = np.zeros(shape, dtype=dcols.dtype)
+    for _, _, grid, xs in links:
+        if xs is not None:
+            dx[xs] = grids[grid]
+    return dx
+
+
 def _widen(g: np.ndarray, wq: int) -> np.ndarray:
     """(C, ho, wo) gradient -> (C, ho*wq) on the wide grid, zero spill-over."""
     c, ho, wo = g.shape
@@ -375,18 +404,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         return out
 
     def vjp_x(g):
-        n = ho * wq
-        dcols = (kd.reshape(c_out, c_in * k * k).T @ _widen(g, wq)).reshape(c_in, k, k, n)
-        dbuf, grids = _phase_buffer(c_in, k, s, ho, wq, dcols.dtype)
-        for i in range(k):
-            for j in range(k):
-                off = (i // s) * wq + j // s
-                dbuf[i % s, j % s, :, off : off + n] += dcols[:, i, j]
-        dx = np.zeros(xd.shape, dtype=dcols.dtype)
-        for _, _, grid, xs in links:
-            if xs is not None:
-                dx[xs] = grids[grid]
-        return dx
+        return _col2im(kd.reshape(c_out, c_in * k * k).T @ _widen(g, wq), xd.shape, k, s, ho, wq,
+                       links)
 
     def vjp_k(g):
         cols = _conv_columns(xd, k, s, ho, wq, links)
@@ -413,22 +432,23 @@ def tanh(x: Tensor) -> Tensor:
     return _unary(x, np.tanh, lambda xd, yd: lambda g: g * (1.0 - yd * yd))
 
 
+def _sigmoid_into(xd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = 1/(1+exp(-x)); ``out`` may be ``xd`` itself. With t =
+    exp(-|x|)/(1+exp(-|x|)), which never overflows, it is 1-t where x >= 0
+    and t elsewhere."""
+    t = np.abs(xd)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t /= 1.0 + t
+    nonneg = xd >= 0
+    np.copyto(out, t)
+    np.subtract(1.0, t, out=out, where=nonneg)
+    return out
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    def fwd(xd):
-        # exp of -|x| never overflows; branch-free sign fixup as the blend
-        # (1-t)*m + t*(1-m) with m = (x >= 0), exact because m is 0 or 1
-        t = np.abs(xd)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        t /= 1.0 + t
-        m = (xd >= 0).astype(xd.dtype)
-        y = 1.0 - t
-        y *= m
-        np.subtract(1.0, m, out=m)
-        m *= t
-        y += m
-        return y
-    return _unary(x, fwd, lambda xd, yd: lambda g: g * yd * (1.0 - yd))
+    return _unary(x, lambda xd: _sigmoid_into(xd, np.empty_like(xd)),
+                  lambda xd, yd: lambda g: g * yd * (1.0 - yd))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -619,6 +639,23 @@ def _s2d_data(arr: np.ndarray, r: int) -> np.ndarray:
 
 
 _GRU_TENSORS = ("wxu", "whu", "bu", "wxr", "whr", "br", "wxc", "whc", "bc")
+# one buffer per path, gates stacked along axis 0: x-kernels, biases, h-kernels
+_GRU_STACKS = (("wxu", "wxr", "wxc"), ("bu", "br", "bc"), ("whu", "whr"))
+
+
+def _stacked(parts) -> np.ndarray:
+    """The buffer whose consecutive axis-0 rows are the values of ``parts``."""
+    buf, row = parts[0].value.base, 0
+    for q in parts:
+        v = q.value
+        if buf is None or v.base is not buf or v.ctypes.data != buf[row:].ctypes.data:
+            raise ShapeError(f"GruParams: {q.name} is not rows {row}.. of its layer's stacked "
+                             f"buffer; build the layer with make_parameters(stacks=...)")
+        row += v.shape[0]
+    if row != buf.shape[0]:
+        raise ShapeError(f"GruParams: {parts[0].name} has a stacked buffer of {buf.shape[0]} "
+                         f"rows, its gates fill {row}")
+    return buf
 
 
 @dataclass
@@ -628,6 +665,13 @@ class GruParams:
     The input-to-hidden convolutions may be strided (spatial downsampling);
     hidden-to-hidden convolutions are always stride 1. One bias per gate,
     applied on the input path.
+
+    Storage is stacked per path, as `make_parameters` allocates it for
+    ``stacks(prefix)``: ``wx`` is [wxu; wxr; wxc] (3C, c_in, k, k), ``b``
+    is [bu; br; bc] (3C,) and ``wh`` is [whu; whr] (2C, C, k, k); whc
+    stands alone. Each gate Parameter is a view of its rows, and every
+    write to it (``Parameter.value =``, Adam, a checkpoint load) is in
+    place, so the cell reads the stacked buffers and they never go stale.
     """
 
     wxu: Parameter
@@ -641,11 +685,20 @@ class GruParams:
     bc: Parameter
     stride: int = 1
 
+    def __post_init__(self):
+        self.wx, self.b, self.wh = (_stacked([getattr(self, n) for n in names])
+                                    for names in _GRU_STACKS)
+
     @staticmethod
     def shapes(prefix: str, c_in: int, c_hidden: int, k: int) -> list:
         """(name, shape) rows in field order: per gate, x-kernel, h-kernel, bias."""
         x, h, b = (c_hidden, c_in, k, k), (c_hidden, c_hidden, k, k), (c_hidden,)
         return [(f"{prefix}.{n}", shape) for n, shape in zip(_GRU_TENSORS, (x, h, b) * 3)]
+
+    @staticmethod
+    def stacks(prefix: str) -> list:
+        """The name groups of one layer that share a buffer, for make_parameters."""
+        return [tuple(f"{prefix}.{n}" for n in names) for names in _GRU_STACKS]
 
     @staticmethod
     def of(params: dict, prefix: str, stride: int = 1) -> "GruParams":
@@ -654,23 +707,137 @@ class GruParams:
 
 
 def conv_gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
-    """One GRU step: u = sig(conv(x)+conv(h)), r = sig(conv(x)+conv(h)),
-    c = tanh(conv(x)+conv(r*h)), h' = (1-u)*h + u*c."""
+    """One GRU step with fused gates, C hidden channels:
+
+        [a_u; a_r; a_c] = wx * x + b,  [a_u; a_r] += wh * h,
+        u = sig(a_u),  r = sig(a_r),  c = tanh(a_c + whc * (r h)),
+        h' = (h - u h) + u c.
+
+    One strided x-path GEMM with 3C outputs and one h-path GEMM with 2C
+    outputs; the gate maths runs in place in the (3C, H, W) buffer of
+    pre-activations, which ends up holding [u; r; c]. The cell is one tape
+    record holding x, h, [u; r; c] and r h. Its first VJP to run computes
+    the gradients of all 11 inputs, rebuilding each path's columns once
+    and running one col2im per path, and each VJP hands out its own.
+
+    A zero hidden state that needs no gradient (every state at t = 1)
+    skips the h-path and candidate convolutions, which would add exact
+    zeros, and leaves whu, whr and whc off the record: the output does not
+    depend on them there.
+    """
+    if x.data.ndim != 3 or h.data.ndim != 3:
+        raise ShapeError(f"conv_gru_cell: input and hidden must be CHW, got {x.shape} and "
+                         f"{h.shape}")
     s = p.stride
-    _, xh, xw = x.shape
-    exp_h = -(-xh // s)
-    exp_w = -(-xw // s)
+    c_in, xh, xw = x.shape
+    n3, k_in, k, _ = p.wx.shape
+    ch = n3 // 3
+    if k_in != c_in:
+        raise ShapeError(f"conv_gru_cell: x-kernels expect {k_in} input channels, input has {c_in}")
+    exp_h, exp_w = -(-xh // s), -(-xw // s)
     if h.shape[1:] != (exp_h, exp_w):
         raise ShapeError(
             f"conv_gru_cell: hidden spatial dims {h.shape[1:]} misaligned with "
             f"input {x.shape[1:]} at stride {s} (expected {(exp_h, exp_w)})")
-    u = sigmoid(add(conv2d(x, p.wxu.tensor, p.bu.tensor, stride=s),
-                    conv2d(h, p.whu.tensor)))
-    r = sigmoid(add(conv2d(x, p.wxr.tensor, p.br.tensor, stride=s),
-                    conv2d(h, p.whr.tensor)))
-    c = tanh(add(conv2d(x, p.wxc.tensor, p.bc.tensor, stride=s),
-                 conv2d(mul(r, h), p.whc.tensor)))
-    return add(sub(h, mul(u, h)), mul(u, c))
+    if h.shape[0] != ch:
+        raise ShapeError(f"conv_gru_cell: hidden has {h.shape[0]} channels, the layer {ch}")
+    if x.dtype != p.wx.dtype or h.dtype != p.wx.dtype:
+        raise ShapeError(f"conv_gru_cell: input {x.dtype} and hidden {h.dtype} differ from "
+                         f"parameter dtype {p.wx.dtype}")
+    ho, wo, wq, links = _conv_geometry(xh, xw, k, s, "same")
+    _, _, wqh, links_h = _conv_geometry(ho, wo, k, 1, "same")
+    xd, hd = x.data, h.data
+    kx, kh, kc = p.wx.reshape(n3, -1), p.wh.reshape(2 * ch, -1), p.whc.value.reshape(ch, -1)
+
+    def hidden_conv(kern, a):
+        """kern * a for a stride-1 conv of a hidden-sized a, cropped."""
+        wide = kern @ _conv_columns(a, k, 1, ho, wqh, links_h)
+        return wide.reshape(-1, ho, wqh)[:, :, :wo]
+
+    wide = (kx @ _conv_columns(xd, k, s, ho, wq, links)).reshape(n3, ho, wq)
+    gates = np.add(wide[:, :, :wo], p.b[:, None, None])
+    del wide
+    zero_state = not h.requires_grad and not hd.any()
+    if not zero_state:
+        gates[: 2 * ch] += hidden_conv(kh, hd)
+    u, r, c = gates[:ch], gates[ch : 2 * ch], gates[2 * ch :]
+    _sigmoid_into(u, u)
+    _sigmoid_into(r, r)
+    if zero_state:
+        rh = None
+    else:
+        rh = r * hd
+        c += hidden_conv(kc, rh)
+    np.tanh(c, out=c)
+    out_data = u * hd
+    np.subtract(hd, out_data, out=out_data)
+    out_data += u * c
+    out = Tensor(out_data)
+
+    inputs = (x, h) + tuple(getattr(p, n).tensor for n in _GRU_TENSORS)
+    if active_tape() is None or not any(t.requires_grad for t in inputs):
+        return out
+    slot = {n: 2 + i for i, n in enumerate(_GRU_TENSORS)}
+
+    def gradients(g):
+        """Every input's gradient, in ``inputs`` order (None where no
+        input needs it)."""
+        grads = [None] * len(inputs)
+
+        def kernel_grads(names, gw, cols, shape):
+            if any(inputs[slot[n]].requires_grad for n in names):
+                dk = (gw @ cols.T).reshape(-1, *shape)
+                for i, n in enumerate(names):
+                    grads[slot[n]] = dk[i * ch : (i + 1) * ch]
+
+        da = np.empty_like(gates)
+        da_u, da_r, da_c = da[:ch], da[ch : 2 * ch], da[2 * ch :]
+        np.multiply(g, u, out=da_c)
+        da_c *= 1.0 - c * c
+        np.subtract(c, hd, out=da_u)
+        da_u *= g
+        da_u *= u * (1.0 - u)
+        if zero_state:
+            da_r[...] = 0.0  # r only ever multiplies h
+        else:
+            gw = _widen(da_c, wqh)
+            kernel_grads(("whc",), gw, _conv_columns(rh, k, 1, ho, wqh, links_h), (ch, k, k))
+            drh = _col2im(kc.T @ gw, hd.shape, k, 1, ho, wqh, links_h)
+            np.multiply(drh, hd, out=da_r)
+            da_r *= r * (1.0 - r)
+            gw = _widen(da[: 2 * ch], wqh)
+            kernel_grads(("whu", "whr"), gw, _conv_columns(hd, k, 1, ho, wqh, links_h),
+                         (ch, k, k))
+            if h.requires_grad:
+                dh = _col2im(kh.T @ gw, hd.shape, k, 1, ho, wqh, links_h)
+                dh += g * (1.0 - u)
+                drh *= r
+                dh += drh
+                grads[1] = dh
+            del drh
+        gw = _widen(da, wq)
+        kernel_grads(("wxu", "wxr", "wxc"), gw, _conv_columns(xd, k, s, ho, wq, links),
+                     (c_in, k, k))
+        if x.requires_grad:
+            grads[0] = _col2im(kx.T @ gw, xd.shape, k, s, ho, wq, links)
+        db = da.sum(axis=(1, 2))
+        for i, n in enumerate(("bu", "br", "bc")):
+            grads[slot[n]] = db[i * ch : (i + 1) * ch]
+        return grads
+
+    shared = []
+
+    def vjp_of(i):
+        def vjp(g):
+            if not shared:
+                shared.append(gradients(g))
+            gi, shared[0][i] = shared[0][i], None
+            return gi
+        return vjp
+
+    unused = {slot[n] for n in ("whu", "whr", "whc")} if zero_state else set()
+    return record_op(out, inputs, tuple(None if i in unused else vjp_of(i)
+                                        for i in range(len(inputs))))
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +856,33 @@ def conv_shapes(name: str, c_in: int, c_out: int, k: int) -> list:
     return [(f"{name}.kernel", (c_out, c_in, k, k)), (f"{name}.bias", (c_out,))]
 
 
-def make_parameters(table, source, dtype=np.float32) -> dict:
+def make_parameters(table, source, dtype=np.float32, stacks=()) -> dict:
     """Name -> Parameter for an ordered (name, shape) table: drawn from a
     seed (or Generator) in table order as ``dtype``, Glorot-uniform for 2+
-    dims and zero 1-d biases; or wrapping a name -> array mapping as is."""
-    if isinstance(source, dict):
-        return {name: Parameter(name, source[name], dtype=source[name].dtype)
-                for name, _ in table}
-    rng = np.random.default_rng(source)
-    return {name: Parameter(name, xavier_uniform(rng, shape) if len(shape) > 1
-                            else np.zeros(shape), dtype=dtype)
-            for name, shape in table}
+    dims and zero 1-d biases; or copied from a name -> array mapping.
+
+    Each name tuple in ``stacks`` gets one buffer that holds its tensors
+    stacked along axis 0 in tuple order, and their Parameters are views of
+    it (see GruParams). Every buffer is allocated here, once.
+    """
+    seeded = not isinstance(source, dict)
+    shapes, views = dict(table), {}
+    for names in stacks:
+        rows = [shapes[n][0] for n in names]
+        buf = np.empty((sum(rows),) + shapes[names[0]][1:],
+                       dtype=dtype if seeded else source[names[0]].dtype)
+        for n, start, stop in zip(names, np.cumsum([0] + rows), np.cumsum(rows)):
+            views[n] = buf[start:stop]
+    rng = np.random.default_rng(source) if seeded else None
+    params = {}
+    for name, shape in table:
+        if seeded:
+            data = xavier_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape)
+        else:
+            data = source[name]
+        if name in views:
+            views[name][...] = data
+            params[name] = Parameter.view(name, views[name])
+        else:
+            params[name] = Parameter(name, data, dtype=dtype if seeded else data.dtype)
+    return params

@@ -37,9 +37,11 @@ DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 
 # Cap on ceil16(H) * ceil16(W), checked before they allocate by
 # normalized_input, for every encode, and by decompress. Decoding peaks at
-# ~590 bytes per padded pixel and encoding at ~670, and neither grows with T
-# (default layout, float32, tracemalloc at 64 and 256 px, T = 1..8), so 2^22
-# pixels (2048 x 2048, ~10x a 768 x 512 Kodak image) bound either at ~2.8 GB.
+# ~590 bytes per padded pixel and encoding at ~665 from T = 2 on, and
+# neither grows with T beyond that (T = 1, whose hidden states are zero,
+# peaks ~95 lower; default layout, float32, tracemalloc at 64 and 256 px,
+# T = 1, 2, 8), so 2^22 pixels (2048 x 2048, ~10x a 768 x 512 Kodak image)
+# bound either at ~2.8 GB.
 MAX_PADDED_PIXELS = 1 << 22
 
 
@@ -74,15 +76,26 @@ class CodecLayout:
         """The ordered (name, shape) table of the codec's tensors, which is
         also their init draw order and checkpoint order."""
         k, ew, dw, cb = self.kernel, self.enc_widths, self.dec_widths, self.bottleneck
-        dec_in = (dw[0],) + tuple(w // 4 for w in dw[:-1])
+        grus = self._grus()
         rows = ad.conv_shapes("enc.conv_in", 3, ew[0], k)
-        for i in range(3):
-            rows += GruParams.shapes(f"enc.gru{i+1}", ew[i], ew[i + 1], k)
+        for prefix, c_in, c_h in grus[:3]:
+            rows += GruParams.shapes(prefix, c_in, c_h, k)
         rows += ad.conv_shapes("enc.conv_code", ew[-1], cb, 1)
-        rows += ad.conv_shapes("dec.conv_expand", cb, dec_in[0], 1)
-        for i in range(4):
-            rows += GruParams.shapes(f"dec.gru{i+1}", dec_in[i], dw[i], k)
+        rows += ad.conv_shapes("dec.conv_expand", cb, grus[3][1], 1)
+        for prefix, c_in, c_h in grus[3:]:
+            rows += GruParams.shapes(prefix, c_in, c_h, k)
         return rows + ad.conv_shapes("dec.conv_out", dw[-1] // 4, 3, k)
+
+    def stacks(self) -> list:
+        """The tensor groups that share one buffer: each GRU's gate stacks."""
+        return [names for prefix, _, _ in self._grus() for names in GruParams.stacks(prefix)]
+
+    def _grus(self) -> list:
+        """(prefix, input channels, hidden channels) of the 7 GRU layers."""
+        ew, dw = self.enc_widths, self.dec_widths
+        dec_in = (dw[0],) + tuple(w // 4 for w in dw[:-1])
+        return ([(f"enc.gru{i+1}", ew[i], ew[i + 1]) for i in range(3)]
+                + [(f"dec.gru{i+1}", dec_in[i], dw[i]) for i in range(4)])
 
 
 class CodecParams(ckpt.ParamSet):
@@ -93,7 +106,7 @@ class CodecParams(ckpt.ParamSet):
 
     def __init__(self, layout: CodecLayout, seed: int = 0,
                  norm_mean=None, norm_std=None, arrays=None):
-        self._init_params(layout, seed, norm_mean, norm_std, arrays)
+        self._init_params(layout, seed, norm_mean, norm_std, arrays, layout.stacks())
         self.enc_in = self._conv("enc.conv_in")
         self.enc_grus = [GruParams.of(self._params, f"enc.gru{i+1}", stride=2) for i in range(3)]
         self.enc_code = self._conv("enc.conv_code")
@@ -241,10 +254,12 @@ def reconstruct_progressive(x: np.ndarray, iterations: int,
 
 
 def compress(x: np.ndarray, iterations: int, params: CodecParams) -> Bitstream:
-    """Deterministic encode of a [0,1] CHW image to a bitstream."""
+    """Deterministic encode of a [0,1] CHW image to a bitstream. Each
+    iteration's codes are kept as int8 +-1 until they are packed."""
     x = np.asarray(x, dtype=np.float32)
     steps = progressive_from_normalized(normalized_input(x, params), iterations, params)
-    return Bitstream.from_codes([bits.data for _, bits in steps], x.shape[2], x.shape[1])
+    return Bitstream.from_codes([bits.data.astype(np.int8) for _, bits in steps],
+                                x.shape[2], x.shape[1])
 
 
 def decompress(bs: Bitstream, params: CodecParams) -> np.ndarray:

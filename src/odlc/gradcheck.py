@@ -163,7 +163,8 @@ def op_cases(rng: np.random.Generator, dtype) -> list:
 
 class GruCase:
     def __init__(self, rng, dtype, c_in, c_h, hw, stride):
-        params = ad.make_parameters(ad.GruParams.shapes("g", c_in, c_h, 3), rng, dtype)
+        params = ad.make_parameters(ad.GruParams.shapes("g", c_in, c_h, 3), rng, dtype,
+                                    stacks=ad.GruParams.stacks("g"))
         self.p = ad.GruParams.of(params, "g", stride)
         h_hw = (-(-hw[0] // stride), -(-hw[1] // stride))
         self.x = _t(rng, (c_in,) + hw, dtype)

@@ -20,13 +20,16 @@ desk resize side and one on images that are resized first.
 
 BLAS is pinned to one thread before numpy is imported, and the first
 line of output says so: threaded GEMM sums in another order, which moves
-the train-classifier digests with the machine's core count.
+the train-classifier digests with the machine's core count. The CLI's own
+messages go to stderr with the temporary directory printed as <tmp>, so
+two runs of one tree print identical bytes on both streams.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -130,9 +133,11 @@ def train_briefly(net, alpha, tmp) -> CodecParams:
     return params
 
 
-def run_cli(*argv):
-    with contextlib.redirect_stdout(sys.stderr):  # keep stdout to digest lines
+def run_cli(tmp, *argv):
+    said = io.StringIO()
+    with contextlib.redirect_stdout(said):  # keep stdout to digest lines
         rc = cli.main(list(argv))
+    sys.stderr.write(said.getvalue().replace(tmp, "<tmp>"))
     if rc != 0:
         raise SystemExit(f"odlc {argv[0]} exited {rc}")
 
@@ -146,16 +151,16 @@ def lock_eval_csvs(tmp):
     ClassifierParams(ClassifierLayout(), seed=23).save(cls)
     data = "shapes:seed=6,split=val,n=4,classes=10,res=64"
     out = os.path.join(tmp, "quality.csv")
-    run_cli("eval-quality", "--model", a, "--data", data, "--out", out, "--grid", "1,2,3")
+    run_cli(tmp, "eval-quality", "--model", a, "--data", data, "--out", out, "--grid", "1,2,3")
     emit(file_sha(out), "eval-quality csv")
     out = os.path.join(tmp, "accuracy.csv")
-    run_cli("eval-accuracy", "--model", a, "--classifier", cls, "--data", data,
+    run_cli(tmp, "eval-accuracy", "--model", a, "--classifier", cls, "--data", data,
             "--out", out, "--grid", "1,2,3")
     for name in sorted(os.listdir(tmp)):
         if name.startswith("accuracy") and name.endswith(".csv"):
             emit(file_sha(os.path.join(tmp, name)), f"eval-accuracy {name}")
     out = os.path.join(tmp, "sweep.csv")
-    run_cli("sweep", "--models", f"0={a},1={b}", "--classifier", cls, "--data", data,
+    run_cli(tmp, "sweep", "--models", f"0={a},1={b}", "--classifier", cls, "--data", data,
             "--out", out, "--iters", "1,2,3")
     emit(file_sha(out), "sweep csv")
 
@@ -185,7 +190,7 @@ def lock_trained_classifiers(tmp):
     for n, res in ((8, 64), (9, 48)):
         data = f"shapes:seed=8,split=train,n={n},classes=3,res={res}"
         out = os.path.join(tmp, f"classifier_{res}px.ckpt")
-        run_cli("train-classifier", "--data", data, "--out", out, "--seed", "4",
+        run_cli(tmp, "train-classifier", "--data", data, "--out", out, "--seed", "4",
                 "--epochs", "2", "--batch-size", "4")
         emit(file_sha(out), f"train-classifier {data} epochs=2 batch=4 seed=4")
 

@@ -2,10 +2,15 @@
 
 Everything here evaluates the defining formulas with plain numpy
 (sliding windows, explicit loops), sharing no code path with the
-package's autodiff-based implementations.
+package's autodiff-based implementations. The one exception is
+`conv_gru_cell_composed`, which builds the GRU step from autodiff's
+primitive ops, themselves checked against the direct oracles here and
+by `odlc gradcheck`, to judge the fused cell.
 """
 
 import numpy as np
+
+from odlc import autodiff as ad
 
 
 def conv2d_direct(x, kernel, bias, stride=1, padding="same"):
@@ -128,3 +133,17 @@ def adam_trajectory_direct(theta0, grad_fn, lr, beta1, beta2, eps, steps):
         v_hat = v / (1 - beta2 ** t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
     return theta
+
+
+def conv_gru_cell_composed(x, h, p):
+    """One GRU step from primitive ops, one convolution per gate and path:
+    u = sig(conv(x)+conv(h)), r = sig(conv(x)+conv(h)),
+    c = tanh(conv(x)+conv(r*h)), h' = (h - u*h) + u*c."""
+    s = p.stride
+    u = ad.sigmoid(ad.add(ad.conv2d(x, p.wxu.tensor, p.bu.tensor, stride=s),
+                          ad.conv2d(h, p.whu.tensor)))
+    r = ad.sigmoid(ad.add(ad.conv2d(x, p.wxr.tensor, p.br.tensor, stride=s),
+                          ad.conv2d(h, p.whr.tensor)))
+    c = ad.tanh(ad.add(ad.conv2d(x, p.wxc.tensor, p.bc.tensor, stride=s),
+                       ad.conv2d(ad.mul(r, h), p.whc.tensor)))
+    return ad.add(ad.sub(h, ad.mul(u, h)), ad.mul(u, c))

@@ -3,12 +3,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from odlc import autodiff as ad
-from odlc import gradcheck
-from oracles import conv2d_direct
+from odlc import gradcheck, trainer
+from oracles import conv2d_direct, conv_gru_cell_composed
 
 
 def t(data, **kw):
     return ad.Tensor(np.asarray(data, dtype=np.float32), **kw)
+
+
+def closure_arrays(vjps) -> dict:
+    """id -> array of every buffer the VJP closures reach, each view
+    resolved to the array that owns its memory."""
+    held, seen, todo = {}, set(), list(vjps)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:
+                obj = obj.base
+            held[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return held
 
 
 class TestConv2d:
@@ -92,19 +112,8 @@ class TestConv2d:
         with ad.Tape() as tape:
             ad.conv2d(x, kern, bias, stride=stride, padding=padding)
         (_, _, vjps), = tape.records
-        held, seen, todo = {}, set(), list(vjps)
-        while todo:
-            obj = todo.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, np.ndarray):
-                held[id(obj)] = obj.nbytes
-            elif isinstance(obj, (tuple, list)):
-                todo.extend(obj)
-            elif callable(obj) and getattr(obj, "__closure__", None):
-                todo.extend(cell.cell_contents for cell in obj.__closure__)
-        assert sum(held.values()) <= x.data.nbytes + kern.data.nbytes
+        held = closure_arrays(vjps)
+        assert sum(a.nbytes for a in held.values()) <= x.data.nbytes + kern.data.nbytes
 
     def test_same_padding_output_size(self):
         x = t(np.zeros((1, 7, 5)))
@@ -124,7 +133,8 @@ class TestConv2d:
 
 
 def gru_params(seed, c_in, c_h, stride=1):
-    params = ad.make_parameters(ad.GruParams.shapes("g", c_in, c_h, 3), seed)
+    params = ad.make_parameters(ad.GruParams.shapes("g", c_in, c_h, 3), seed,
+                                stacks=ad.GruParams.stacks("g"))
     return ad.GruParams.of(params, "g", stride), list(params.values())
 
 
@@ -163,6 +173,92 @@ class TestConvGru:
                                  c_in=2, c_h=3, hw=(6, 6), stride=2)
         err = gradcheck.check_gradients(case.build, case.wrt, dtype=np.float32)
         assert err < 1e-3
+
+    # (stride, hidden: "grad" needs grad, "const" does not, "zero" is the
+    # state at t = 1, input needs grad)
+    ORACLE_CASES = [(1, "grad", True), (2, "grad", True), (1, "zero", True), (2, "zero", True),
+                    (1, "const", True), (2, "grad", False)]
+
+    @pytest.mark.parametrize("stride,hidden,x_grad", ORACLE_CASES)
+    def test_fused_matches_composed_oracle(self, stride, hidden, x_grad):
+        rng = np.random.default_rng(100 * stride + 10 * len(hidden) + x_grad)
+        params = ad.make_parameters(ad.GruParams.shapes("g", 3, 4, 3), rng, np.float64,
+                                    stacks=ad.GruParams.stacks("g"))
+        p = ad.GruParams.of(params, "g", stride)
+        hshape = (4, -(-9 // stride), -(-7 // stride))
+        x = ad.Tensor(rng.standard_normal((3, 9, 7)), requires_grad=x_grad)
+        h = ad.Tensor(np.zeros(hshape) if hidden == "zero" else rng.standard_normal(hshape),
+                      requires_grad=hidden == "grad")
+        weights = ad.Tensor(rng.standard_normal(hshape))
+        leaves = [x, h] + [q.tensor for q in params.values()]
+
+        def run(cell):
+            for leaf in leaves:
+                leaf.grad = None
+            with ad.Tape() as tape:
+                out = cell(x, h, p)
+                records = len(tape)
+                loss = ad.mean(ad.mul(out, weights))
+            ad.backward(loss, tape)
+            return out.data, [leaf.grad for leaf in leaves], records
+
+        got, got_grads, records = run(ad.conv_gru_cell)
+        want, want_grads, _ = run(conv_gru_cell_composed)
+        assert records == 1
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(want_grads) == 11
+        # a zero state leaves the h-side kernels off the record: their
+        # gradient there is exactly zero
+        off_record = [p.whu.tensor, p.whr.tensor, p.whc.tensor] if hidden == "zero" else []
+        for leaf, a, b in zip(leaves, got_grads, want_grads):
+            if not leaf.requires_grad:
+                assert a is None and b is None
+                continue
+            if any(leaf is q for q in off_record):
+                assert a is None and not b.any()
+                continue
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("stride,zero", [(1, False), (2, False), (2, True)])
+    def test_record_holds_inputs_gates_and_reset_hidden_only(self, stride, zero):
+        # besides x, h and the parameter buffers themselves, the record keeps
+        # [u; r; c] and r*h (which is zero, and not kept, for a zero state):
+        # no columns, no kernel copies, no temporaries
+        p, params = gru_params(4, 2, 3, stride=stride)
+        rng = np.random.default_rng(4)
+        x = t(rng.random((2, 12, 10)), requires_grad=True)
+        hshape = (3, 12 // stride, 10 // stride)
+        h = t(np.zeros(hshape) if zero else rng.random(hshape))
+        with ad.Tape() as tape:
+            ad.conv_gru_cell(x, h, p)
+        (_, _, vjps), = tape.records
+        owned = {id(a) for a in (x.data, h.data, p.wx, p.wh, p.whc.value)}
+        other = [a.nbytes for i, a in closure_arrays(vjps).items() if i not in owned]
+        assert sorted(other) == ([] if zero else [h.data.nbytes]) + [3 * h.data.nbytes]
+
+    def test_gate_writes_land_in_the_stacked_buffers(self):
+        p, params = gru_params(3, 2, 3)
+        p.wxr.value = np.full((3, 2, 3, 3), 0.25)
+        p.whr.value = np.full((3, 3, 3, 3), -0.5)
+        p.bc.value = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(p.wx[3:6], 0.25)
+        np.testing.assert_array_equal(p.wh[3:6], -0.5)
+        np.testing.assert_array_equal(p.b[6:], [1.0, 2.0, 3.0])
+        before = p.wx.copy()
+        for q in params:
+            q.grad = np.ones_like(q.value)
+        trainer.Adam(params, lr=0.01).step()
+        np.testing.assert_allclose(p.wx, before - 0.01, rtol=1e-5)
+        for stack, names in ((p.wx, ("wxu", "wxr", "wxc")), (p.b, ("bu", "br", "bc")),
+                             (p.wh, ("whu", "whr"))):
+            want = np.concatenate([getattr(p, n).value for n in names])
+            np.testing.assert_array_equal(stack, want)
+
+    def test_unstacked_gate_parameters_rejected(self):
+        params = ad.make_parameters(ad.GruParams.shapes("g", 2, 3, 3), 0)
+        with pytest.raises(ad.ShapeError, match="stacked buffer"):
+            ad.GruParams.of(params, "g")
 
 
 class TestDepthToSpace:

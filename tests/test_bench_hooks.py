@@ -41,3 +41,22 @@ def test_tracer_counts_the_tape_of_one_training_step():
     assert records > 0
     assert tracer.counts["tape_records"] == records
     assert tracer.counts["backward_calls"] == 1
+
+
+def test_tracer_times_every_gru_layer_forward_and_backward():
+    # the codec.*.gru* metrics need conv_gru_cell as the patched entry point
+    # and each layer's wxu tensor as its naming key
+    layout = codec.CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4), bottleneck=4)
+    x = np.random.default_rng(0).random((3, 32, 32), dtype=np.float32)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        params = codec.CodecParams(layout, seed=1)
+        with autodiff.Tape() as tape:
+            loss, _ = trainer.step_loss(x, 2, params, losses.LossConfig(alpha=0.0),
+                                        rng=np.random.default_rng(1))
+        autodiff.backward(loss, tape)
+    times = tracing.summarize(tracer.spans)
+    layers = [f"codec.enc.gru{i}" for i in (1, 2, 3)] + [f"codec.dec.gru{i}" for i in (1, 2, 3, 4)]
+    for name in layers:
+        assert times["calls"][name] == 2, name  # one span per unrolled iteration
+        assert times["fwd"][name] > 0 and times["bwd"][name] > 0, name

@@ -229,6 +229,18 @@ class TestLoadParams:
             for p, q in zip(loaded.parameters(), params.parameters()):
                 np.testing.assert_array_equal(p.value, q.value)
 
+    def test_load_fills_the_gru_stacked_buffers(self, tmp_path):
+        layout = CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4), bottleneck=4)
+        saved = CodecParams(layout, seed=2)
+        saved.save(tmp_path / "m.ckpt")
+        loaded = CodecParams.load(tmp_path / "m.ckpt")
+        for gru, ref in zip(loaded.enc_grus + loaded.dec_grus, saved.enc_grus + saved.dec_grus):
+            for stack, names in ((gru.wx, ("wxu", "wxr", "wxc")), (gru.b, ("bu", "br", "bc")),
+                                 (gru.wh, ("whu", "whr"))):
+                want = np.concatenate([getattr(ref, n).value for n in names])
+                np.testing.assert_array_equal(stack, want)
+                assert all(getattr(gru, n).value.base is stack for n in names)
+
     def test_load_holds_no_gradient_buffers(self, tmp_path):
         # the file's arrays are copied once into the parameters; a gradient
         # buffer is allocated only when training first touches it
