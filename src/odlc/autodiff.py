@@ -1,7 +1,14 @@
 """Reverse-mode automatic differentiation over CHW numpy arrays.
 
-The op set is deliberately small: exactly what a recurrent convolutional
-codec, an MS-SSIM loss and a VGG-style classifier need. Every op records
+The op set is deliberately small. A recurrent convolutional codec, its
+losses and a VGG-style classifier need conv2d with same padding, the fused
+conv_gru_cell, depth_to_space, tanh, relu, add, sub, scale, square, mean,
+avg_pool2, global_avg_pool, channel_affine, dense and cross_entropy_logits.
+sigmoid, mul, add_const and conv2d's valid padding have no caller in the
+package beyond `gradcheck`: they remain for the composed reference graphs
+the tests check the fused ops against. An op with its own VJP may live
+outside this module and record itself through `record_op`:
+`losses.ms_ssim` is one such op, for the whole MS-SSIM pyramid. Every op records
 onto an explicit Tape; backward replays the tape in reverse execution
 order, visiting each record exactly once. Forward passes without an
 active tape run in inference mode and record nothing.
@@ -35,8 +42,8 @@ import numpy as np
 __all__ = [
     "Tensor", "Parameter", "Tape", "ShapeError", "TapeError", "backward", "record_op",
     "conv2d", "conv_gru_cell", "GruParams", "depth_to_space",
-    "tanh", "sigmoid", "relu", "add", "sub", "mul", "div", "scale", "add_const",
-    "square", "pow_const", "clamp_min", "mean", "avg_pool2", "global_avg_pool",
+    "tanh", "sigmoid", "relu", "add", "sub", "mul", "scale", "add_const",
+    "square", "mean", "avg_pool2", "global_avg_pool",
     "dense", "channel_affine", "cross_entropy_logits", "xavier_uniform",
     "conv_shapes", "make_parameters",
 ]
@@ -471,25 +478,6 @@ def add_const(x: Tensor, c: float) -> Tensor:
                   lambda xd, yd: lambda g: g)
 
 
-def pow_const(x: Tensor, p: float) -> Tensor:
-    """x**p for a constant exponent; callers guard the domain (x > 0 for
-    fractional p)."""
-    p = float(p)
-    out = Tensor(np.power(x.data, np.asarray(p, dtype=x.dtype)))
-    xd = x.data
-
-    def vjp(g):
-        return g * (p * np.power(xd, np.asarray(p - 1.0, dtype=xd.dtype)))
-
-    return record_op(out, (x,), (vjp,))
-
-
-def clamp_min(x: Tensor, m: float) -> Tensor:
-    """max(x, m); subgradient passes only where x > m."""
-    m = float(m)
-    return _unary(x, lambda xd: np.maximum(xd, m), lambda xd, yd: lambda g: g * (xd > m))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "add")
     out = Tensor(a.data + b.data)
@@ -507,13 +495,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
     ad, bd = a.data, b.data
     return record_op(out, (a, b), (lambda g: g * bd, lambda g: g * ad))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same(a, b, "div")
-    out = Tensor(a.data / b.data)
-    ad, bd = a.data, b.data
-    return record_op(out, (a, b), (lambda g: g / bd, lambda g: -g * ad / (bd * bd)))
 
 
 def mean(x: Tensor) -> Tensor:

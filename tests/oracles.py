@@ -2,10 +2,11 @@
 
 Everything here evaluates the defining formulas with plain numpy
 (sliding windows, explicit loops), sharing no code path with the
-package's autodiff-based implementations. The one exception is
-`conv_gru_cell_composed`, which builds the GRU step from autodiff's
-primitive ops, themselves checked against the direct oracles here and
-by `odlc gradcheck`, to judge the fused cell.
+package's autodiff-based implementations. The two exceptions are
+`conv_gru_cell_composed` and `ms_ssim_composed`, which build the GRU step
+and MS-SSIM from autodiff's primitive ops (themselves checked against
+the direct oracles here and by `odlc gradcheck`) to judge the fused ops'
+gradients.
 """
 
 import numpy as np
@@ -50,6 +51,9 @@ def gaussian_window_direct(window, sigma):
 
 
 def luma_direct(img):
+    """BT.601 luma of a 3-channel image; a 1-channel image is its own luma."""
+    if img.shape[0] == 1:
+        return img[0]
     return 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
 
 
@@ -147,3 +151,56 @@ def conv_gru_cell_composed(x, h, p):
     c = ad.tanh(ad.add(ad.conv2d(x, p.wxc.tensor, p.bc.tensor, stride=s),
                        ad.conv2d(ad.mul(r, h), p.whc.tensor)))
     return ad.add(ad.sub(h, ad.mul(u, h)), ad.mul(u, c))
+
+
+def _div(a, b):
+    out = ad.Tensor(a.data / b.data)
+    num, den = a.data, b.data
+    return ad.record_op(out, (a, b), (lambda g: g / den, lambda g: -g * num / (den * den)))
+
+
+def _pow_const(x, p):
+    xd = x.data
+    out = ad.Tensor(np.power(xd, p))
+    return ad.record_op(out, (x,), (lambda g: g * (p * np.power(xd, p - 1.0)),))
+
+
+def _clamp_min(x, m):
+    xd = x.data
+    return ad.record_op(ad.Tensor(np.maximum(xd, m)), (x,), (lambda g: g * (xd > m),))
+
+
+def _ssim_composed(x, y, window, c1, c2):
+    """(mean cs map, mean full SSIM map) of two 1xHxW tensors."""
+    mu_x = ad.conv2d(x, window, padding="valid")
+    mu_y = ad.conv2d(y, window, padding="valid")
+    mxx, myy, mxy = ad.mul(mu_x, mu_x), ad.mul(mu_y, mu_y), ad.mul(mu_x, mu_y)
+    sxx = ad.sub(ad.conv2d(ad.mul(x, x), window, padding="valid"), mxx)
+    syy = ad.sub(ad.conv2d(ad.mul(y, y), window, padding="valid"), myy)
+    sxy = ad.sub(ad.conv2d(ad.mul(x, y), window, padding="valid"), mxy)
+    lum = _div(ad.add_const(ad.scale(mxy, 2.0), c1), ad.add_const(ad.add(mxx, myy), c1))
+    cs = _div(ad.add_const(ad.scale(sxy, 2.0), c2), ad.add_const(ad.add(sxx, syy), c2))
+    return ad.mean(cs), ad.mean(ad.mul(lum, cs))
+
+
+def ms_ssim_composed(x, y, scales, window=11, sigma=1.5, k1=0.01, k2=0.03,
+                     data_range=1.0, floor=1e-6):
+    """MS-SSIM of two CHW tensors (1 or 3 channels) from primitive ops: luma
+    by a 1x1 convolution, the Gaussian window as an 11x11 `conv2d`, 2x2
+    average pooling between scales, and max(term, floor)^weight factors
+    multiplied in scale order, all in the tensors' dtype."""
+    dt = x.dtype
+    win = ad.Tensor(gaussian_window_direct(window, sigma).astype(dt).reshape(1, 1, window, window))
+    if x.shape[0] == 3:
+        luma = ad.Tensor(np.array([0.299, 0.587, 0.114], dtype=dt).reshape(1, 3, 1, 1))
+        x, y = ad.conv2d(x, luma), ad.conv2d(y, luma)
+    product = None
+    for s, w in enumerate(msssim_weights_direct(scales)):
+        cs_mean, ssim_mean = _ssim_composed(x, y, win, (k1 * data_range) ** 2,
+                                            (k2 * data_range) ** 2)
+        term = ssim_mean if s == scales - 1 else cs_mean
+        factor = _pow_const(_clamp_min(term, floor), float(w))
+        product = factor if product is None else ad.mul(product, factor)
+        if s != scales - 1:
+            x, y = ad.avg_pool2(x), ad.avg_pool2(y)
+    return product

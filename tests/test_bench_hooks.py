@@ -60,3 +60,21 @@ def test_tracer_times_every_gru_layer_forward_and_backward():
     for name in layers:
         assert times["calls"][name] == 2, name  # one span per unrolled iteration
         assert times["fwd"][name] > 0 and times["bwd"][name] > 0, name
+
+
+def test_tracer_times_ms_ssim_forward_and_backward():
+    # losses.ms_ssim.{fwd,bwd}_s need human_distortion to call ms_ssim through
+    # the module attribute, and the fused op to record through
+    # autodiff.record_op, whose VJPs the tracer times
+    layout = codec.CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4), bottleneck=4)
+    params = codec.CodecParams(layout, seed=1)
+    x = np.random.default_rng(0).random((3, 32, 32), dtype=np.float32)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        with autodiff.Tape() as tape:
+            loss, _ = trainer.step_loss(x, 2, params, losses.LossConfig(alpha=0.0),
+                                        rng=np.random.default_rng(1))
+        autodiff.backward(loss, tape)
+    times = tracing.summarize(tracer.spans)
+    assert times["calls"]["losses.ms_ssim"] == 2  # one per unrolled iteration
+    assert times["fwd"]["losses.ms_ssim"] > 0 and times["bwd"]["losses.ms_ssim"] > 0

@@ -6,7 +6,9 @@ import pytest
 from odlc import autodiff as ad
 from odlc import gradcheck, losses
 from odlc.lossnet import ClassifierLayout, ClassifierParams
-from oracles import feature_loss_direct, msssim_direct, ssim_maps_direct, luma_direct
+from oracles import (feature_loss_direct, gaussian_window_direct, luma_direct,
+                     ms_ssim_composed, msssim_direct, ssim_maps_direct)
+from test_autodiff import closure_arrays
 
 
 def img(seed, h=32, w=32, dtype=np.float32):
@@ -125,6 +127,154 @@ class TestHumanDistortion:
         err = gradcheck.check_gradients(lambda: losses.human_distortion(x, y), [y],
                                         dtype=np.float32, sample=80, seed=3)
         assert err < 1e-3
+
+
+def input_grads(loss, x, y):
+    """(value, dloss/dx, dloss/dy) of loss(x, y) on float64 copies of x and y."""
+    xt, yt = ad.Tensor(x.copy(), requires_grad=True), ad.Tensor(y.copy(), requires_grad=True)
+    with ad.Tape() as tape:
+        out = loss(xt, yt)
+    ad.backward(out, tape)
+    return out.item(), xt.grad, yt.grad
+
+
+def max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def composed(complement):
+    """The composed graph of `ms_ssim` (``complement``: of `human_distortion`)."""
+    def loss(x, y):
+        product = ms_ssim_composed(x, y, len(losses._pyramid_weights(min(x.shape[1:]))))
+        return ad.add_const(ad.scale(product, -1.0), 1.0) if complement else product
+    return loss
+
+
+def shared_and_opposed(shape, shared, opposed, seed=3):
+    """x and y share a smooth sinusoid and carry a white-noise part of
+    opposite sign: the noise sets the finest scale, the sinusoid the
+    coarse ones."""
+    _, h, w = shape
+    i, j = np.mgrid[0:h, 0:w]
+    s = np.sin(2 * np.pi * i / 40) * np.cos(2 * np.pi * j / 50)
+    n = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    return 0.5 + opposed * n + shared * s, 0.5 - opposed * n + shared * s
+
+
+class TestWindow:
+    """The tiled banded-matrix window against the direct 11x11 filter."""
+
+    # one tile, a full tile plus a remainder, three tiles with a remainder
+    @pytest.mark.parametrize("hw", [(30, 21), (losses._TILE + 17, 50), (3 * losses._TILE + 5, 141)])
+    def test_matches_direct_filter(self, hw):
+        m = np.random.default_rng(40).random((2,) + hw)
+        view = np.lib.stride_tricks.sliding_window_view(m, (11, 11), axis=(1, 2))
+        want = np.tensordot(view, gaussian_window_direct(11, 1.5), axes=([3, 4], [0, 1]))
+        np.testing.assert_allclose(losses._window(m), want, rtol=0, atol=1e-15)
+
+    def test_adjoint(self):
+        rng = np.random.default_rng(41)
+        a = rng.random((2, 2 * losses._TILE + 15, 97))
+        d = rng.standard_normal((2, a.shape[1] - 10, a.shape[2] - 10))
+        lhs, rhs = np.vdot(losses._window(a), d), np.vdot(a, losses._window_adjoint(d))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+class TestFusedMsSsim:
+    """The one-record MS-SSIM op, in float64, against the direct oracle
+    (values) and the composed graph of primitive ops (gradients)."""
+
+    # 3 and 2 scales, 1 and 3 channels, odd sides whose last row or column
+    # no pooling reads; 4 scales whose finest spans three tiles of the
+    # window on each axis
+    SHAPES = [(3, 64, 64), (1, 45, 38), (3, 47, 44), (1, 23, 22), (1, 150, 141)]
+
+    @staticmethod
+    def pair(shape, seed=30):
+        rng = np.random.default_rng(seed)
+        x = rng.random(shape)
+        return x, np.clip(x + 0.2 * rng.standard_normal(shape), 0.0, 1.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_value_matches_direct_oracle(self, shape):
+        x, y = self.pair(shape)
+        want = msssim_direct(x, y, len(losses._pyramid_weights(min(shape[1:]))))
+        assert abs(losses.ms_ssim(x, y).item() - want) < 1e-12
+        assert abs(losses.human_distortion(x, y).item() - (1.0 - want)) < 1e-12
+
+    @pytest.mark.parametrize("complement", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradients_match_composed_graph(self, shape, complement):
+        x, y = self.pair(shape)
+        value, gx, gy = input_grads(lambda a, b: losses.ms_ssim(a, b, complement=complement), x, y)
+        want, wx, wy = input_grads(composed(complement), x, y)
+        assert abs(value - want) < 1e-12
+        assert max_rel(gx, wx) < 1e-10 and max_rel(gy, wy) < 1e-10
+
+    def test_term_below_floor_at_one_scale_passes_no_gradient_there(self):
+        # opposed noise drives the finest cs mean below zero; the shared
+        # sinusoid keeps the two coarser terms well above the floor
+        x, y = shared_and_opposed((1, 64, 64), shared=0.3, opposed=0.2)
+        cs_map, _ = ssim_maps_direct(luma_direct(x), luma_direct(y))
+        assert cs_map.mean() < losses._TERM_FLOOR
+        value, gx, gy = input_grads(losses.ms_ssim, x, y)
+        want, wx, wy = input_grads(composed(False), x, y)
+        assert abs(value - want) < 1e-12
+        assert np.abs(gy).max() > 0
+        assert max_rel(gx, wx) < 1e-10 and max_rel(gy, wy) < 1e-10
+
+    def test_every_term_below_floor_gives_zero_gradient(self):
+        x = np.random.default_rng(31).random((3, 47, 44))
+        y = 1.0 - x  # cs = -1 + O(C2) at every scale
+        value, gx, gy = input_grads(losses.ms_ssim, x, y)
+        assert value == pytest.approx(losses._TERM_FLOOR, rel=1e-12)  # floor^(sum of weights)
+        _, wx, wy = input_grads(composed(False), x, y)
+        for g in (gx, gy, wx, wy):
+            np.testing.assert_array_equal(g, 0.0)
+
+    def test_one_record_per_call(self):
+        x = img(32, 64, 64)
+        y = ad.Tensor(img(33, 64, 64), requires_grad=True)
+        with ad.Tape() as tape:
+            losses.human_distortion(x, y)
+        assert len(tape) <= 3
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_record_holds_nothing_larger_than_a_scale_map(self, channels):
+        # the VJP reads each scale's luma images (the largest: H x W float64)
+        # and its window-sized statistics; never the stacked [x, y, x^2, y^2,
+        # xy] maps or their filtered stack
+        x = img(34, 64, 48)[:channels]
+        y = ad.Tensor(img(35, 64, 48)[:channels], requires_grad=True)
+        with ad.Tape() as tape:
+            losses.ms_ssim(x, y)
+        (_, inputs, vjps), = tape.records
+        held = [a for a in closure_arrays(vjps).values() if a is not y.data]
+        assert held and max(a.nbytes for a in held) <= 64 * 48 * 8
+
+    def test_dtypes_must_agree(self):
+        with pytest.raises(losses.LossError, match="dtypes differ"):
+            losses.ms_ssim(img(0, 32, 32), img(1, 32, 32, np.float64))
+
+    def test_channel_count_checked(self):
+        with pytest.raises(losses.LossError, match="1- or 3-channel"):
+            losses.ms_ssim(img(0, 32, 32)[:2], img(1, 32, 32)[:2])
+
+
+class TestHumanDistortionPrecision:
+    """float32 d_H near convergence, relative to the float64 oracle on the
+    same float32 inputs: a smooth 64 px sinusoid image and one noise draw."""
+
+    @pytest.mark.parametrize("sd", [0.03, 0.01, 0.003, 0.001])
+    def test_relative_error_below_1e_5(self, sd):
+        i, j = np.mgrid[0:64, 0:64]
+        x = np.stack([0.5 + 0.3 * np.sin(2 * np.pi * (i / 37 + j / 53) + c) for c in range(3)])
+        y = x + sd * np.random.default_rng(7).standard_normal(x.shape)
+        x, y = x.astype(np.float32), y.astype(np.float32)
+        want = 1.0 - msssim_direct(x, y, 3)
+        got = losses.human_distortion(x, y)
+        assert got.dtype == np.float32
+        assert abs(got.item() - want) <= 1e-5 * want
 
 
 @pytest.fixture(scope="module")
