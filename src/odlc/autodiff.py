@@ -21,13 +21,17 @@ verification.
 Memory contract: a VJP closure holds only what its backward rule reads
 (operands, the op's output, small reductions), never scratch buffers. The
 convolution's column matrix (k*k times its input) lives only inside one
-forward call or one VJP call. The fused GRU cell is one record that holds
-x, h, its gates u, r, c and r*h, and rebuilds its columns in backward;
-the gradients its first VJP computes for all its inputs belong to that
-record. A record, with the activations its closures hold, and the gradient
-of its output live until backward replays that record; then both are
-dropped, so a backward pass releases the forward's memory as it walks back
-instead of adding a gradient per activation.
+forward call or one VJP call. The fused GRU cell's three forward products
+(the x-path and both hidden-path ones) build it in bands of output rows of
+at most BAND_BYTES each; plain conv2d's forward and every column build in
+backward (conv2d's kernel VJP, the cell's kernel gradients) still build
+the whole matrix. The fused GRU cell is one record that holds x, h, its
+gates u, r, c and r*h, and rebuilds its columns in backward; the gradients
+its first VJP computes for all its inputs belong to that record. A record,
+with the activations its closures hold, and the gradient of its output
+live until backward replays that record; then both are dropped, so a
+backward pass releases the forward's memory as it walks back instead of
+adding a gradient per activation.
 """
 
 from __future__ import annotations
@@ -315,25 +319,70 @@ def _phase_buffer(c: int, k: int, s: int, ho: int, wq: int, dtype):
     return buf, buf[..., : rows * wq].reshape(m, m, c, rows, wq)
 
 
-def _conv_columns(xd: np.ndarray, k: int, s: int, ho: int, wq: int, links) -> np.ndarray:
-    """Column matrix (C*k*k, ho*wq) of the zero-padded input.
-
-    Each phase grid is flattened, so tap (i, j) reads one contiguous window
-    of ho*wq elements of phase (i % s, j % s), and the taps of one phase
-    form one strided view. Grid columns wo..wq-1 of every row are
-    spill-over that the caller discards.
-    """
-    c, dt, n = xd.shape[0], xd.dtype, ho * wq
-    buf, grids = _phase_buffer(c, k, s, ho, wq, dt)
-    m, length, it = buf.shape[0], buf.shape[3], dt.itemsize
-    cols = np.empty((c, k, k, n), dtype=dt)
-    for p, q, grid, xs in links:
+def _phase_split(xd: np.ndarray, k: int, s: int, ho: int, wq: int, links) -> np.ndarray:
+    """The zero-padded input as flat phase grids (m, m, C, L), see
+    `_conv_geometry`."""
+    buf, grids = _phase_buffer(xd.shape[0], k, s, ho, wq, xd.dtype)
+    for _, _, grid, xs in links:
         if xs is not None:
             grids[grid] = xd[xs]
-        taps = np.ndarray((c, len(range(p, k, s)), len(range(q, k, s)), n), dt, buf,
-                          (p * m + q) * c * length * it, (length * it, wq * it, it, it))
-        cols[:, p::s, q::s] = taps
+    return buf
+
+
+def _columns(buf: np.ndarray, k: int, s: int, wq: int, r0: int, r1: int) -> np.ndarray:
+    """Column matrix (C*k*k, (r1-r0)*wq) of output rows r0..r1-1, read from
+    the phase grids of `_phase_split`.
+
+    Each phase grid is flat, so tap (i, j) reads one contiguous window of
+    the rows' (r1-r0)*wq elements of phase (i % s, j % s), and the taps of
+    one phase form one strided view. Grid columns wo..wq-1 of every row are
+    spill-over that the caller discards.
+    """
+    m, _, c, length = buf.shape
+    dt, n = buf.dtype, (r1 - r0) * wq
+    it = dt.itemsize
+    cols = np.empty((c, k, k, n), dtype=dt)
+    for p in range(m):
+        for q in range(m):
+            taps = np.ndarray((c, len(range(p, k, s)), len(range(q, k, s)), n), dt, buf,
+                              ((p * m + q) * c * length + r0 * wq) * it,
+                              (length * it, wq * it, it, it))
+            cols[:, p::s, q::s] = taps
     return cols.reshape(c * k * k, n)
+
+
+def _conv_columns(xd: np.ndarray, k: int, s: int, ho: int, wq: int, links) -> np.ndarray:
+    """Column matrix (C*k*k, ho*wq) of the zero-padded input, all rows."""
+    return _columns(_phase_split(xd, k, s, ho, wq, links), k, s, wq, 0, ho)
+
+
+# Most bytes of columns that one band of `_banded_product` builds.
+BAND_BYTES = 2 << 20
+
+
+def _banded_product(kern: np.ndarray, xd: np.ndarray, k: int, s: int, ho: int, wq: int,
+                    links) -> np.ndarray:
+    """kern @ _conv_columns(xd, ...) as (C_out, ho*wq), building the columns
+    one band of output rows at a time, each band at most BAND_BYTES (one row
+    at least). Each band's GEMM writes its own columns of the result and
+    sums over the same C*k*k products as the whole product does. In
+    float32 the result is bit-identical to the whole product on the
+    OpenBLAS sgemm kernels it was checked on; in float64 the GEMM's
+    column-tail kernel can sum a band's last few columns in another order,
+    which moves them by an ulp.
+
+    Columns that fit in one band are built whole, as `_conv_columns` does,
+    which frees the phase grids before the result is allocated.
+    """
+    rows = max(1, BAND_BYTES // (kern.shape[1] * wq * xd.dtype.itemsize))
+    if rows >= ho:
+        return kern @ _conv_columns(xd, k, s, ho, wq, links)
+    buf = _phase_split(xd, k, s, ho, wq, links)
+    out = np.empty((kern.shape[0], ho * wq), dtype=xd.dtype)
+    for r0 in range(0, ho, rows):
+        r1 = min(ho, r0 + rows)
+        np.matmul(kern, _columns(buf, k, s, wq, r0, r1), out=out[:, r0 * wq : r1 * wq])
+    return out
 
 
 def _col2im(dcols: np.ndarray, shape: tuple, k: int, s: int, ho: int, wq: int,
@@ -442,14 +491,19 @@ def tanh(x: Tensor) -> Tensor:
 def _sigmoid_into(xd: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = 1/(1+exp(-x)); ``out`` may be ``xd`` itself. With t =
     exp(-|x|)/(1+exp(-|x|)), which never overflows, it is 1-t where x >= 0
-    and t elsewhere."""
+    and t elsewhere, selected as (1-t)*m + t*(1-m) with m = (x >= 0) as 0
+    or 1: one term is exactly zero and the other exact, and no loop
+    branches on the sign, which a masked ufunc does per element."""
     t = np.abs(xd)
     np.negative(t, out=t)
     np.exp(t, out=t)
     t /= 1.0 + t
-    nonneg = xd >= 0
-    np.copyto(out, t)
-    np.subtract(1.0, t, out=out, where=nonneg)
+    m = (xd >= 0).astype(xd.dtype)
+    np.subtract(1.0, t, out=out)
+    out *= m
+    np.subtract(1.0, m, out=m)
+    t *= m
+    out += t
     return out
 
 
@@ -732,10 +786,10 @@ def conv_gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
 
     def hidden_conv(kern, a):
         """kern * a for a stride-1 conv of a hidden-sized a, cropped."""
-        wide = kern @ _conv_columns(a, k, 1, ho, wqh, links_h)
+        wide = _banded_product(kern, a, k, 1, ho, wqh, links_h)
         return wide.reshape(-1, ho, wqh)[:, :, :wo]
 
-    wide = (kx @ _conv_columns(xd, k, s, ho, wq, links)).reshape(n3, ho, wq)
+    wide = _banded_product(kx, xd, k, s, ho, wq, links).reshape(n3, ho, wq)
     gates = np.add(wide[:, :, :wo], p.b[:, None, None])
     del wide
     zero_state = not h.requires_grad and not hd.any()

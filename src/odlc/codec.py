@@ -15,10 +15,11 @@ The loop, `progressive_from_normalized`, is a Python generator of
 (x_hat_t, codes_t) that keeps nothing: each caller keeps what it reads.
 It checks the iteration count and runs in the normalized domain. Every
 encode (compress, the evaluation traces, training) enters through
-`normalized_input`, the one check of an image (3xHxW, within the header's
-u16 fields and MAX_PADDED_PIXELS), which pads bottom/right to multiples
-of 16 (reflect); images leave through `unit_image` (denormalized, cropped
-to the true dims, which travel in the bitstream header, and clamped).
+`normalized_input`, the one check of an image (3xHxW, finite, within the
+header's u16 fields and MAX_PADDED_PIXELS), which pads bottom/right to
+multiples of 16 (reflect); images leave through `unit_image`
+(denormalized, cropped to the true dims, which travel in the bitstream
+header, and clamped).
 """
 
 from __future__ import annotations
@@ -36,12 +37,15 @@ from . import checkpoint as ckpt
 DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 
 # Cap on ceil16(H) * ceil16(W), checked before they allocate by
-# normalized_input, for every encode, and by decompress. Decoding peaks at
-# ~590 bytes per padded pixel and encoding at ~665 from T = 2 on, and
-# neither grows with T beyond that (T = 1, whose hidden states are zero,
-# peaks ~95 lower; default layout, float32, tracemalloc at 64 and 256 px,
-# T = 1, 2, 8), so 2^22 pixels (2048 x 2048, ~10x a 768 x 512 Kodak image)
-# bound either at ~2.8 GB.
+# normalized_input, for every encode, and by decompress. From 256 px up,
+# encoding peaks at ~560 bytes per padded pixel and decoding at ~487 from
+# T = 2 on, and neither grows with T; at T = 1, whose hidden states are
+# zero, plain conv2d's whole column matrices set the peaks, ~536 and ~472
+# (default layout, float32, tracemalloc at 256 px, T = 1, 2, 8, and at
+# 512 px, T = 1, 2). Small images read more per pixel, since the GRU cells'
+# column bands of at most BAND_BYTES then hold the whole matrix (64 px,
+# T >= 2: ~664 and ~589). So 2^22 pixels (2048 x 2048, ~10x a 768 x 512
+# Kodak image) bound either at ~2.4 GB.
 MAX_PADDED_PIXELS = 1 << 22
 
 
@@ -152,8 +156,9 @@ class ReconstructionTrace:
 
 
 def normalized_input(x01: np.ndarray, params: CodecParams) -> Tensor:
-    """The loop's input: a [0,1] 3xHxW image, checked against the header's
-    u16 fields and MAX_PADDED_PIXELS, then padded, normalized and cast."""
+    """The loop's input: a [0,1] 3xHxW image of finite pixels, checked
+    against the header's u16 fields and MAX_PADDED_PIXELS, then padded,
+    normalized and cast."""
     shape = np.shape(x01)
     if len(shape) != 3 or shape[0] != 3:
         raise CodecError(f"image must be 3xHxW, got {shape}")
@@ -163,6 +168,9 @@ def normalized_input(x01: np.ndarray, params: CodecParams) -> Tensor:
     if ceil16(h) * ceil16(w) > MAX_PADDED_PIXELS:
         raise CodecError(f"{h}x{w} pads to {ceil16(h) * ceil16(w)} pixels, "
                          f"over the decoder's cap of {MAX_PADDED_PIXELS}")
+    bad = np.count_nonzero(~np.isfinite(x01))
+    if bad:
+        raise CodecError(f"image has {bad} non-finite pixel values (NaN or inf)")
     xp = imageops.pad_to_multiple(x01, DOWNSAMPLE)
     return Tensor(imageops.normalize(xp, params.norm_mean, params.norm_std).astype(params.dtype))
 
@@ -183,7 +191,7 @@ def binarize(z: Tensor, rng: np.random.Generator | None = None) -> Tensor:
     straight-through identity either way.
     """
     zd = z.data
-    if np.abs(zd).max(initial=0.0) > 1.0:
+    if not np.abs(zd).max(initial=0.0) <= 1.0:  # NaN fails this too
         worst = zd.reshape(-1)[np.abs(zd).reshape(-1).argmax()]
         raise CodecError(f"binarize: activation {worst} outside [-1, 1]")
     if rng is None:

@@ -40,7 +40,8 @@ class NonFiniteGradientError(TrainError):
 
 
 class TrainingDiverged(TrainError):
-    """Loss went non-finite; the last good checkpoint was kept."""
+    """Loss or a training image went non-finite; the last good checkpoint
+    was kept."""
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,8 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
 
     Returns (CodecParams, train log rows, val log rows). Emits checkpoints
     and CSV logs under out_dir when given. Raises TrainingDiverged (after
-    writing the last good checkpoint) if the loss goes non-finite.
+    writing the last good checkpoint) if the loss goes non-finite, or a
+    training image does, which the codec's input check would refuse.
     """
     if loss_cfg.alpha > 0.0 and lossnet is None:
         raise TrainError("alpha > 0 needs a frozen loss network")
@@ -270,6 +272,9 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
 
     def image_loss(epoch, i):
         crop = augment_geometry(train_set.image(i), "train", _rng(cfg.seed, 2, epoch, i), cfg)
+        if not np.isfinite(crop).all():
+            raise TrainingDiverged(f"training image {i} has non-finite pixels at step "
+                                   f"{len(log) + 1}")
         loss, info = step_loss(imageops.pad_to_multiple(crop, 16), cfg.unroll_steps, params,
                                loss_cfg, lossnet=lossnet, rng=_rng(cfg.seed, 3, epoch, i))
         return loss, (info["d_h"], info["d_c"])

@@ -261,6 +261,61 @@ class TestConvGru:
             ad.GruParams.of(params, "g")
 
 
+class TestBandedProduct:
+    """The cell's forward products build their columns in row bands of at
+    most BAND_BYTES; in float32 that is the whole product, bit for bit."""
+
+    @staticmethod
+    def products(c_in, c_out, h, w, stride, seed):
+        rng = np.random.default_rng(seed)
+        xd = rng.standard_normal((c_in, h, w)).astype(np.float32)
+        kern = rng.standard_normal((c_out, c_in * 9)).astype(np.float32)
+        ho, _, wq, links = ad._conv_geometry(h, w, 3, stride, "same")
+        rows = ad.BAND_BYTES // (c_in * 9 * wq * 4)
+        whole = kern @ ad._conv_columns(xd, 3, stride, ho, wq, links)
+        banded = ad._banded_product(kern, xd, 3, stride, ho, wq, links)
+        return whole.view(np.uint32), banded.view(np.uint32), ho, rows
+
+    # dec.gru4 of the default layout at 256 px, all at 128x128: the x-path
+    # (16 -> 3*32), the h-path (32 -> 2*32) and the candidate (32 -> 32)
+    @pytest.mark.parametrize("c_in,c_out", [(16, 96), (32, 64), (32, 32)])
+    def test_dec_gru4_at_256px(self, c_in, c_out):
+        whole, banded, ho, rows = self.products(c_in, c_out, 128, 128, 1, c_in + c_out)
+        assert 1 <= rows < ho
+        np.testing.assert_array_equal(banded, whole)
+
+    @pytest.mark.parametrize("h,stride", [(100, 1), (203, 2)])
+    def test_short_last_band(self, h, stride):
+        whole, banded, ho, rows = self.products(32, 64, h, 72, stride, h)
+        assert 1 <= rows < ho and ho % rows != 0
+        np.testing.assert_array_equal(banded, whole)
+
+    def test_taped_cell_matches_whole_columns(self, monkeypatch):
+        # at 64x64 both paths of a 16 -> 32 cell need 2 or more bands
+        p, params = gru_params(7, 16, 32)
+        rng = np.random.default_rng(7)
+        x = t(rng.standard_normal((16, 64, 64)).astype(np.float32), requires_grad=True)
+        h = t(rng.standard_normal((32, 64, 64)).astype(np.float32), requires_grad=True)
+        weights = t(rng.standard_normal((32, 64, 64)).astype(np.float32))
+        leaves = [x, h] + [q.tensor for q in params]
+        assert ad.BAND_BYTES // (32 * 9 * 66 * 4) < 64
+
+        def run():
+            for leaf in leaves:
+                leaf.grad = None
+            with ad.Tape() as tape:
+                out = ad.conv_gru_cell(x, h, p)
+                loss = ad.mean(ad.mul(out, weights))
+            ad.backward(loss, tape)
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        banded = run()
+        monkeypatch.setattr(ad, "BAND_BYTES", 1 << 40)  # one band: the whole matrix
+        whole = run()
+        for a, b in zip(banded, whole):
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 class TestDepthToSpace:
     def test_r1_identity(self):
         x = t(np.random.default_rng(0).random((3, 4, 5)))

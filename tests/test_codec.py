@@ -36,6 +36,10 @@ class TestBinarize:
         with pytest.raises(codec.CodecError, match="outside"):
             codec.binarize(ad.Tensor(np.array([1.2], dtype=np.float32)))
 
+    def test_nan_rejected(self):
+        with pytest.raises(codec.CodecError, match="activation nan outside"):
+            codec.binarize(ad.Tensor(np.array([0.5, np.nan, -0.5], dtype=np.float32)))
+
     @pytest.mark.parametrize("z,seed", [(0.0, 11), (0.5, 12), (-0.5, 13)])
     def test_stochastic_unbiased(self, z, seed):
         n = 10_000
@@ -119,6 +123,14 @@ class TestDoor:
                 entry(x, params)
             messages[name] = str(err.value)
         assert len(set(messages.values())) == 1, messages
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_every_encode_entry_rejects_non_finite_pixels(self, value, params):
+        x = image(6)
+        x[1, 5, 7] = value
+        for entry in self.ENTRIES.values():
+            with pytest.raises(codec.CodecError, match="1 non-finite pixel values"):
+                entry(x, params)
 
     def test_small_image_padded_empty_rejected(self, params):
         # below 16x16 an image is padded to one code cell, not refused
@@ -282,6 +294,24 @@ class TestCompressDecompress:
             finally:
                 tracemalloc.stop()
         assert peak(8) <= 1.02 * peak(2)
+
+    def test_peak_bytes_per_pixel_256px(self):
+        # from T = 2 on the cells' hidden-path products run; built from whole
+        # column matrices rather than bands, they peaked at ~643 and ~567
+        p = codec.CodecParams(codec.CodecLayout(), seed=3)
+        x = image(0, 256, 256)
+        bs = codec.compress(x, 2, p)
+        codec.decompress(bs, p)  # first-call allocations stay out of the peaks
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1] / (256 * 256)
+            finally:
+                tracemalloc.stop()
+        assert peak(codec.compress, x, 2, p) <= 600
+        assert peak(codec.decompress, bs, p) <= 500
 
     def test_decoder_state_alone(self, params):
         state = codec.CodecState.zeros(params, 32, 64, encoder=False)
