@@ -12,8 +12,7 @@ from . import autodiff, bitstream, codec, datasets, evaluation, gradcheck  # noq
 from . import imageops, losses, lossnet, ppm, trainer  # noqa: F401
 from .autodiff import Parameter, Tape, Tensor, backward  # noqa: F401
 from .codec import (  # noqa: F401
-    CodecLayout, CodecParams, binarize, codec_step, compress, decompress,
-    reconstruct_progressive,
+    CodecLayout, CodecParams, binarize, compress, decompress, reconstruct_progressive,
 )
 from .losses import (  # noqa: F401
     LossConfig, feature_distortion, human_distortion, ms_ssim, observer_distortion,

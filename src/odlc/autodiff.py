@@ -4,14 +4,14 @@ The op set is deliberately small. A recurrent convolutional codec, its
 losses and a VGG-style classifier need conv2d with same padding, the fused
 conv_gru_cell, depth_to_space, tanh, relu, add, sub, scale, square, mean,
 avg_pool2, global_avg_pool, channel_affine, dense and cross_entropy_logits.
-sigmoid, mul, add_const and conv2d's valid padding have no caller in the
-package beyond `gradcheck`: they remain for the composed reference graphs
-the tests check the fused ops against. An op with its own VJP may live
-outside this module and record itself through `record_op`:
-`losses.ms_ssim` is one such op, for the whole MS-SSIM pyramid. Every op records
-onto an explicit Tape; backward replays the tape in reverse execution
-order, visiting each record exactly once. Forward passes without an
-active tape run in inference mode and record nothing.
+conv2d's valid padding has no caller in the package beyond `gradcheck`:
+it remains for the composed reference graphs the tests check the fused
+ops against. An op with its own VJP may live outside this module and
+record itself through `record_op`: `losses.ms_ssim` is one such op, for
+the whole MS-SSIM pyramid. Every op records onto an explicit Tape;
+backward replays the tape in reverse execution order, visiting each
+record exactly once. Forward passes without an active tape run in
+inference mode and record nothing.
 
 Convolution here means cross-correlation (no kernel flip), the CNN
 convention. Same-padding pads with zeros and produces ceil(H/stride)
@@ -46,7 +46,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Parameter", "Tape", "ShapeError", "TapeError", "backward", "record_op",
     "conv2d", "conv_gru_cell", "GruParams", "depth_to_space",
-    "tanh", "sigmoid", "relu", "add", "sub", "mul", "scale", "add_const",
+    "tanh", "relu", "add", "sub", "scale",
     "square", "mean", "avg_pool2", "global_avg_pool",
     "dense", "channel_affine", "cross_entropy_logits", "xavier_uniform",
     "conv_shapes", "make_parameters",
@@ -507,11 +507,6 @@ def _sigmoid_into(xd: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return _unary(x, lambda xd: _sigmoid_into(xd, np.empty_like(xd)),
-                  lambda xd, yd: lambda g: g * yd * (1.0 - yd))
-
-
 def relu(x: Tensor) -> Tensor:
     return _unary(x, lambda xd: np.maximum(xd, 0), lambda xd, yd: lambda g: g * (xd > 0))
 
@@ -526,12 +521,6 @@ def scale(x: Tensor, s: float) -> Tensor:
                   lambda xd, yd: lambda g: g * np.asarray(s, dtype=g.dtype))
 
 
-def add_const(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _unary(x, lambda xd: xd + np.asarray(c, dtype=xd.dtype),
-                  lambda xd, yd: lambda g: g)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "add")
     out = Tensor(a.data + b.data)
@@ -542,13 +531,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "sub")
     out = Tensor(a.data - b.data)
     return record_op(out, (a, b), (lambda g: g, lambda g: -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    ad, bd = a.data, b.data
-    return record_op(out, (a, b), (lambda g: g * bd, lambda g: g * ad))
 
 
 def mean(x: Tensor) -> Tensor:

