@@ -16,7 +16,10 @@ inference mode and record nothing.
 Convolution here means cross-correlation (no kernel flip), the CNN
 convention. Same-padding pads with zeros and produces ceil(H/stride)
 outputs. float32 is the working precision; float64 exists for gradient
-verification.
+verification. 2x2 pooling, its adjoint and depth_to_space work on the r*r
+strided phase views a[:, dy::r, dx::r] (`_phases`), one op or copy per
+phase, not on 5-d reshapes, whose reductions and transposes numpy runs
+several times slower.
 
 Memory contract: a VJP closure holds only what its backward rule reads
 (operands, the op's output, small reductions), never scratch buffers. The
@@ -545,20 +548,40 @@ def mean(x: Tensor) -> Tensor:
     return record_op(out, (x,), (vjp,))
 
 
+def _phases(a: np.ndarray, r: int, ho: int, wo: int) -> list:
+    """The r*r strided views a[:, dy::r, dx::r] of a CHW array, each cut to
+    ho x wo, in (dy, dx) row-major order."""
+    return [a[:, dy : r * ho : r, dx : r * wo : r] for dy in range(r) for dx in range(r)]
+
+
 def avg_pool2(x: Tensor) -> Tensor:
     """2x2 average pooling with stride 2 on a CHW tensor; a trailing odd
-    row/column is dropped."""
+    row/column is dropped.
+
+    Each output is ((a00 + a01) + (a10 + a11)) / 4 over its block's four
+    pixels, a_ij at row offset i and column offset j. That is the order
+    numpy's ``mean(axis=(2, 4))`` of the (c, h/2, 2, w/2, 2) view uses on a
+    C-contiguous input whose pooled map is at least 2x2, so there the two
+    agree bit for bit; on a 1x1 pooled map numpy sums the block in
+    sequence, and the last bit can differ.
+    """
     c, h, w = x.shape
     ho, wo = h // 2, w // 2
     if ho < 1 or wo < 1:
         raise ShapeError(f"avg_pool2: spatial dims {h}x{w} too small")
-    v = x.data[:, : 2 * ho, : 2 * wo].reshape(c, ho, 2, wo, 2)
-    out = Tensor(v.mean(axis=(2, 4)))
+    a00, a01, a10, a11 = _phases(x.data, 2, ho, wo)
+    out_data = np.add(a00, a01)
+    out_data += a10 + a11
+    out_data /= 4
+    out = Tensor(out_data)
 
     def vjp(g):
-        dx = np.zeros((c, h, w), dtype=g.dtype)
-        spread = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * np.asarray(0.25, dtype=g.dtype)
-        dx[:, : 2 * ho, : 2 * wo] = spread
+        dx = np.empty((c, h, w), dtype=g.dtype)
+        q = g / 4
+        for phase in _phases(dx, 2, ho, wo):
+            phase[...] = q
+        dx[:, 2 * ho :] = 0
+        dx[:, :, 2 * wo :] = 0
         return dx
 
     return record_op(out, (x,), (vjp,))
@@ -635,8 +658,11 @@ def depth_to_space(x: Tensor, r: int) -> Tensor:
     if c % (r * r) != 0:
         raise ShapeError(f"depth_to_space: channel count {c} not divisible by r^2 = {r * r}")
     co = c // (r * r)
-    out_data = x.data.reshape(co, r, r, h, w).transpose(0, 3, 1, 4, 2).reshape(co, h * r, w * r)
-    out = Tensor(np.ascontiguousarray(out_data))
+    out_data = np.empty((co, h * r, w * r), dtype=x.dtype)
+    src = x.data.reshape(co, r * r, h, w)
+    for i, phase in enumerate(_phases(out_data, r, h, w)):
+        phase[...] = src[:, i]
+    out = Tensor(out_data)
 
     def vjp(g):
         return _s2d_data(g, r)
@@ -645,6 +671,9 @@ def depth_to_space(x: Tensor, r: int) -> Tensor:
 
 
 def _s2d_data(arr: np.ndarray, r: int) -> np.ndarray:
+    """The inverse of depth_to_space, as one transposed copy: its innermost
+    axis reads with stride r, which numpy copies as fast as r*r phase
+    copies or faster."""
     c, h, w = arr.shape
     ho, wo = h // r, w // r
     out = arr.reshape(c, ho, r, wo, r).transpose(0, 2, 4, 1, 3).reshape(c * r * r, ho, wo)
@@ -777,9 +806,8 @@ def conv_gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
     zero_state = not h.requires_grad and not hd.any()
     if not zero_state:
         gates[: 2 * ch] += hidden_conv(kh, hd)
+    _sigmoid_into(gates[: 2 * ch], gates[: 2 * ch])
     u, r, c = gates[:ch], gates[ch : 2 * ch], gates[2 * ch :]
-    _sigmoid_into(u, u)
-    _sigmoid_into(r, r)
     if zero_state:
         rh = None
     else:

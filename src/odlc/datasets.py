@@ -111,6 +111,10 @@ def render_shape_image(seed: int, split: str, index: int, classes: int = 10,
             color[c] = np.clip(local_mean + np.sign(color[c] - local_mean + 1e-6) * 0.35, 0.0, 1.0)
 
     img2x = bg * (1.0 - mask) + color[:, None, None] * mask
+    # numpy's mean, not avg_pool2's pair sums: from 128 px up, img2x takes
+    # its non-C-contiguous layout from resize_bilinear's bg, so numpy sums
+    # each 2x2 block in sequence, and pair sums would move those images by
+    # an ulp (64 px images would not move)
     img = img2x.reshape(3, resolution, 2, resolution, 2).mean(axis=(2, 4))
     return np.clip(img, 0.0, 1.0).astype(np.float32), label
 

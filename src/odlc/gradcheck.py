@@ -166,6 +166,10 @@ def op_cases(rng: np.random.Generator, dtype) -> list:
         ym = ad.Tensor(0.5 * xm.data + 0.5 * rng.uniform(0.0, 1.0, shape).astype(dtype))
         case(name, [xm, ym], functools.partial(loss, xm, ym), sample=200)
 
+    # drawn last so that every case above keeps its draws
+    po = _t(rng, (3, 7, 5), dtype)
+    case("avg_pool2/odd", [po], lambda: ad.mean(ad.square(ad.avg_pool2(po))))
+
     return cases
 
 

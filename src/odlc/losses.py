@@ -153,8 +153,13 @@ def _unpool(g: np.ndarray, shape: tuple) -> np.ndarray:
     coarse gradient on each pixel of its 2x2 block, zero on a dropped
     row/column."""
     h, w = g.shape
-    d = np.zeros(shape)
-    d[: 2 * h, : 2 * w].reshape(h, 2, w, 2)[...] = (0.25 * g)[:, None, :, None]
+    d = np.empty(shape)
+    q = 0.25 * g
+    for dy in (0, 1):
+        for dx in (0, 1):
+            d[dy : 2 * h : 2, dx : 2 * w : 2] = q
+    d[2 * h :] = 0.0
+    d[:, 2 * w :] = 0.0
     return d
 
 

@@ -316,6 +316,60 @@ class TestBandedProduct:
             np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
+def pool_input(shape, dtype, seed=0):
+    """Values over many binades, so that sums taken in another order round
+    differently."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(shape) * np.exp(rng.uniform(-6.0, 6.0, shape))).astype(dtype)
+
+
+def reused_garbage(shape, dtype):
+    """Free a NaN-filled array of ``shape``, so that the next allocation of
+    that size is likely to get its memory back, not fresh zero pages."""
+    junk = np.full(shape, np.nan, dtype=dtype)
+    del junk
+
+
+class TestAvgPool2:
+    # the lossnet's relu outputs at 56 px and 64 px, then odd sides
+    SHAPES = [(16, 56, 56), (32, 28, 28), (64, 14, 14), (96, 7, 7),
+              (16, 64, 64), (32, 32, 32), (64, 16, 16), (96, 8, 8), (3, 7, 5), (3, 5, 7)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_bit_equal_to_numpy_mean(self, shape, dtype):
+        data = pool_input(shape, dtype)
+        c, h, w = shape
+        ho, wo = h // 2, w // 2
+        want = data[:, : 2 * ho, : 2 * wo].reshape(c, ho, 2, wo, 2).mean(axis=(2, 4))
+        got = ad.avg_pool2(ad.Tensor(data)).data
+        assert got.dtype == dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (3, 5, 7), (2, 6, 9), (4, 8, 8)])
+    def test_vjp_bit_equal_to_repeat_form(self, shape, dtype):
+        c, h, w = shape
+        ho, wo = h // 2, w // 2
+        x = ad.Tensor(pool_input(shape, dtype), requires_grad=True)
+        with ad.Tape() as tape:
+            ad.avg_pool2(x)
+        (_, _, (vjp,)), = tape.records
+        g = pool_input((c, ho, wo), dtype, seed=1)
+        want = np.zeros(shape, dtype=dtype)
+        want[:, : 2 * ho, : 2 * wo] = (np.repeat(np.repeat(g, 2, axis=1), 2, axis=2)
+                                       * np.asarray(0.25, dtype=dtype))
+        reused_garbage(shape, dtype)
+        got = vjp(g)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("shape", [(3, 1, 5), (3, 5, 1), (2, 1, 1)])
+    def test_below_2x2_rejected(self, shape):
+        with pytest.raises(ad.ShapeError, match="too small"):
+            ad.avg_pool2(t(np.zeros(shape)))
+
+
 class TestDepthToSpace:
     def test_r1_identity(self):
         x = t(np.random.default_rng(0).random((3, 4, 5)))
@@ -340,6 +394,21 @@ class TestDepthToSpace:
         x = t(data)
         rt = ad._s2d_data(ad.depth_to_space(x, r).data, r)
         np.testing.assert_array_equal(rt, data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_bit_equal_to_transpose_forms(self, r, dtype):
+        co, h, w = 3, 4, 7
+        data = pool_input((co * r * r, h, w), dtype)
+        want = data.reshape(co, r, r, h, w).transpose(0, 3, 1, 4, 2).reshape(co, h * r, w * r)
+        got = ad.depth_to_space(ad.Tensor(data), r).data
+        assert got.dtype == dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+        fine = pool_input((co, h * r, w * r), dtype, seed=1)
+        want = fine.reshape(co, h, r, w, r).transpose(0, 2, 4, 1, 3).reshape(co * r * r, h, w)
+        got = ad._s2d_data(fine, r)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
     def test_non_divisible_channels_rejected(self):
         with pytest.raises(ad.ShapeError, match="not divisible"):

@@ -8,7 +8,7 @@ from odlc import gradcheck, losses
 from odlc.lossnet import ClassifierLayout, ClassifierParams
 from oracles import (add_const, feature_loss_direct, gaussian_window_direct, luma_direct,
                      ms_ssim_composed, msssim_direct, ssim_maps_direct)
-from test_autodiff import closure_arrays
+from test_autodiff import closure_arrays, pool_input, reused_garbage
 
 
 def img(seed, h=32, w=32, dtype=np.float32):
@@ -42,6 +42,19 @@ class TestPyramid:
     def test_scale_reduction_renormalizes(self):
         w = losses._pyramid_weights(56)
         assert len(w) == 3 and abs(sum(w) - 1.0) < 1e-9
+
+
+class TestUnpool:
+    @pytest.mark.parametrize("coarse,shape", [((5, 6), (11, 13)), ((4, 3), (9, 7)),
+                                              ((3, 7), (7, 14)), ((6, 2), (12, 5))])
+    def test_bit_equal_to_broadcast_form(self, coarse, shape):
+        h, w = coarse
+        g = pool_input(coarse, np.float64)
+        want = np.zeros(shape)
+        want[: 2 * h, : 2 * w].reshape(h, 2, w, 2)[...] = (0.25 * g)[:, None, :, None]
+        reused_garbage(shape, np.float64)
+        got = losses._unpool(g, shape)
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestSsimScale:
