@@ -28,6 +28,17 @@ class DatasetError(ValueError):
     pass
 
 
+# the largest image side: codec.MAX_PADDED_PIXELS is 2048 * 2048, so the
+# codec takes no larger image; at the cap the render's largest buffer (the
+# float64 noise at 2x) is 400 MB
+_MAX_RESOLUTION = 2048
+
+
+def _check_resolution(resolution: int):
+    if not 1 <= resolution <= _MAX_RESOLUTION:
+        raise DatasetError(f"resolution must be in 1..{_MAX_RESOLUTION}, got {resolution}")
+
+
 def _rot(yy, xx, theta):
     c, s = np.cos(theta), np.sin(theta)
     return c * yy - s * xx, s * yy + c * xx
@@ -39,9 +50,9 @@ def _shape_mask(cls: int, res: int, rng: np.random.Generator) -> np.ndarray:
     cy = n * (0.5 + rng.uniform(-0.12, 0.12))
     cx = n * (0.5 + rng.uniform(-0.12, 0.12))
     r = n * rng.uniform(0.18, 0.30)
-    yy, xx = np.mgrid[0:n, 0:n].astype(np.float64)
-    yy -= cy
-    xx -= cx
+    # open grids: (n, 1) and (1, n); the class formulas broadcast them
+    yy = np.arange(n, dtype=np.float64)[:, None] - cy
+    xx = np.arange(n, dtype=np.float64)[None, :] - cx
     small = rng.uniform(-0.18, 0.18)  # near-axis jitter for oriented classes
     free = rng.uniform(0.0, 2 * np.pi)
 
@@ -94,6 +105,7 @@ def render_shape_image(seed: int, split: str, index: int, classes: int = 10,
         raise DatasetError(f"unknown split {split!r}; known: {sorted(_SPLIT_TAGS)}")
     if not 2 <= classes <= len(CLASS_NAMES):
         raise DatasetError(f"classes must be in 2..{len(CLASS_NAMES)}, got {classes}")
+    _check_resolution(resolution)
     label = index % classes
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_TAGS[split], index)))
 
@@ -102,21 +114,37 @@ def render_shape_image(seed: int, split: str, index: int, classes: int = 10,
     bg = imageops.resize_bilinear(grid, resolution * 2, resolution * 2)
     bg += rng.normal(0.0, 0.015, size=bg.shape).astype(np.float32)
 
-    mask = _shape_mask(label, resolution, rng).astype(np.float32)
-    local_mean = float(bg.mean())
+    mask = _shape_mask(label, resolution, rng)
+    # bg's values summed in (x, y, c) memory order, the layout of the old
+    # four-gather resize's output, which numpy's pairwise sum followed; one
+    # 2-d transpose per channel is faster than one 3-d transpose
+    xyc = np.empty(bg.shape[::-1], dtype=np.float32)
+    for c in range(3):
+        xyc[:, :, c] = bg[c].T
+    local_mean = float(xyc.mean())
     color = rng.uniform(0.05, 0.95, size=3).astype(np.float32)
     # push the fill color away from the background so shapes stay visible
     for c in range(3):
         if abs(color[c] - local_mean) < 0.25:
             color[c] = np.clip(local_mean + np.sign(color[c] - local_mean + 1e-6) * 0.35, 0.0, 1.0)
 
-    img2x = bg * (1.0 - mask) + color[:, None, None] * mask
-    # numpy's mean, not avg_pool2's pair sums: from 128 px up, img2x takes
-    # its non-C-contiguous layout from resize_bilinear's bg, so numpy sums
-    # each 2x2 block in sequence, and pair sums would move those images by
-    # an ulp (64 px images would not move)
-    img = img2x.reshape(3, resolution, 2, resolution, 2).mean(axis=(2, 4))
-    return np.clip(img, 0.0, 1.0).astype(np.float32), label
+    # bg*(1-m) + color*m with m in {0, 1} is exactly bg or color
+    np.copyto(bg, color[:, None, None], where=mask)
+    # the 2x2 block means in the order the old 5-d numpy mean summed them:
+    # (a00 + a01) + (a10 + a11) at 2..73 px; in sequence at 1 px (a 1x1
+    # map) and from 74 px up, where the old blended image (48 * res^2 >=
+    # 2^18 bytes, numpy's temporary-elision size) kept the channel-innermost
+    # layout of the old resize
+    a00, a01 = bg[:, 0::2, 0::2], bg[:, 0::2, 1::2]
+    a10, a11 = bg[:, 1::2, 0::2], bg[:, 1::2, 1::2]
+    img = a00 + a01
+    if 2 <= resolution < 74:
+        img += a10 + a11
+    else:
+        img += a10
+        img += a11
+    img *= 0.25
+    return np.clip(img, 0.0, 1.0, out=img), label
 
 
 @dataclass(frozen=True)
@@ -126,6 +154,9 @@ class ShapesSpec:
     size: int = 2000
     classes: int = 10
     resolution: int = 64
+
+    def __post_init__(self):
+        _check_resolution(self.resolution)
 
 
 class ShapesDataset:

@@ -26,7 +26,16 @@ def resize_smallest_side(img: np.ndarray, target: int) -> np.ndarray:
 
 
 def resize_bilinear(img: np.ndarray, nh: int, nw: int) -> np.ndarray:
-    """Half-pixel-center bilinear resample of a CHW image."""
+    """Half-pixel-center bilinear resample of a CHW image to nh x nw.
+
+    Separable: each source row is interpolated along x once, then the
+    output rows blend two of those rows. Every output value is the same
+    float expression of the same four neighbours as in the four-gather
+    form (top = a*(1-wx) + b*wx, bot likewise, top*(1-wy) + bot*wy), so
+    the two are bit-equal. The result is C-contiguous float32.
+    """
+    if nh < 1 or nw < 1:
+        raise ValueError(f"resize_bilinear: target {nh}x{nw} must be at least 1x1")
     c, h, w = img.shape
     ys = (np.arange(nh, dtype=np.float64) + 0.5) * (h / nh) - 0.5
     xs = (np.arange(nw, dtype=np.float64) + 0.5) * (w / nw) - 0.5
@@ -34,11 +43,14 @@ def resize_bilinear(img: np.ndarray, nh: int, nw: int) -> np.ndarray:
     x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0).astype(np.float32)
+    wy = np.clip(ys - y0, 0.0, 1.0).astype(np.float32)[:, None]
     wx = np.clip(xs - x0, 0.0, 1.0).astype(np.float32)
-    top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
-    bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
-    return (top * (1 - wy)[None, :, None] + bot * wy[None, :, None]).astype(np.float32)
+    rows = np.take(img, x0, axis=2) * (1 - wx)
+    rows += np.take(img, x1, axis=2) * wx
+    out = np.take(rows, y0, axis=1)
+    out *= 1 - wy
+    out += np.take(rows, y1, axis=1) * wy
+    return out.astype(np.float32, copy=False)
 
 
 def center_crop(img: np.ndarray, size: int) -> np.ndarray:

@@ -16,7 +16,8 @@ alpha in {0, 0.5, 1}; the checkpoints of 3-step train_codec runs; an
 eval_quality_curve on an unsorted grid with a repeated level; the
 ablate_layers rows of two tap sets; and two classifiers trained through
 `odlc train-classifier`, one on images whose smallest side equals the
-desk resize side and one on images that are resized first.
+desk resize side and one on images that are resized first; and rendered
+shape images at 1, 73, 74, 128 and 256 px.
 
 BLAS is pinned to one thread before numpy is imported, and the first
 line of output says so: threaded GEMM sums in another order, which moves
@@ -41,7 +42,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # imported after the thread pin
 
 from odlc import autodiff as ad
-from odlc import bitstream, cli, codec, evaluation, losses, trainer
+from odlc import bitstream, cli, codec, datasets, evaluation, losses, trainer
 from odlc.codec import CodecLayout, CodecParams
 from odlc.datasets import ShapesDataset, ShapesSpec
 from odlc.lossnet import ClassifierLayout, ClassifierParams
@@ -195,6 +196,15 @@ def lock_trained_classifiers(tmp):
         emit(file_sha(out), f"train-classifier {data} epochs=2 batch=4 seed=4")
 
 
+def lock_rendered_images():
+    for res in (1, 73, 74, 128, 256):
+        digest = hashlib.sha256()
+        for i in range(10):
+            img, _ = datasets.render_shape_image(0, "train", i, 10, res)
+            digest.update(img.tobytes())
+        emit(digest.hexdigest(), f"render_shape_image seed=0 split=train {res}px images 0..9")
+
+
 def main() -> int:
     print(f"blas_threads={BLAS_THREADS} (OPENBLAS, OMP and MKL_NUM_THREADS)", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -212,6 +222,7 @@ def main() -> int:
         lock_eval_csvs(tmp)
         lock_protocols(net)
         lock_trained_classifiers(tmp)
+    lock_rendered_images()
     return 0
 
 

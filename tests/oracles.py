@@ -9,11 +9,18 @@ the direct oracles here and by `odlc gradcheck`) to judge the fused ops'
 gradients. The elementwise ops they need and the package no longer runs
 (sigmoid, mul, add_const, and the private division, power and clamp) are
 local `record_op` closures here.
+
+The shape renderer's reference (`render_shape_image_reference` with its
+`shape_mask_reference` and `resize_bilinear_gather`) is the renderer as it
+was before its separable resize, masked fill and phase-view means: a
+verbatim copy, up to names, that the package's renderer must match bit for
+bit.
 """
 
 import numpy as np
 
 from odlc import autodiff as ad
+from odlc.datasets import _SPLIT_TAGS, CLASS_NAMES, DatasetError
 
 
 def conv2d_direct(x, kernel, bias, stride=1, padding="same"):
@@ -220,3 +227,105 @@ def ms_ssim_composed(x, y, scales, window=11, sigma=1.5, k1=0.01, k2=0.03,
         if s != scales - 1:
             x, y = ad.avg_pool2(x), ad.avg_pool2(y)
     return product
+
+
+def resize_bilinear_gather(img, nh, nw):
+    """Half-pixel-center bilinear resample of a CHW image (four gathers)."""
+    c, h, w = img.shape
+    ys = (np.arange(nh, dtype=np.float64) + 0.5) * (h / nh) - 0.5
+    xs = (np.arange(nw, dtype=np.float64) + 0.5) * (w / nw) - 0.5
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0).astype(np.float32)
+    wx = np.clip(xs - x0, 0.0, 1.0).astype(np.float32)
+    top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
+    bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
+    return (top * (1 - wy)[None, :, None] + bot * wy[None, :, None]).astype(np.float32)
+
+
+def _rot(yy, xx, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return c * yy - s * xx, s * yy + c * xx
+
+
+def shape_mask_reference(cls, res, rng):
+    """Boolean mask at 2x resolution (downsampled later for soft edges)."""
+    n = res * 2
+    cy = n * (0.5 + rng.uniform(-0.12, 0.12))
+    cx = n * (0.5 + rng.uniform(-0.12, 0.12))
+    r = n * rng.uniform(0.18, 0.30)
+    yy, xx = np.mgrid[0:n, 0:n].astype(np.float64)
+    yy -= cy
+    xx -= cx
+    small = rng.uniform(-0.18, 0.18)  # near-axis jitter for oriented classes
+    free = rng.uniform(0.0, 2 * np.pi)
+
+    if cls == 0:  # disk
+        return yy * yy + xx * xx <= r * r
+    if cls == 1:  # ring
+        d2 = yy * yy + xx * xx
+        return (d2 <= r * r) & (d2 >= (0.55 * r) ** 2)
+    if cls == 2:  # square
+        ry, rx = _rot(yy, xx, small)
+        return np.maximum(np.abs(ry), np.abs(rx)) <= 0.85 * r
+    if cls == 3:  # triangle
+        ry, rx = _rot(yy, xx, free)
+        # equilateral: inside three half-planes
+        a = ry <= 0.5 * r
+        b = (-0.5 * ry + 0.8660254 * rx) <= 0.5 * r
+        c = (-0.5 * ry - 0.8660254 * rx) <= 0.5 * r
+        return a & b & c
+    if cls == 4:  # plus
+        ry, rx = _rot(yy, xx, small)
+        bar = 0.33 * r
+        return ((np.abs(ry) <= bar) & (np.abs(rx) <= r)) | ((np.abs(rx) <= bar) & (np.abs(ry) <= r))
+    if cls == 5:  # four-point star
+        ry, rx = _rot(yy, xx, small)
+        phi = np.arctan2(ry, rx)
+        rad = np.sqrt(ry * ry + rx * rx)
+        return rad <= r * (0.35 + 0.65 * np.abs(np.cos(2 * phi)))
+    if cls == 6:  # two parallel stripes
+        ry, rx = _rot(yy, xx, small)
+        bar = 0.22 * r
+        return (np.abs(rx) <= r) & ((np.abs(ry - 0.55 * r) <= bar) | (np.abs(ry + 0.55 * r) <= bar))
+    if cls == 7:  # ellipse
+        ry, rx = _rot(yy, xx, free)
+        return (ry / (0.45 * r)) ** 2 + (rx / r) ** 2 <= 1.0
+    if cls == 8:  # 2x2 checker inside a square
+        ry, rx = _rot(yy, xx, small)
+        inside = np.maximum(np.abs(ry), np.abs(rx)) <= 0.9 * r
+        return inside & ((ry >= 0) ^ (rx >= 0))
+    if cls == 9:  # corner (square minus one quadrant)
+        ry, rx = _rot(yy, xx, small)
+        sq = np.maximum(np.abs(ry), np.abs(rx)) <= 0.9 * r
+        return sq & ~((ry < 0) & (rx > 0))
+    raise DatasetError(f"no shape class {cls}")
+
+
+def render_shape_image_reference(seed, split, index, classes=10, resolution=64):
+    """Deterministic (image, label) pair; image is float32 CHW in [0,1]."""
+    if split not in _SPLIT_TAGS:
+        raise DatasetError(f"unknown split {split!r}; known: {sorted(_SPLIT_TAGS)}")
+    if not 2 <= classes <= len(CLASS_NAMES):
+        raise DatasetError(f"classes must be in 2..{len(CLASS_NAMES)}, got {classes}")
+    label = index % classes
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_TAGS[split], index)))
+
+    # smooth colored texture: coarse grid, bilinear blowup, mild noise
+    grid = rng.uniform(0.15, 0.85, size=(3, 5, 5)).astype(np.float32)
+    bg = resize_bilinear_gather(grid, resolution * 2, resolution * 2)
+    bg += rng.normal(0.0, 0.015, size=bg.shape).astype(np.float32)
+
+    mask = shape_mask_reference(label, resolution, rng).astype(np.float32)
+    local_mean = float(bg.mean())
+    color = rng.uniform(0.05, 0.95, size=3).astype(np.float32)
+    # push the fill color away from the background so shapes stay visible
+    for c in range(3):
+        if abs(color[c] - local_mean) < 0.25:
+            color[c] = np.clip(local_mean + np.sign(color[c] - local_mean + 1e-6) * 0.35, 0.0, 1.0)
+
+    img2x = bg * (1.0 - mask) + color[:, None, None] * mask
+    img = img2x.reshape(3, resolution, 2, resolution, 2).mean(axis=(2, 4))
+    return np.clip(img, 0.0, 1.0).astype(np.float32), label

@@ -1,12 +1,13 @@
 import argparse
 import os
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from odlc import bitstream, checkpoint, cli, configio, ppm, trainer
+from odlc import bitstream, checkpoint, cli, configio, datasets, ppm, trainer
 from odlc.codec import CodecLayout, CodecParams, compress
 from odlc.losses import LossConfig
 from odlc.lossnet import ClassifierLayout, ClassifierParams
@@ -269,6 +270,26 @@ class TestGenData:
         assert (out / "labels.txt").exists()
         assert (out / "manifest.txt").exists()
         assert len(list(out.glob("*.ppm"))) == 6
+
+    @pytest.mark.parametrize("res", ["0", "-3", "100000"])
+    def test_resolution_out_of_range_exits_1_before_rendering(self, res, tmp_path, capsys,
+                                                              monkeypatch):
+        def render(*args):
+            raise AssertionError("rendered an image")
+
+        monkeypatch.setattr(datasets, "render_shape_image", render)
+        tracemalloc.start()
+        try:
+            rc = run("gen-data", "--out", str(tmp_path / "data"), "--n", "2", "--res", res,
+                     "--seed", "0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"odlc gen-data: resolution must be in 1..2048, got {res}\n"
+        assert peak < 1 << 20
+        assert not (tmp_path / "data").exists()
 
 
 class TestRoundTrip:

@@ -3,8 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from odlc import datasets
+from odlc import codec, datasets, imageops
 from odlc.datasets import ShapesDataset, ShapesSpec
+from oracles import render_shape_image_reference, resize_bilinear_gather
+
+# 1 px and 74 px up sum each 2x2 block in sequence, 2..73 px in pairs
+RENDER_RESOLUTIONS = (1, 2, 8, 48, 64, 73, 74, 80, 128, 256)
 
 
 class TestGenerator:
@@ -45,6 +49,51 @@ class TestGenerator:
     def test_unknown_split_rejected(self):
         with pytest.raises(datasets.DatasetError, match="split"):
             datasets.render_shape_image(0, "nope", 0)
+
+    @pytest.mark.parametrize("res", RENDER_RESOLUTIONS)
+    def test_bit_equal_to_the_reference_renderer(self, res):
+        for split in ("train", "val"):
+            for i in range(10):  # every class
+                got, label = datasets.render_shape_image(2, split, i, 10, res)
+                want, want_label = render_shape_image_reference(2, split, i, 10, res)
+                assert label == want_label
+                assert got.dtype == np.float32 and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (split, i)
+
+    @pytest.mark.parametrize("res", [0, -3, 2049])
+    def test_resolution_outside_1_to_2048_rejected(self, res):
+        with pytest.raises(datasets.DatasetError,
+                           match=f"resolution must be in 1..2048, got {res}"):
+            datasets.render_shape_image(0, "train", 0, resolution=res)
+        with pytest.raises(datasets.DatasetError, match="resolution"):
+            ShapesSpec(resolution=res)
+        with pytest.raises(datasets.DatasetError, match="resolution"):
+            datasets.parse_spec(f"shapes:res={res}")
+        assert ShapesSpec(resolution=1).resolution == 1
+        assert ShapesSpec(resolution=2048).resolution == 2048
+
+    def test_resolution_cap_is_the_side_of_the_codec_cap(self):
+        assert datasets._MAX_RESOLUTION ** 2 == codec.MAX_PADDED_PIXELS
+
+
+class TestResizeBilinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,size", [
+        ((3, 5, 5), (96, 96)), ((3, 64, 64), (224, 224)), ((3, 64, 48), (17, 90)),
+        ((3, 100, 37), (64, 64)), ((1, 7, 9), (3, 40)), ((2, 9, 4), (1, 1)),
+    ], ids=["up", "up-large", "down-up", "down", "one-channel", "to-1x1"])
+    def test_bit_equal_to_four_gathers(self, shape, size, dtype):
+        img = np.random.default_rng(3).random(shape).astype(dtype)
+        got = imageops.resize_bilinear(img, *size)
+        want = resize_bilinear_gather(img, *size)
+        assert got.shape == (shape[0], *size)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [(0, 4), (4, 0), (-3, -3)])
+    def test_empty_or_negative_target_rejected(self, size):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            imageops.resize_bilinear(np.zeros((3, 5, 5), np.float32), *size)
 
 
 class TestSpecParsing:
