@@ -17,7 +17,7 @@ Convolution here means cross-correlation (no kernel flip), the CNN
 convention. Same-padding pads with zeros and produces ceil(H/stride)
 outputs. float32 is the working precision; float64 exists for gradient
 verification. 2x2 pooling, its adjoint and depth_to_space work on the r*r
-strided phase views a[:, dy::r, dx::r] (`_phases`), one op or copy per
+strided phase views a[..., dy::r, dx::r] (`_phases`), one op or copy per
 phase, not on 5-d reshapes, whose reductions and transposes numpy runs
 several times slower.
 
@@ -138,13 +138,6 @@ class Parameter:
     @property
     def value(self) -> np.ndarray:
         return self.tensor.data
-
-    @value.setter
-    def value(self, arr: np.ndarray):
-        """Writes in place: the buffer may be a view of shared storage."""
-        if arr.shape != self.tensor.data.shape:
-            raise ShapeError(f"parameter {self.name}: cannot assign shape {arr.shape} over {self.tensor.data.shape}")
-        self.tensor.data[...] = arr
 
     @property
     def grad(self) -> np.ndarray:
@@ -549,9 +542,23 @@ def mean(x: Tensor) -> Tensor:
 
 
 def _phases(a: np.ndarray, r: int, ho: int, wo: int) -> list:
-    """The r*r strided views a[:, dy::r, dx::r] of a CHW array, each cut to
-    ho x wo, in (dy, dx) row-major order."""
-    return [a[:, dy : r * ho : r, dx : r * wo : r] for dy in range(r) for dx in range(r)]
+    """The r*r strided views a[..., dy::r, dx::r] over the last two axes,
+    each cut to ho x wo, in (dy, dx) row-major order."""
+    return [a[..., dy : r * ho : r, dx : r * wo : r] for dy in range(r) for dx in range(r)]
+
+
+def _unpool2(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """The adjoint of 2x2 average pooling over the last two axes, onto an
+    array of ``shape``: a quarter of each coarse gradient on each pixel of
+    its block, zero on a dropped trailing row/column."""
+    ho, wo = g.shape[-2:]
+    d = np.empty(shape, dtype=g.dtype)
+    q = g / 4
+    for phase in _phases(d, 2, ho, wo):
+        phase[...] = q
+    d[..., 2 * ho :, :] = 0
+    d[..., 2 * wo :] = 0
+    return d
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -576,13 +583,7 @@ def avg_pool2(x: Tensor) -> Tensor:
     out = Tensor(out_data)
 
     def vjp(g):
-        dx = np.empty((c, h, w), dtype=g.dtype)
-        q = g / 4
-        for phase in _phases(dx, 2, ho, wo):
-            phase[...] = q
-        dx[:, 2 * ho :] = 0
-        dx[:, :, 2 * wo :] = 0
-        return dx
+        return _unpool2(g, (c, h, w))
 
     return record_op(out, (x,), (vjp,))
 
@@ -716,8 +717,8 @@ class GruParams:
     ``stacks(prefix)``: ``wx`` is [wxu; wxr; wxc] (3C, c_in, k, k), ``b``
     is [bu; br; bc] (3C,) and ``wh`` is [whu; whr] (2C, C, k, k); whc
     stands alone. Each gate Parameter is a view of its rows, and every
-    write to it (``Parameter.value =``, Adam, a checkpoint load) is in
-    place, so the cell reads the stacked buffers and they never go stale.
+    write to it (Adam, a checkpoint load) is in place, so the cell reads
+    the stacked buffers and they never go stale.
     """
 
     wxu: Parameter

@@ -49,7 +49,9 @@ class Meta(dict):
 
 
 def save(path, kind: str, meta: dict, tensors: dict):
-    """tensors: ordered name -> ndarray mapping; stored as float32 LE."""
+    """tensors: ordered name -> ndarray mapping; stored as float32 LE. The
+    file is written beside ``path`` and renamed onto it, so an interrupted
+    save leaves the previous file at ``path`` whole."""
     table = []
     blobs = []
     for name, arr in tensors.items():
@@ -58,11 +60,18 @@ def save(path, kind: str, meta: dict, tensors: dict):
         blobs.append(a.tobytes())
     manifest = json.dumps({"meta": meta, "tensors": table}, sort_keys=True,
                           separators=(",", ":"))
-    with open(path, "wb") as f:
-        f.write(HEADER_PREFIX + kind.encode("ascii") + b"\n")
-        f.write(manifest.encode("utf-8") + b"\n")
-        for b in blobs:
-            f.write(b)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(HEADER_PREFIX + kind.encode("ascii") + b"\n")
+            f.write(manifest.encode("utf-8") + b"\n")
+            for b in blobs:
+                f.write(b)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _tensor_table(path, manifest) -> list:

@@ -34,7 +34,11 @@ class DatasetError(ValueError):
 _MAX_RESOLUTION = 2048
 
 
-def _check_resolution(resolution: int):
+def _check_render_args(split: str, classes: int, resolution: int):
+    if split not in _SPLIT_TAGS:
+        raise DatasetError(f"unknown split {split!r}; known: {sorted(_SPLIT_TAGS)}")
+    if not 2 <= classes <= len(CLASS_NAMES):
+        raise DatasetError(f"classes must be in 2..{len(CLASS_NAMES)}, got {classes}")
     if not 1 <= resolution <= _MAX_RESOLUTION:
         raise DatasetError(f"resolution must be in 1..{_MAX_RESOLUTION}, got {resolution}")
 
@@ -101,11 +105,7 @@ def _shape_mask(cls: int, res: int, rng: np.random.Generator) -> np.ndarray:
 def render_shape_image(seed: int, split: str, index: int, classes: int = 10,
                        resolution: int = 64):
     """Deterministic (image, label) pair; image is float32 CHW in [0,1]."""
-    if split not in _SPLIT_TAGS:
-        raise DatasetError(f"unknown split {split!r}; known: {sorted(_SPLIT_TAGS)}")
-    if not 2 <= classes <= len(CLASS_NAMES):
-        raise DatasetError(f"classes must be in 2..{len(CLASS_NAMES)}, got {classes}")
-    _check_resolution(resolution)
+    _check_render_args(split, classes, resolution)
     label = index % classes
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SPLIT_TAGS[split], index)))
 
@@ -156,7 +156,7 @@ class ShapesSpec:
     resolution: int = 64
 
     def __post_init__(self):
-        _check_resolution(self.resolution)
+        _check_render_args(self.split, self.classes, self.resolution)
 
 
 class ShapesDataset:

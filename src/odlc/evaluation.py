@@ -1,24 +1,18 @@
 """Measurement protocols: rate-quality and rate-accuracy curves, the
 alpha trade-off sweep, and the loss-layer ablation.
 
-The quality parameter of this codec is the iteration count. Codecs are
-either CodecParams or any callable (image, iters) -> (decoded image,
-payload_bits), which keeps stubs trivial to inject in tests. Classifiers
+The quality parameter of this codec is the iteration count. Classifiers
 are never retrained on decoded images anywhere in here.
 
 Every protocol is a reduction over one core, `_decodes`, which gives an
-image's (decoded, payload_bits) at each requested level:
-
-- Prefix rule (CodecParams). The codec is additive and progressive, so
-  x_hat_t of one T-iteration trace is bit for bit the decode of that
-  trace's t-iteration prefix, decompress(compress(image, t)), and the
-  prefix carries t * bits_per_iteration payload bits. Each image is
-  therefore encoded once, to T = max(levels), and every level is read
-  off that trace.
-- Stub rule (callables). A stub is called once per (image, level),
-  through `roundtrip`.
-Every encode checks its image in `codec.normalized_input`, as compress and
-training do, so all three accept the same images.
+image's (decoded, payload_bits) at each requested level by one rule: the
+codec is additive and progressive, so x_hat_t of one T-iteration trace is
+bit for bit the decode of that trace's t-iteration prefix,
+decompress(compress(image, t)), and the prefix carries
+t * bits_per_iteration payload bits. Each image is therefore encoded once,
+to T = max(levels), and every level is read off that trace. Every encode
+checks its image in `codec.normalized_input`, as compress and training do,
+so all three accept the same images.
 """
 
 from __future__ import annotations
@@ -75,21 +69,14 @@ class CurvePoint:
             raise EvalError(f"curve point bpp must be positive, got {self.bpp}")
 
 
-def roundtrip(codec, img: np.ndarray, iters: int):
-    """(decoded, payload_bits) through a real codec or a stub callable."""
-    if isinstance(codec, CodecParams):
-        return _decodes(codec, img, (iters,))[0]
-    out = codec(img, iters)
-    if not (isinstance(out, tuple) and len(out) == 2):
-        raise EvalError("codec stubs must return (decoded image, payload_bits)")
-    return out
+def roundtrip(codec: CodecParams, img: np.ndarray, iters: int):
+    """(decoded, payload_bits) of one image at one level."""
+    return _decodes(codec, img, (iters,))[0]
 
 
-def _decodes(codec, img: np.ndarray, levels) -> list:
-    """[(decoded, payload_bits)] for each level, in the order given: one
-    encode to max(levels) for CodecParams, one stub call per level."""
-    if not isinstance(codec, CodecParams):
-        return [roundtrip(codec, img, t) for t in levels]
+def _decodes(codec: CodecParams, img: np.ndarray, levels) -> list:
+    """[(decoded, payload_bits)] for each level, in the order given, off
+    one encode to max(levels)."""
     trace = reconstruct_progressive(img, max(levels), codec)
     _, h, w = np.shape(img)
     per = BitstreamHeader(width=w, height=h, iterations=max(levels),

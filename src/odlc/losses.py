@@ -148,21 +148,6 @@ def _pool(a: np.ndarray) -> np.ndarray:
     return (rows[:, 0::2] + rows[:, 1::2]) * 0.25
 
 
-def _unpool(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Adjoint of `_pool` onto an image of ``shape``: a quarter of each
-    coarse gradient on each pixel of its 2x2 block, zero on a dropped
-    row/column."""
-    h, w = g.shape
-    d = np.empty(shape)
-    q = 0.25 * g
-    for dy in (0, 1):
-        for dx in (0, 1):
-            d[dy : 2 * h : 2, dx : 2 * w : 2] = q
-    d[2 * h :] = 0.0
-    d[:, 2 * w :] = 0.0
-    return d
-
-
 class _Scale(NamedTuple):
     """One pyramid scale of two luma images, a from x and b from y: its term
     and the maps the VJP reads, each side's indexed by 0 for x, 1 for y.
@@ -253,7 +238,7 @@ def ms_ssim(x, y, *, complement: bool = False) -> Tensor:
             dl = None
             for st, slope in zip(reversed(scales), reversed(slopes)):
                 d = st.grad(k * slope, side) if slope else np.zeros(st.img[side].shape)
-                dl = d if dl is None else d + _unpool(dl, d.shape)
+                dl = d if dl is None else d + ad._unpool2(dl, d.shape)
             if shape[0] == 1:
                 return dl[None].astype(dtype)
             return (np.asarray(LUMA_WEIGHTS)[:, None, None] * dl).astype(dtype)

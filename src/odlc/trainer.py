@@ -64,6 +64,14 @@ class TrainConfig:
             raise TrainError(f"crop {self.crop_size} exceeds resize side {self.resize_side}")
         if self.batch_size < 1 or self.epochs < 1:
             raise TrainError("batch_size and epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise TrainError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
+        if self.crop_size < 1:
+            raise TrainError(f"crop_size must be >= 1, got {self.crop_size}")
+        if self.val_interval < 0:
+            raise TrainError(f"val_interval must be >= 0, got {self.val_interval}")
 
     @staticmethod
     def desk(**overrides) -> "TrainConfig":

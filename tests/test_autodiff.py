@@ -142,7 +142,7 @@ class TestConvGru:
     def _zero_params(self, c_in=2, c_h=3, stride=1):
         p, params = gru_params(0, c_in, c_h, stride=stride)
         for q in params:
-            q.value = np.zeros_like(q.value)
+            q.value[...] = np.zeros_like(q.value)
         return p
 
     def test_all_zero_params_zero_hidden(self):
@@ -155,7 +155,7 @@ class TestConvGru:
     def test_saturated_update_gate_keeps_hidden(self):
         rng = np.random.default_rng(2)
         p, _ = gru_params(rng, 2, 3)
-        p.bu.value = np.full(3, -1000.0, dtype=np.float32)  # force u ~ 0
+        p.bu.value[...] = np.full(3, -1000.0, dtype=np.float32)  # force u ~ 0
         x = t(rng.random((2, 6, 6)))
         h = t(rng.random((3, 6, 6)))
         out = ad.conv_gru_cell(x, h, p)
@@ -239,9 +239,9 @@ class TestConvGru:
 
     def test_gate_writes_land_in_the_stacked_buffers(self):
         p, params = gru_params(3, 2, 3)
-        p.wxr.value = np.full((3, 2, 3, 3), 0.25)
-        p.whr.value = np.full((3, 3, 3, 3), -0.5)
-        p.bc.value = np.array([1.0, 2.0, 3.0])
+        p.wxr.value[...] = np.full((3, 2, 3, 3), 0.25)
+        p.whr.value[...] = np.full((3, 3, 3, 3), -0.5)
+        p.bc.value[...] = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(p.wx[3:6], 0.25)
         np.testing.assert_array_equal(p.wh[3:6], -0.5)
         np.testing.assert_array_equal(p.b[6:], [1.0, 2.0, 3.0])

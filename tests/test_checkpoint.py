@@ -51,6 +51,45 @@ def small_checkpoint(path):
               {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(2)})
 
 
+class TestAtomicSave:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        small_checkpoint(path)
+        before = path.read_bytes()
+
+        class FailsAfterHeader:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.f.write(b)
+
+        monkeypatch.setattr(ckpt, "open", lambda p, mode: FailsAfterHeader(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            ckpt.save(path, "codec", {"t_max": 3}, {"w": np.zeros(4)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert ckpt.load(path, "codec")[1] == {"t_max": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+    def test_save_replaces_the_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        small_checkpoint(path)
+        ckpt.save(path, "codec", {"t_max": 3}, {"w": np.zeros(4)})
+        assert ckpt.load(path, "codec")[1] == {"t_max": 3}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
 class TestGolden:
     @pytest.mark.parametrize("kind,seed", sorted(GOLDEN))
     def test_seeded_checkpoint_bytes(self, kind, seed, tmp_path):

@@ -291,6 +291,16 @@ class TestGenData:
         assert peak < 1 << 20
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("classes", ["1", "11"])
+    def test_class_count_out_of_range_exits_1_before_creating_the_directory(
+            self, classes, tmp_path, capsys):
+        rc = run("gen-data", "--out", str(tmp_path / "data"), "--n", "2", "--classes", classes,
+                 "--seed", "0")
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"odlc gen-data: classes must be in 2..10, got {classes}\n"
+        assert not (tmp_path / "data").exists()
+
 
 class TestRoundTrip:
     def test_compress_decompress_files(self, tmp_path, capsys):

@@ -85,7 +85,7 @@ class TestCodecStep:
         p = codec.CodecParams(MICRO, seed=1)
         for param in p.parameters():
             if param.name.startswith("dec."):
-                param.value = np.zeros_like(param.value)
+                param.value[...] = np.zeros_like(param.value)
         delta, _ = first_step(ad.Tensor(image(2)), p)
         np.testing.assert_array_equal(delta.data, np.zeros((3, 32, 32), dtype=np.float32))
 

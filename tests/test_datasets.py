@@ -72,6 +72,17 @@ class TestGenerator:
         assert ShapesSpec(resolution=1).resolution == 1
         assert ShapesSpec(resolution=2048).resolution == 2048
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("classes", 1, "classes must be in 2..10, got 1"),
+        ("classes", 11, "classes must be in 2..10, got 11"),
+        ("split", "bogus", "unknown split 'bogus'"),
+    ])
+    def test_spec_checks_classes_and_split(self, key, value, match):
+        with pytest.raises(datasets.DatasetError, match=match):
+            ShapesSpec(**{key: value})
+        with pytest.raises(datasets.DatasetError, match=match):
+            datasets.parse_spec(f"shapes:{key}={value}")
+
     def test_resolution_cap_is_the_side_of_the_codec_cap(self):
         assert datasets._MAX_RESOLUTION ** 2 == codec.MAX_PADDED_PIXELS
 

@@ -15,15 +15,15 @@ def red_mean_classifier(res=16):
                            seed=0, norm_mean=[0, 0, 0], norm_std=[1, 1, 1])
     k = np.zeros_like(net.blocks[0][0].value)
     k[0, 0, 1, 1] = 1.0  # feature 0 = relu(R) = R for [0,1] inputs
-    net.blocks[0][0].value = k
-    net.blocks[0][1].value = np.zeros(4, dtype=np.float32)
+    net.blocks[0][0].value[...] = k
+    net.blocks[0][1].value[...] = np.zeros(4, dtype=np.float32)
     w = np.zeros_like(net.head_w.value)
     w[0, 0] = 1.0
     w[1, 0] = -1.0
     b = np.zeros_like(net.head_b.value)
     b[1] = 0.5
-    net.head_w.value = w
-    net.head_b.value = b
+    net.head_w.value[...] = w
+    net.head_b.value[...] = b
     net.freeze()
     return net
 
@@ -36,6 +36,14 @@ def rgb_image(r, g, b, res=16):
 
 def identity_stub(img, iters):
     return img, iters * img.shape[1] * img.shape[2]
+
+
+@pytest.fixture
+def stubs(monkeypatch):
+    """The protocols take a stub callable (image, iters) -> (decoded,
+    payload_bits) as their codec: one call per image and level."""
+    monkeypatch.setattr(evaluation, "_decodes",
+                        lambda codec, img, levels: [codec(img, t) for t in levels])
 
 
 class Labeled:
@@ -74,6 +82,7 @@ def preservation(codec, classifier, images, iters: int) -> float:
     return point.value
 
 
+@pytest.mark.usefixtures("stubs")
 class TestPreservation:
     def test_identity_stub_is_one(self, classifier, balanced_images):
         assert preservation(identity_stub, classifier, balanced_images, 2) == 1.0
@@ -117,7 +126,7 @@ class TestEvalConfig:
 
 
 class TestAccuracyCurve:
-    def test_identity_stub_matches_uncompressed(self, classifier, balanced_images):
+    def test_identity_stub_matches_uncompressed(self, stubs, classifier, balanced_images):
         labels = [0] * 5 + [1] * 5
         ds = Labeled(balanced_images, labels)
         cfg = EvalConfig(s_comp=16, s_inf=16, grid=(1, 2))
@@ -129,7 +138,7 @@ class TestAccuracyCurve:
         assert [p.level for p in curves["accuracy"]] == [1, 2]
         assert all(p.n == 10 for p in curves["accuracy"])
 
-    def test_bpp_is_mean_over_images(self, classifier):
+    def test_bpp_is_mean_over_images(self, stubs, classifier):
         imgs = [rgb_image(0.9, 0.0, 0.0), rgb_image(0.9, 1.0, 0.0)]
         ds = Labeled(imgs, [0, 0])
         per_image = {0.0: int(0.10 * 16 * 16), 1.0: int(0.20 * 16 * 16)}
@@ -151,13 +160,13 @@ class TestAccuracyCurve:
 
 
 class TestQualityCurve:
-    def test_identity_stub_msssim_one(self, balanced_images):
+    def test_identity_stub_msssim_one(self, stubs, balanced_images):
         ds = Labeled(balanced_images, [0] * 10)
         pts = evaluation.eval_quality_curve(identity_stub, ds, EvalConfig(s_comp=16, s_inf=16, grid=(1, 3)))
         for p in pts:
             assert p.value == pytest.approx(1.0, abs=1e-6)
 
-    def test_constant_resolution_skips_resize(self):
+    def test_constant_resolution_skips_resize(self, stubs):
         seen = []
 
         def spy(img, iters):
@@ -237,15 +246,15 @@ class TestAblation:
         assert "1.1+2.1" in tags
 
 
-def bitstream_roundtrip(params):
-    """The per-level compress -> decompress path, as a stub: the oracle of
-    the prefix-decoded core."""
+def bitstream_decodes(codec, img, levels):
+    """The per-level compress -> decompress path: the oracle of the
+    prefix-decoded core."""
     from odlc.codec import compress, decompress
-
-    def stub(img, iters):
-        bs = compress(img, iters, params)
-        return decompress(bs, params), bs.payload_bits
-    return stub
+    out = []
+    for t in levels:
+        bs = compress(img, t, codec)
+        out.append((decompress(bs, codec), bs.payload_bits))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -269,17 +278,19 @@ class TestPrefixCore:
             assert bits == bs.payload_bits and type(bits) is int
         assert evaluation.roundtrip(micro, img, 2)[1] == compress(img, 2, micro).payload_bits
 
-    def test_curves_equal_the_bitstream_path(self, micro, classifier, balanced_images):
+    def test_curves_equal_the_bitstream_path(self, micro, classifier, balanced_images,
+                                             monkeypatch):
         ds = Labeled(balanced_images[3:7], [0, 0, 1, 1])
         cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
-        old = bitstream_roundtrip(micro)
-        assert (evaluation.eval_quality_curve(micro, ds, cfg)
-                == evaluation.eval_quality_curve(old, ds, cfg))
-        assert (evaluation.eval_accuracy_curve(micro, classifier, ds, cfg)
-                == evaluation.eval_accuracy_curve(old, classifier, ds, cfg))
-        rows, _ = evaluation.tradeoff_sweep({0.0: micro, 1.0: old}, classifier, ds,
-                                            self.LEVELS, cfg)
-        assert [r[1:] for r in rows[:3]] == [r[1:] for r in rows[3:]]
+        ckpts = {0.0: micro, 1.0: CodecParams(MICRO, seed=6)}
+
+        def protocols():
+            return (evaluation.eval_quality_curve(micro, ds, cfg),
+                    evaluation.eval_accuracy_curve(micro, classifier, ds, cfg),
+                    evaluation.tradeoff_sweep(ckpts, classifier, ds, self.LEVELS, cfg))
+        prefix = protocols()
+        monkeypatch.setattr(evaluation, "_decodes", bitstream_decodes)
+        assert protocols() == prefix
 
     def test_quality_curve_encodes_each_image_once(self, micro, monkeypatch):
         from odlc import codec
@@ -296,17 +307,36 @@ class TestPrefixCore:
                                       EvalConfig(s_comp=32, s_inf=32, grid=(1, 2, 3, 4)))
         assert calls == [4, 4, 4]
 
-    def test_stub_called_once_per_image_and_level(self, classifier, balanced_images):
+    def test_every_protocol_decodes_once_per_image(self, micro, classifier, balanced_images,
+                                                   monkeypatch):
         calls = []
+        decodes = evaluation._decodes
 
-        def spy(img, iters):
-            calls.append((round(float(img[1, 0, 0]), 3), iters))
-            return img, 16
-        ds = Labeled(balanced_images[:4], [0] * 4)
-        evaluation.eval_accuracy_curve(spy, classifier, ds,
-                                       EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS))
-        assert sorted(calls) == sorted((g, t) for g in (0.0, 0.1, 0.2, 0.3)
-                                       for t in self.LEVELS)
+        def spy(codec, img, levels):
+            calls.append((codec, round(float(img[1, 0, 0]), 3), tuple(levels)))
+            return decodes(codec, img, levels)
+        monkeypatch.setattr(evaluation, "_decodes", spy)
+        other = CodecParams(MICRO, seed=6)
+        monkeypatch.setattr(trainer, "train_codec", lambda *a, **k: (other, [], None))
+        ds = Labeled(balanced_images[:3], [0] * 3)
+        cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
+        greens = (0.0, 0.1, 0.2)
+
+        def each(*codecs):
+            return [(c, g, self.LEVELS) for c in codecs for g in greens]
+        evaluation.eval_quality_curve(micro, ds, cfg)
+        assert calls == each(micro)
+        calls.clear()
+        evaluation.eval_accuracy_curve(micro, classifier, ds, cfg)
+        assert calls == each(micro)
+        calls.clear()
+        evaluation.tradeoff_sweep({1.0: other, 0.0: micro}, classifier, ds, self.LEVELS, cfg)
+        assert calls == each(micro, other)
+        calls.clear()
+        evaluation.ablate_layers([("1.1",), ("2.1",)], None, ds, None, classifier,
+                                 losses.LossConfig(alpha=1.0), None, self.LEVELS, cfg,
+                                 layout=MICRO)
+        assert calls == each(other, other)
 
     def test_row_order_and_duplicate_levels(self, micro, classifier, balanced_images):
         ds = Labeled(balanced_images[:2], [0, 0])
@@ -347,16 +377,17 @@ class TestLevelChecks:
                                      EvalConfig(s_comp=16, s_inf=16))
 
     @pytest.mark.parametrize("protocol", ["accuracy", "sweep", "ablation"])
-    def test_classifier_resolution_checked_before_any_encode(self, protocol, classifier,
+    def test_classifier_resolution_checked_before_any_encode(self, protocol, micro, classifier,
                                                              balanced_images, monkeypatch):
-        def no_encode(img, iters):
+        def no_encode(*args, **kwargs):
             raise AssertionError("an image was encoded")
-        monkeypatch.setattr(trainer, "train_codec", lambda *a, **k: no_encode(None, 1))
+        monkeypatch.setattr(evaluation, "_decodes", no_encode)
+        monkeypatch.setattr(trainer, "train_codec", no_encode)
         ds = Labeled(balanced_images, [0] * 10)
         cfg = EvalConfig(s_comp=32, s_inf=24, grid=(1,))  # the classifier reads 16 px
         run = {
-            "accuracy": lambda: evaluation.eval_accuracy_curve(no_encode, classifier, ds, cfg),
-            "sweep": lambda: evaluation.tradeoff_sweep({0.0: no_encode, 1.0: no_encode},
+            "accuracy": lambda: evaluation.eval_accuracy_curve(micro, classifier, ds, cfg),
+            "sweep": lambda: evaluation.tradeoff_sweep({0.0: micro, 1.0: micro},
                                                        classifier, ds, (1,), cfg),
             "ablation": lambda: evaluation.ablate_layers([("1.1",)], ds, ds, None, classifier,
                                                          losses.LossConfig(alpha=1.0), None,

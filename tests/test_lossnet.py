@@ -49,8 +49,8 @@ class TestForwardFeatures:
         rng = np.random.default_rng(3)
         kern = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         bias = rng.standard_normal(2).astype(np.float32)
-        toy.blocks[0][0].value = kern
-        toy.blocks[0][1].value = bias
+        toy.blocks[0][0].value[...] = kern
+        toy.blocks[0][1].value[...] = bias
         x = rng.random((3, 5, 5)).astype(np.float32)
         got = toy.features(ad.Tensor(x), ("1.1",))[0].data
         want = np.maximum(conv2d_direct(x, kern, bias, stride=1, padding="same"), 0.0)
@@ -91,8 +91,8 @@ class TestClassify:
 
     def test_zero_head_label_zero(self):
         n = lossnet.ClassifierParams(lossnet.ClassifierLayout(input_resolution=32), seed=2)
-        n.head_w.value = np.zeros_like(n.head_w.value)
-        n.head_b.value = np.zeros_like(n.head_b.value)
+        n.head_w.value[...] = np.zeros_like(n.head_w.value)
+        n.head_b.value[...] = np.zeros_like(n.head_b.value)
         label, logits = lossnet.classify(img(5, 32), n)
         assert label == 0  # all-equal logits tie-break to the lowest index
         np.testing.assert_array_equal(logits, np.zeros(10, dtype=np.float32))
@@ -102,7 +102,7 @@ class TestClassify:
         label, _ = lossnet.classify(x, net)
         shifted = lossnet.ClassifierParams(net.layout, seed=1,
                                            norm_mean=net.norm_mean, norm_std=net.norm_std)
-        shifted.head_b.value = shifted.head_b.value + 3.25
+        shifted.head_b.value[...] = shifted.head_b.value + 3.25
         label2, _ = lossnet.classify(x, shifted)
         assert label2 == label
 
@@ -112,8 +112,8 @@ class TestClassify:
         perm = np.random.default_rng(0).permutation(10)
         permuted = lossnet.ClassifierParams(net.layout, seed=1,
                                             norm_mean=net.norm_mean, norm_std=net.norm_std)
-        permuted.head_w.value = net.head_w.value[perm]
-        permuted.head_b.value = net.head_b.value[perm]
+        permuted.head_w.value[...] = net.head_w.value[perm]
+        permuted.head_b.value[...] = net.head_b.value[perm]
         label_p, logits_p = lossnet.classify(x, permuted)
         np.testing.assert_allclose(logits_p, logits[perm], rtol=1e-6)
         assert label_p == int(np.argmax(logits[perm]))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,47 @@ class TestTrainConfig:
     def test_desk_profile(self):
         cfg = trainer.TrainConfig.desk()
         assert (cfg.resize_side, cfg.crop_size, cfg.unroll_steps) == (64, 56, 4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+        ("grad_clip", float("nan")), ("grad_clip", float("inf")), ("grad_clip", -1.0),
+        ("crop_size", 0), ("crop_size", -4), ("val_interval", -1),
+    ])
+    def test_bad_numbers_rejected(self, field, value):
+        with pytest.raises(trainer.TrainError, match=f"{field} must be"):
+            trainer.TrainConfig.desk(**{field: value})
+        with pytest.raises(trainer.TrainError, match=f"{field} must be"):
+            dataclasses.replace(trainer.TrainConfig.desk(), **{field: value})
+
+    def test_edge_numbers_accepted(self):
+        cfg = trainer.TrainConfig.desk(learning_rate=1e-30, grad_clip=0.0, crop_size=1,
+                                       val_interval=0)
+        assert (cfg.grad_clip, cfg.crop_size, cfg.val_interval) == (0.0, 1, 0)
+
+    def test_nan_learning_rate_flag_exits_1_without_a_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = cli.main(["train-codec", "--data", "shapes:seed=0,n=4,res=64", "--batch-size", "4",
+                       "--epochs", "1", "--unroll-steps", "1", "--learning-rate", "nan",
+                       "--out", str(out), "--seed", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "odlc train-codec: learning_rate must be finite and > 0, got nan\n"
+        assert not (out / "codec_final.ckpt").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("learning_rate = inf", "learning_rate must be finite and > 0, got inf"),
+        ("crop_size = -4", "crop_size must be >= 1, got -4"),
+    ])
+    def test_bad_number_in_config_file_exits_1(self, line, message, tmp_path, capsys):
+        cfgfile = tmp_path / "t.cfg"
+        cfgfile.write_text(line + "\n")
+        out = tmp_path / "run"
+        rc = cli.main(["train-codec", "--data", "shapes:seed=0,n=4,res=64", "--batch-size", "4",
+                       "--epochs", "1", "--unroll-steps", "1", "--out", str(out), "--seed", "0",
+                       "--config", str(cfgfile)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"odlc train-codec: {message}\n"
+        assert not out.exists()
 
 
 class TestPreprocess:
