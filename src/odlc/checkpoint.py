@@ -49,13 +49,17 @@ class Meta(dict):
 
 
 def save(path, kind: str, meta: dict, tensors: dict):
-    """tensors: ordered name -> ndarray mapping; stored as float32 LE. The
-    file is written beside ``path`` and renamed onto it, so an interrupted
-    save leaves the previous file at ``path`` whole."""
+    """tensors: ordered name -> ndarray mapping; stored as float32 LE. A
+    tensor holding nan or inf is refused with a CheckpointError naming it,
+    before anything is written, so no writer leaves a broken model behind.
+    The file is written beside ``path`` and renamed onto it, so an
+    interrupted save leaves the previous file at ``path`` whole."""
     table = []
     blobs = []
     for name, arr in tensors.items():
         a = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values; not saved")
         table.append({"name": name, "shape": list(a.shape), "dtype": "f32"})
         blobs.append(a.tobytes())
     manifest = json.dumps({"meta": meta, "tensors": table}, sort_keys=True,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import bitstream, configio, datasets, evaluation, gradcheck, losses, ppm, trainer
+from . import bitstream, configio, datasets, evaluation, gradcheck, losses, parallel, ppm, trainer
 from .codec import CodecParams, compress as codec_compress, decompress as codec_decompress
 from .lossnet import ClassifierParams
 
@@ -26,7 +26,7 @@ def _manifest(out_path, args, configs, inputs):
         else os.path.join(out_path, "manifest.txt")
     configio.write_manifest(path, command=" ".join(args.argv), configs=configs,
                             seed=getattr(args, "seed", None), inputs=inputs,
-                            tool_version=__version__)
+                            tool_version=__version__, parallel=parallel.last_region())
 
 
 # The config-file keys each command reads. The seed comes from --seed and
@@ -327,6 +327,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     args.argv = argv
+    parallel.reset_region()
     try:
         return args.fn(args)
     except (ValueError, OSError) as e:

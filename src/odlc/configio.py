@@ -91,14 +91,17 @@ def file_digest(path) -> str:
 
 
 def write_manifest(path, command: str, configs: dict, seed, inputs: list,
-                   tool_version: str):
+                   tool_version: str, parallel: str = "unused"):
     """Text run manifest: command, config digests, seed, input digests (a
-    folder's over its files), version and timestamps."""
+    folder's over its files), version, timestamps, and ``parallel``: the
+    worker count and BLAS pinning of the run's parallel map, as
+    parallel.last_region() words them."""
     lines = [
         f"command: {command}",
         f"tool_version: {tool_version}",
         f"seed: {seed}",
         f"started_utc: {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}",
+        f"parallel: {parallel}",
     ]
     for name, cfg in configs.items():
         lines.append(f"config.{name}: {config_digest(cfg)}")

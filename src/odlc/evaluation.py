@@ -13,6 +13,14 @@ t * bits_per_iteration payload bits. Each image is therefore encoded once,
 to T = max(levels), and every level is read off that trace. Every encode
 checks its image in `codec.normalized_input`, as compress and training do,
 so all three accept the same images.
+
+The (codec, image) traces are independent, so they run through
+`parallel.map` on every usable core, each trace whole on one thread with
+OpenBLAS at one thread, and a sweep submits all its checkpoints' images as
+one map. Each trace reduces its decodes to the protocol's measures before
+it returns, and the protocols sum and list those in image order, so every
+row holds the same bytes at any worker count. The reference crops are
+made and given their clean labels through the same map.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import imageops, losses, lossnet as lossnet_mod
+from . import imageops, losses, lossnet as lossnet_mod, parallel
 from .bitstream import BitstreamHeader
 from .codec import CodecParams, reconstruct_progressive
 # Not called here; both names stay bound because bench/tracing.py rebinds them in this module.
@@ -84,18 +92,28 @@ def _decodes(codec: CodecParams, img: np.ndarray, levels) -> list:
     return [(trace.decoded(t), t * per) for t in levels]
 
 
-def _per_level(codec, images, levels, *measures) -> list:
-    """Per level, in the order given: (payload bits summed over the images,
-    one list per measure holding measure(image, decoded) in image order).
-    Each image's decodes are reduced before the next image is encoded."""
-    bits = [0] * len(levels)
-    values = [tuple([] for _ in measures) for _ in levels]
-    for img in images:
-        for j, (decoded, b) in enumerate(_decodes(codec, img, levels)):
-            bits[j] += b
-            for out, measure in zip(values[j], measures):
-                out.append(measure(img, decoded))
-    return list(zip(bits, values))
+def _per_level(codecs, images, levels, *measures) -> list:
+    """Per codec, then per level in the order given: (payload bits summed
+    over the images, one list per measure holding measure(image, decoded)
+    in image order). The (codec, image) traces run as one parallel map,
+    and each reduces its decodes to its measures before it returns."""
+    def trace(job):
+        codec, img = job
+        return [(b, [measure(img, decoded) for measure in measures])
+                for decoded, b in _decodes(codec, img, levels)]
+
+    traces = parallel.map(trace, [(codec, img) for codec in codecs for img in images])
+    out = []
+    for k in range(len(codecs)):
+        bits = [0] * len(levels)
+        values = [tuple([] for _ in measures) for _ in levels]
+        for per_level in traces[k * len(images):(k + 1) * len(images)]:
+            for j, (b, measured) in enumerate(per_level):
+                bits[j] += b
+                for out_list, v in zip(values[j], measured):
+                    out_list.append(v)
+        out.append(list(zip(bits, values)))
+    return out
 
 
 def _msssim(img: np.ndarray, decoded: np.ndarray) -> float:
@@ -130,10 +148,12 @@ def _references(val_set, classifier, cfg: EvalConfig, what: str):
     if classifier.layout.input_resolution != cfg.s_inf:
         raise EvalError(f"classifier expects {classifier.layout.input_resolution}px inputs, "
                         f"config says s_inf={cfg.s_inf}")
-    crops = [_comp_crop(val_set.image(i), cfg.s_comp) for i in range(n)]
-    truths = [val_set.label(i) for i in range(n)]
-    clean = [_label(c, classifier, cfg.s_inf) for c in crops]
-    return crops, truths, clean
+    def reference(i):
+        crop = _comp_crop(val_set.image(i), cfg.s_comp)
+        return crop, _label(crop, classifier, cfg.s_inf)
+
+    crops, clean = zip(*parallel.map(reference, range(n)))
+    return crops, [val_set.label(i) for i in range(n)], clean
 
 
 def eval_accuracy_curve(codec, classifier, val_set, cfg: EvalConfig):
@@ -143,7 +163,7 @@ def eval_accuracy_curve(codec, classifier, val_set, cfg: EvalConfig):
     crops, truths, clean = _references(val_set, classifier, cfg, "eval_accuracy_curve")
     n = len(crops)
     acc_points, pres_points = [], []
-    levels = _per_level(codec, crops, cfg.grid, _labeler(classifier, cfg.s_inf))
+    [levels] = _per_level([codec], crops, cfg.grid, _labeler(classifier, cfg.s_inf))
     for level, (bits, (labels,)) in zip(cfg.grid, levels):
         bpp = bits / (n * cfg.s_comp * cfg.s_comp)
         acc_points.append(CurvePoint(level=level, bpp=bpp, value=_agree(labels, truths) / n, n=n))
@@ -169,7 +189,7 @@ def eval_quality_curve(codec, val_set, cfg: EvalConfig):
         raise EvalError("eval_quality_curve: empty validation set")
     imgs = _quality_inputs(val_set, cfg)
     px_total = sum(img.shape[1] * img.shape[2] for img in imgs)
-    levels = _per_level(codec, imgs, cfg.grid, _msssim)
+    [levels] = _per_level([codec], imgs, cfg.grid, _msssim)
     return [CurvePoint(level=level, bpp=bits / px_total, value=float(np.mean(scores)), n=n)
             for level, (bits, (scores,)) in zip(cfg.grid, levels)]
 
@@ -190,8 +210,9 @@ def tradeoff_sweep(checkpoints: dict, classifier, val_set, t_list, cfg: EvalConf
     n = len(crops)
     label = _labeler(classifier, cfg.s_inf)
     rows = []
-    for alpha in sorted(present):
-        levels = _per_level(present[alpha], crops, t_list, _msssim, label)
+    alphas = sorted(present)
+    for alpha, levels in zip(alphas, _per_level([present[a] for a in alphas], crops, t_list,
+                                                _msssim, label)):
         for level, (bits, (scores, labels)) in zip(t_list, levels):
             rows.append((alpha, level, bits / (n * cfg.s_comp * cfg.s_comp),
                          float(np.mean(scores)), _agree(labels, clean) / n,
@@ -219,7 +240,7 @@ def ablate_layers(layer_sets, train_set, val_set, f_lossnet, classifier,
         params, log, _ = trainer.train_codec(train_set, val_set, loss_cfg, train_cfg,
                                              lossnet=f_lossnet, layout=layout)
         train_logs[tag] = log
-        levels = _per_level(params, crops, t_list, label)
+        [levels] = _per_level([params], crops, t_list, label)
         for level, (_bits, (labels,)) in zip(t_list, levels):
             rows.append((tag, level, _agree(labels, clean) / n))
     return rows, train_logs

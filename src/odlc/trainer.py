@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from . import imageops, losses
+from . import imageops, losses, parallel
 from .autodiff import Parameter, Tensor
 from .codec import (CodecLayout, CodecParams, normalized_input, progressive_from_normalized,
                     reconstruct_progressive)
@@ -238,19 +238,21 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
 def _val_probe(val_set, params, cfg, loss_cfg, lossnet=None):
     """(val_loss, val_msssim) of deterministic reconstructions on the first
     VAL_PROBE_IMAGES val images: the training objective averaged over the
-    unrolled steps, and the MS-SSIM of the last step, each a mean over them."""
+    unrolled steps, and the MS-SSIM of the last step, each a mean over them
+    in image order. The images are probed through `parallel.map`."""
     n = min(len(val_set), VAL_PROBE_IMAGES)
     if n == 0:
         return float("nan"), float("nan")
-    objective, scores = [], []
-    for i in range(n):
+
+    def probe(i):
         img = augment_geometry(val_set.image(i), "val", None, cfg)
         decodes = reconstruct_progressive(img, cfg.unroll_steps, params).decodes
         x_taps = losses.reference_taps(img, loss_cfg, lossnet)
-        objective.append(np.mean([
-            losses.observer_distortion(img, y, loss_cfg, lossnet, x_taps)[0].item()
-            for y in decodes]))
-        scores.append(losses.ms_ssim(img, decodes[-1]).item())
+        objective = np.mean([losses.observer_distortion(img, y, loss_cfg, lossnet, x_taps)[0].item()
+                             for y in decodes])
+        return objective, losses.ms_ssim(img, decodes[-1]).item()
+
+    objective, scores = zip(*parallel.map(probe, range(n)))
     return float(np.mean(objective)), float(np.mean(scores))
 
 
@@ -260,9 +262,10 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
     """Train the codec under the interpolated objective.
 
     Returns (CodecParams, train log rows, val log rows). Emits checkpoints
-    and CSV logs under out_dir when given. Raises TrainingDiverged (after
-    writing the last good checkpoint) if the loss goes non-finite, or a
-    training image does, which the codec's input check would refuse.
+    and CSV logs under out_dir when given. Raises TrainingDiverged, naming
+    the last good checkpoint written, if the loss goes non-finite, or a
+    training image does, which the codec's input check would refuse, or a
+    parameter does by the end of an epoch, before that epoch is saved.
     """
     if loss_cfg.alpha > 0.0 and lossnet is None:
         raise TrainError("alpha > 0 needs a frozen loss network")
@@ -300,8 +303,12 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
             progress(step, log[-1])
         if cfg.val_interval and step % cfg.val_interval == 0:
             val_log.append((step, *_val_probe(val_set, params, cfg, loss_cfg, lossnet)))
-        if out_dir is not None and step % steps_per_epoch == 0:
-            save(f"epoch{epoch + 1}")
+        if step % steps_per_epoch == 0:
+            for p in params.parameters():
+                if not np.isfinite(p.value).all():
+                    raise TrainingDiverged(f"parameter {p.name} became non-finite by step {step}")
+            if out_dir is not None:
+                save(f"epoch{epoch + 1}")
 
     try:
         _minibatch_adam(train_set, params, cfg, 0xB0, image_loss, cfg.grad_clip, on_step)
@@ -350,9 +357,10 @@ def train_classifier(dataset, cfg: TrainConfig, layout: ClassifierLayout | None 
 
 
 def evaluate_accuracy(params: ClassifierParams, dataset, cfg: TrainConfig) -> float:
-    """Top-1 accuracy on the val-split geometry (resize, center crop)."""
-    correct = 0
-    for i in range(len(dataset)):
+    """Top-1 accuracy on the val-split geometry (resize, center crop); the
+    images are classified through `parallel.map`."""
+    def correct(i):
         label, _ = classify(augment_geometry(dataset.image(i), "val", None, cfg), params)
-        correct += int(label == dataset.label(i))
-    return correct / len(dataset)
+        return int(label == dataset.label(i))
+
+    return sum(parallel.map(correct, range(len(dataset)))) / len(dataset)

@@ -90,6 +90,19 @@ class TestAtomicSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_refused_before_writing(self, bad, tmp_path):
+        path = tmp_path / "m.ckpt"
+        small_checkpoint(path)
+        before = path.read_bytes()
+        b = np.ones(3, dtype=np.float32)
+        b[1] = bad
+        with pytest.raises(ckpt.CheckpointError, match="tensor b holds non-finite values"):
+            ckpt.save(path, "codec", {"t_max": 3}, {"w": np.zeros(4), "b": b})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
 class TestGolden:
     @pytest.mark.parametrize("kind,seed", sorted(GOLDEN))
     def test_seeded_checkpoint_bytes(self, kind, seed, tmp_path):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from odlc import bitstream, checkpoint, cli, configio, datasets, ppm, trainer
+from odlc import bitstream, checkpoint, cli, configio, datasets, parallel, ppm, trainer
 from odlc.codec import CodecLayout, CodecParams, compress
 from odlc.losses import LossConfig
 from odlc.lossnet import ClassifierLayout, ClassifierParams
@@ -482,6 +482,7 @@ class TestManifest:
 
     def test_sweep_lists_the_codec_checkpoints(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["host-program", "--unrelated"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         a, b, cls = tmp_path / "a.ckpt", tmp_path / "b.ckpt", tmp_path / "c.ckpt"
         CodecParams(MICRO, seed=1).save(a)
         CodecParams(MICRO, seed=2).save(b)
@@ -497,6 +498,13 @@ class TestManifest:
         inputs = [ln for ln in lines if ln.startswith("input: ")]
         assert inputs == [f"input: {p} sha256={configio.file_digest(p)}" for p in (a, b, cls)] \
             + [f"input: {data}"]
+        region = "workers=2 blas=openblas-pinned" if parallel._openblas() is not None \
+            else "workers=1 blas=not-pinned"
+        assert f"parallel: {region}" in lines
+        # a command that runs no map, in the same process, reports none
+        assert cli.main(["gen-data", "--out", str(tmp_path / "gen"), "--n", "2",
+                         "--classes", "2", "--res", "16", "--seed", "0"]) == 0
+        assert "parallel: unused" in self._read(tmp_path / "gen" / "manifest.txt")
 
     def test_ablate_layers_lists_its_config(self, tmp_path, monkeypatch):
         monkeypatch.setattr(trainer, "train_codec",

@@ -1,7 +1,10 @@
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from odlc import evaluation, losses, trainer
+from odlc import evaluation, losses, parallel, trainer
 from odlc.codec import CodecLayout, CodecParams
 from odlc.evaluation import CurvePoint, EvalConfig
 from odlc.lossnet import ClassifierLayout, ClassifierParams
@@ -309,6 +312,8 @@ class TestPrefixCore:
 
     def test_every_protocol_decodes_once_per_image(self, micro, classifier, balanced_images,
                                                    monkeypatch):
+        """As a multiset: the traces run through parallel.map, which fixes
+        no call order across its threads."""
         calls = []
         decodes = evaluation._decodes
 
@@ -323,20 +328,45 @@ class TestPrefixCore:
         greens = (0.0, 0.1, 0.2)
 
         def each(*codecs):
-            return [(c, g, self.LEVELS) for c in codecs for g in greens]
+            return Counter((c, g, self.LEVELS) for c in codecs for g in greens)
         evaluation.eval_quality_curve(micro, ds, cfg)
-        assert calls == each(micro)
+        assert Counter(calls) == each(micro)
         calls.clear()
         evaluation.eval_accuracy_curve(micro, classifier, ds, cfg)
-        assert calls == each(micro)
+        assert Counter(calls) == each(micro)
         calls.clear()
         evaluation.tradeoff_sweep({1.0: other, 0.0: micro}, classifier, ds, self.LEVELS, cfg)
-        assert calls == each(micro, other)
+        assert Counter(calls) == each(micro, other)
         calls.clear()
         evaluation.ablate_layers([("1.1",), ("2.1",)], None, ds, None, classifier,
                                  losses.LossConfig(alpha=1.0), None, self.LEVELS, cfg,
                                  layout=MICRO)
-        assert calls == each(other, other)
+        assert Counter(calls) == each(other, other)
+
+    def test_every_protocol_returns_the_same_rows_on_one_and_two_workers(
+            self, micro, classifier, balanced_images, monkeypatch):
+        other = CodecParams(MICRO, seed=6)
+        monkeypatch.setattr(trainer, "train_codec", lambda *a, **k: (other, [], None))
+        ds = Labeled(balanced_images[2:7], [0, 1, 0, 1, 1])
+        cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
+
+        def protocols(cores):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            out = (evaluation.eval_quality_curve(micro, ds, cfg),
+                   evaluation.eval_accuracy_curve(micro, classifier, ds, cfg),
+                   evaluation.tradeoff_sweep({1.0: other, 0.0: micro}, classifier, ds,
+                                             self.LEVELS, cfg),
+                   evaluation.ablate_layers([("1.1",), ("2.1",)], None, ds, None, classifier,
+                                            losses.LossConfig(alpha=1.0), None, self.LEVELS,
+                                            cfg, layout=MICRO)[0])
+            return out, parallel.last_region()
+
+        serial, one = protocols({0})
+        threaded, two = protocols({0, 1})
+        assert one.startswith("workers=1 ")
+        if parallel._openblas() is not None:
+            assert two == "workers=2 blas=openblas-pinned"
+        assert threaded == serial
 
     def test_row_order_and_duplicate_levels(self, micro, classifier, balanced_images):
         ds = Labeled(balanced_images[:2], [0, 0])

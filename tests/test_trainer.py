@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,20 @@ class TestTrainConfig:
         err = capsys.readouterr().err
         assert err == "odlc train-codec: learning_rate must be finite and > 0, got nan\n"
         assert not (out / "codec_final.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_update_exits_1_without_a_checkpoint(self, tmp_path, capsys):
+        """A learning rate this large sends Adam's float32 update to inf in
+        one step; the run stops before the epoch checkpoint is written."""
+        out = tmp_path / "run"
+        rc = cli.main(["train-codec", "--data", "shapes:seed=0,n=4,res=64", "--batch-size", "4",
+                       "--epochs", "1", "--unroll-steps", "1", "--learning-rate", "1e39",
+                       "--out", str(out), "--seed", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "odlc train-codec: parameter enc.conv_in.kernel became non-finite by step 1\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("line,message", [
         ("learning_rate = inf", "learning_rate must be finite and > 0, got inf"),
@@ -361,6 +376,32 @@ class TestTrainCodec:
                            match=r"at step 2; last good checkpoint: .*codec_epoch1\.ckpt"):
             trainer.train_codec(ds, ds, losses.LossConfig(alpha=0.0), cfg, layout=MICRO,
                                 out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("saving", [True, False])
+    def test_parameter_overflow_names_the_last_good_checkpoint(self, tmp_path, monkeypatch,
+                                                               saving):
+        class OverflowsOnStep2(trainer.Adam):
+            steps = 0
+
+            def step(self):
+                super().step()
+                OverflowsOnStep2.steps += 1
+                if OverflowsOnStep2.steps == 2:
+                    self.params[3].value[...] = np.inf
+
+        monkeypatch.setattr(trainer, "Adam", OverflowsOnStep2)
+        ds = self._sets(n=4)
+        cfg = self._cfg(epochs=2, normalization=NORM)
+        out = tmp_path / "run"
+        last_good = f"; last good checkpoint: {out / 'codec_epoch1.ckpt'}" if saving else ""
+        with pytest.raises(trainer.TrainingDiverged,
+                           match=rf"^parameter \S+ became non-finite by step 2{re.escape(last_good)}$"):
+            trainer.train_codec(ds, ds, losses.LossConfig(alpha=0.0), cfg, layout=MICRO,
+                                out_dir=str(out) if saving else None)
+        if saving:
+            assert list(out.iterdir()) == [out / "codec_epoch1.ckpt"]
+        else:
+            assert not out.exists()
 
 
 def img(seed, res):
