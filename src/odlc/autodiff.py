@@ -905,30 +905,31 @@ def conv_shapes(name: str, c_in: int, c_out: int, k: int) -> list:
 def make_parameters(table, source, dtype=np.float32, stacks=()) -> dict:
     """Name -> Parameter for an ordered (name, shape) table: drawn from a
     seed (or Generator) in table order as ``dtype``, Glorot-uniform for 2+
-    dims and zero 1-d biases; or copied from a name -> array mapping.
+    dims and zero 1-d biases; copied from a name -> array mapping; or, for
+    ``source=None``, left uninitialised (``np.empty``, nothing drawn) for a
+    caller that fills every buffer, as a checkpoint load does.
 
     Each name tuple in ``stacks`` gets one buffer that holds its tensors
     stacked along axis 0 in tuple order, and their Parameters are views of
-    it (see GruParams). Every buffer is allocated here, once.
+    it (see GruParams). Every buffer is C-contiguous and allocated here,
+    once.
     """
-    seeded = not isinstance(source, dict)
+    copied = isinstance(source, dict)
+    rng = None if copied or source is None else np.random.default_rng(source)
     shapes, views = dict(table), {}
     for names in stacks:
         rows = [shapes[n][0] for n in names]
         buf = np.empty((sum(rows),) + shapes[names[0]][1:],
-                       dtype=dtype if seeded else source[names[0]].dtype)
+                       dtype=source[names[0]].dtype if copied else dtype)
         for n, start, stop in zip(names, np.cumsum([0] + rows), np.cumsum(rows)):
             views[n] = buf[start:stop]
-    rng = np.random.default_rng(source) if seeded else None
     params = {}
     for name, shape in table:
-        if seeded:
-            data = xavier_uniform(rng, shape) if len(shape) > 1 else np.zeros(shape)
-        else:
-            data = source[name]
-        if name in views:
-            views[name][...] = data
-            params[name] = Parameter.view(name, views[name])
-        else:
-            params[name] = Parameter(name, data, dtype=dtype if seeded else data.dtype)
+        if name not in views:
+            views[name] = np.empty(shape, dtype=source[name].dtype if copied else dtype)
+        if copied:
+            views[name][...] = source[name]
+        elif rng is not None:
+            views[name][...] = xavier_uniform(rng, shape) if len(shape) > 1 else 0.0
+        params[name] = Parameter.view(name, views[name])
     return params

@@ -7,16 +7,22 @@ float32 tensor data in manifest order, with nothing after the last
 tensor. Writing is deterministic byte for byte, so reproducibility tests
 can compare files directly.
 
-``save``/``load`` move the raw (kind, meta, tensors) triple. A
-``ParamSet`` (``CodecParams``, ``ClassifierParams``) stores its layout
+``save``/``load`` move the raw (kind, meta, tensors) triple, and a
+tensor's data passes through memory once: ``save`` writes each tensor
+from its own buffer, and ``load``, once the tensor table has been checked
+against the file size, reads each one straight into its destination
+array.
+
+A ``ParamSet`` (``CodecParams``, ``ClassifierParams``) stores its layout
 dataclass fields plus ``norm_mean`` and ``norm_std`` as the meta and its
-parameters as the tensors. ``ParamSet.load`` rebuilds and validates the
-layout, then compares the file's tensor table with ``layout.shapes()`` by
-name and shape: a missing, extra or misshapen tensor is rejected before
-any parameter exists. The parameters then wrap the file's arrays; no
-random init runs. Since the tensor table is checked against the file
-size, the file bounds what a load allocates. Every malformed file raises
-CheckpointError naming the file.
+parameters as the tensors. ``ParamSet.load`` validates: it rebuilds the
+layout and compares the file's tensor table with ``layout.shapes()`` by
+name and shape, so a missing, extra or misshapen tensor is rejected
+before any parameter exists. It then allocates: the set is built with
+uninitialised buffers, GRU gate stacks included, and no random init
+runs. Last it reads the file into those buffers, in file order, by name.
+The file thus bounds what a load allocates: one copy of its tensors.
+Every malformed file raises CheckpointError naming the file.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -48,20 +55,31 @@ class Meta(dict):
         raise CheckpointError(f"{self.path}: manifest lacks meta key {key!r}")
 
 
+def _f32le(arr) -> np.ndarray:
+    """``arr`` as a C-contiguous little-endian float32 array; no copy when
+    it is one already, as every float32 parameter is."""
+    return np.ascontiguousarray(arr, dtype="<f4")
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """No nan or inf in ``a``, read without a temporary the size of ``a``:
+    min and max propagate nan, and an infinity is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def save(path, kind: str, meta: dict, tensors: dict):
-    """tensors: ordered name -> ndarray mapping; stored as float32 LE. A
-    tensor holding nan or inf is refused with a CheckpointError naming it,
-    before anything is written, so no writer leaves a broken model behind.
-    The file is written beside ``path`` and renamed onto it, so an
-    interrupted save leaves the previous file at ``path`` whole."""
+    """tensors: ordered name -> ndarray mapping; stored as float32 LE, each
+    written from its own buffer. A tensor holding nan or inf is refused
+    with a CheckpointError naming it, before anything is written, so no
+    writer leaves a broken model behind. The file is written beside
+    ``path`` and renamed onto it, so an interrupted save leaves the
+    previous file at ``path`` whole."""
     table = []
-    blobs = []
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(arr, dtype="<f4")
-        if not np.isfinite(a).all():
+        a = _f32le(arr)
+        if not _all_finite(a):
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values; not saved")
         table.append({"name": name, "shape": list(a.shape), "dtype": "f32"})
-        blobs.append(a.tobytes())
     manifest = json.dumps({"meta": meta, "tensors": table}, sort_keys=True,
                           separators=(",", ":"))
     tmp = f"{os.fspath(path)}.tmp"
@@ -69,8 +87,8 @@ def save(path, kind: str, meta: dict, tensors: dict):
         with open(tmp, "wb") as f:
             f.write(HEADER_PREFIX + kind.encode("ascii") + b"\n")
             f.write(manifest.encode("utf-8") + b"\n")
-            for b in blobs:
-                f.write(b)
+            for arr in tensors.values():
+                f.write(_f32le(arr).data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -98,9 +116,20 @@ def _tensor_table(path, manifest) -> list:
     return table
 
 
-def load(path, expect_kind: str | None = None):
-    """Returns (kind, meta, tensors dict of float32 arrays); ``meta`` raises
-    CheckpointError, not KeyError, for a key the manifest lacks."""
+def _allocate(meta, table) -> dict:
+    return {entry["name"]: np.empty(entry["shape"], dtype=np.float32) for entry in table}
+
+
+def load(path, expect_kind: str | None = None, into=_allocate):
+    """Returns (kind, meta, tensors); ``meta`` raises CheckpointError, not
+    KeyError, for a key the manifest lacks.
+
+    Once the file has passed every check, ``into(meta, table)`` gives the
+    name -> destination mapping that comes back as ``tensors``: for each
+    table entry a C-contiguous native float32 array of its shape, which
+    the entry's data is read straight into. The default allocates one
+    ``np.empty`` array per entry, in file order. A file that ends before
+    its last tensor raises CheckpointError."""
     with open(path, "rb") as f:
         header = f.readline()
         if not header.startswith(HEADER_PREFIX):
@@ -118,8 +147,7 @@ def load(path, expect_kind: str | None = None):
         if not isinstance(manifest, dict) or not isinstance(manifest.get("meta"), dict):
             raise CheckpointError(f"{path}: bad manifest: no meta object")
         table = _tensor_table(path, manifest)
-        counts = [math.prod(entry["shape"]) for entry in table]
-        declared = 4 * sum(counts)
+        declared = 4 * sum(math.prod(entry["shape"]) for entry in table)
         left = os.fstat(f.fileno()).st_size - f.tell()
         if declared > left:
             raise CheckpointError(f"{path}: truncated tensor data: the manifest declares "
@@ -127,18 +155,28 @@ def load(path, expect_kind: str | None = None):
         if declared < left:
             raise CheckpointError(f"{path}: {left - declared} trailing bytes after the "
                                   f"last tensor")
-        tensors = {}
-        for entry, count in zip(table, counts):
-            raw = f.read(count * 4)
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).copy()
-        return kind, Meta(path, manifest["meta"]), tensors
+        meta = Meta(path, manifest["meta"])
+        tensors = into(meta, table)
+        for entry in table:
+            dest = tensors[entry["name"]]
+            if dest.shape != tuple(entry["shape"]) or dest.dtype != np.float32:
+                raise ValueError(f"destination of tensor {entry['name']} is {dest.dtype} "
+                                 f"{dest.shape}, not float32 {tuple(entry['shape'])}")
+            got = f.readinto(dest)
+            if got != dest.nbytes:
+                raise CheckpointError(f"{path}: truncated tensor data: tensor {entry['name']} "
+                                      f"ends after {got} of {dest.nbytes} bytes")
+            if sys.byteorder == "big":
+                dest.byteswap(inplace=True)
+        return kind, meta, tensors
 
 
 class ParamSet:
     """Base of the codec and classifier parameter sets: normalization stats,
     the parameters its layout's ``shapes()`` table names, and checkpoints.
     A subclass sets ``kind`` and ``layout_cls``; its ``__init__`` calls
-    ``_init_params`` and then binds its layers."""
+    ``_init_params`` and then binds its layers. ``seed=None`` leaves every
+    parameter buffer uninitialised, for ``load`` to read the file into."""
 
     kind: str
     layout_cls: type
@@ -175,7 +213,23 @@ class ParamSet:
 
     @classmethod
     def load(cls, path):
-        _, meta, tensors = load(path, expect_kind=cls.kind)
+        """The set a checkpoint holds: validated against its layout, built
+        uninitialised and filled from the file, one copy of its tensors."""
+        loaded = None
+
+        def allocate(meta, table):
+            nonlocal loaded
+            loaded = cls._uninitialised(path, meta, table)
+            return {name: p.value for name, p in loaded._params.items()}
+
+        load(path, cls.kind, allocate)
+        return loaded
+
+    @classmethod
+    def _uninitialised(cls, path, meta, table):
+        """The set the layout meta describes, with uninitialised buffers,
+        once the file's tensor table matches the layout's by name and
+        shape."""
         fields = {f.name: meta[f.name] for f in dataclasses.fields(cls.layout_cls)}
         stats = meta["norm_mean"], meta["norm_std"]
         try:
@@ -187,15 +241,16 @@ class ParamSet:
         if any(v.shape != (3,) for v in norm):
             raise CheckpointError(f"{path}: normalization stats must hold 3 channels")
         want = dict(layout.shapes())
-        for name in [*want, *tensors]:
-            if name not in tensors:
+        have = {entry["name"]: tuple(entry["shape"]) for entry in table}
+        for name in [*want, *have]:
+            if name not in have:
                 raise CheckpointError(f"{path}: missing tensor {name}")
             if name not in want:
                 raise CheckpointError(f"{path}: extra tensor {name} not in the {cls.kind} layout")
-            if tensors[name].shape != want[name]:
+            if have[name] != want[name]:
                 raise CheckpointError(f"{path}: parameter {name}: file holds shape "
-                                      f"{tensors[name].shape}, the layout wants {want[name]}")
-        return cls(layout, norm_mean=norm[0], norm_std=norm[1], arrays=tensors)
+                                      f"{have[name]}, the layout wants {want[name]}")
+        return cls(layout, seed=None, norm_mean=norm[0], norm_std=norm[1])
 
 
 def check_layout(widths, kernel, error: type):

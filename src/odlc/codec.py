@@ -108,12 +108,13 @@ class CodecLayout:
 
 
 class CodecParams(ckpt.ParamSet):
-    """The codec's tensors, drawn from ``seed`` or wrapping ``arrays``."""
+    """The codec's tensors: drawn from ``seed``, copied from ``arrays``, or
+    uninitialised for ``load`` to fill (``seed=None``)."""
 
     kind = "codec"
     layout_cls = CodecLayout
 
-    def __init__(self, layout: CodecLayout, seed: int = 0,
+    def __init__(self, layout: CodecLayout, seed: int | None = 0,
                  norm_mean=None, norm_std=None, arrays=None):
         self._init_params(layout, seed, norm_mean, norm_std, arrays, layout.stacks())
         self.enc_in = self._conv("enc.conv_in")

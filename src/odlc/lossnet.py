@@ -52,12 +52,13 @@ class ClassifierLayout:
 
 
 class ClassifierParams(ckpt.ParamSet):
-    """The classifier's tensors, drawn from ``seed`` or wrapping ``arrays``."""
+    """The classifier's tensors: drawn from ``seed``, copied from ``arrays``,
+    or uninitialised for ``load`` to fill (``seed=None``)."""
 
     kind = "classifier"
     layout_cls = ClassifierLayout
 
-    def __init__(self, layout: ClassifierLayout, seed: int = 0,
+    def __init__(self, layout: ClassifierLayout, seed: int | None = 0,
                  norm_mean=None, norm_std=None, arrays=None):
         self._init_params(layout, seed, norm_mean, norm_std, arrays)
         self.blocks = [self._conv(f"block{i+1}.conv1") for i in range(len(layout.widths))]

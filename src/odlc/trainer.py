@@ -40,8 +40,8 @@ class NonFiniteGradientError(TrainError):
 
 
 class TrainingDiverged(TrainError):
-    """Loss or a training image went non-finite; the last good checkpoint
-    was kept."""
+    """A loss, a training image or a parameter went non-finite; the last
+    good checkpoint was kept."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,9 @@ def _minibatch_adam(train_set, params, cfg: TrainConfig, stream: int, image_loss
     permutation seeded from (cfg.seed, stream). ``image_loss(epoch, i)``
     runs on its own tape and returns (loss, info); the mean gradient is
     clipped to a global norm of ``clip`` (0 = off). After every step it
-    calls ``on_step(step, epoch, mean loss, infos, wall time)``.
+    calls ``on_step(step, epoch, mean loss, infos, wall time)``, unless a
+    loss or, after the update, a parameter went non-finite: that raises
+    TrainingDiverged naming the step.
     """
     n = len(train_set)
     if n < cfg.batch_size:
@@ -196,6 +198,9 @@ def _minibatch_adam(train_set, params, cfg: TrainConfig, stream: int, image_loss
             clip_global_norm(params.parameters(), clip)
             opt.step()
             step += 1
+            for p in params.parameters():
+                if not np.isfinite(p.value).all():
+                    raise TrainingDiverged(f"parameter {p.name} became non-finite by step {step}")
             on_step(step, epoch, total / cfg.batch_size, infos, time.time() - t0)
 
 
@@ -265,7 +270,7 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
     and CSV logs under out_dir when given. Raises TrainingDiverged, naming
     the last good checkpoint written, if the loss goes non-finite, or a
     training image does, which the codec's input check would refuse, or a
-    parameter does by the end of an epoch, before that epoch is saved.
+    parameter does in any optimizer step.
     """
     if loss_cfg.alpha > 0.0 and lossnet is None:
         raise TrainError("alpha > 0 needs a frozen loss network")
@@ -303,12 +308,8 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
             progress(step, log[-1])
         if cfg.val_interval and step % cfg.val_interval == 0:
             val_log.append((step, *_val_probe(val_set, params, cfg, loss_cfg, lossnet)))
-        if step % steps_per_epoch == 0:
-            for p in params.parameters():
-                if not np.isfinite(p.value).all():
-                    raise TrainingDiverged(f"parameter {p.name} became non-finite by step {step}")
-            if out_dir is not None:
-                save(f"epoch{epoch + 1}")
+        if step % steps_per_epoch == 0 and out_dir is not None:
+            save(f"epoch{epoch + 1}")
 
     try:
         _minibatch_adam(train_set, params, cfg, 0xB0, image_loss, cfg.grad_clip, on_step)

@@ -1,6 +1,6 @@
 import hashlib
 import json
-import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,21 +293,57 @@ class TestLoadParams:
                 np.testing.assert_array_equal(stack, want)
                 assert all(getattr(gru, n).value.base is stack for n in names)
 
-    def test_load_holds_no_gradient_buffers(self, tmp_path):
-        # the file's arrays are copied once into the parameters; a gradient
-        # buffer is allocated only when training first touches it
+    def test_load_holds_no_gradient_buffers(self, tmp_path, traced):
+        # the file is read once into the parameters; a gradient buffer is
+        # allocated only when training first touches it
         path = tmp_path / "m.ckpt"
         CodecParams(CodecLayout(), seed=0).save(path)
         size = path.stat().st_size
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with traced() as t:
             loaded = CodecParams.load(path)
-            held, peak = (v - base for v in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * size and held <= 1.1 * size
+        assert t.peak <= 2.1 * size and t.held <= 1.1 * size
         assert all(p.tensor.grad is None for p in loaded.parameters())
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_one_copy_of_the_tensors(self, kind, tmp_path, traced):
+        # save writes from the parameter buffers and load reads straight
+        # into them: the file's tensors pass through memory once
+        params_cls, layout_cls = KINDS[kind]
+        params = params_cls(layout_cls(), seed=0)
+        path = tmp_path / "m.ckpt"
+        params.save(path)
+        size = path.stat().st_size
+        with traced() as saving:
+            params.save(path)
+        with traced() as loading:
+            params_cls.load(path)
+        assert saving.peak <= 0.05 * size
+        assert loading.peak <= 1.1 * size
+
+    def test_reordered_table_loads_by_name(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        saved = CodecParams(MICRO, seed=1, norm_mean=NORM[0], norm_std=NORM[1])
+        saved.save(path)
+        kind, meta, tensors = ckpt.load(path)
+        ckpt.save(path, kind, dict(meta), dict(reversed(tensors.items())))
+        assert list(ckpt.load(path)[2]) == list(reversed(tensors))
+        loaded = CodecParams.load(path)
+        assert [p.name for p in loaded.parameters()] == [p.name for p in saved.parameters()]
+        for p, q in zip(loaded.parameters(), saved.parameters()):
+            assert p.value.tobytes() == q.value.tobytes()
+
+    @pytest.mark.parametrize("reader", [ckpt.load, CodecParams.load], ids=["raw", "params"])
+    def test_file_shorter_than_its_size_check(self, reader, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        CodecParams(MICRO, seed=0).save(path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-6])
+        # the file shrinks between the size check and the read
+        monkeypatch.setattr(ckpt.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(ckpt.CheckpointError,
+                           match=r"m\.ckpt: truncated tensor data: tensor dec\.conv_out\.bias "
+                                 r"ends after 6 of 12 bytes"):
+            reader(path)
 
     @pytest.mark.parametrize("kind,edit", DEGENERATE, ids=DEGENERATE_IDS)
     def test_degenerate_layout_meta(self, kind, edit, tmp_path):
@@ -360,18 +396,15 @@ class TestLayoutMetaFuzz:
 
     @settings(max_examples=150)
     @given(data=st.data())
-    def test_load_bounded_by_file(self, data, tmp_path_factory):
+    def test_load_bounded_by_file(self, data, tmp_path_factory, traced):
         kind = data.draw(st.sampled_from(sorted(KINDS)), label="kind")
         edit = data.draw(_META_EDITS[kind], label="meta")
         path = edited_checkpoint(tmp_path_factory.mktemp("fuzz") / "m.ckpt", kind,
                                  meta_edit=lambda m: m.update(edit))
         size = path.stat().st_size
-        tracemalloc.start()
-        try:
-            KINDS[kind][0].load(path)
-        except ckpt.CheckpointError:
-            pass
-        finally:
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-        assert peak < 4 * size + (1 << 20)
+        with traced() as t:
+            try:
+                KINDS[kind][0].load(path)
+            except ckpt.CheckpointError:
+                pass
+        assert t.peak < 4 * size + (1 << 20)

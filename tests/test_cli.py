@@ -1,7 +1,6 @@
 import argparse
 import os
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -273,22 +272,18 @@ class TestGenData:
 
     @pytest.mark.parametrize("res", ["0", "-3", "100000"])
     def test_resolution_out_of_range_exits_1_before_rendering(self, res, tmp_path, capsys,
-                                                              monkeypatch):
+                                                              monkeypatch, traced):
         def render(*args):
             raise AssertionError("rendered an image")
 
         monkeypatch.setattr(datasets, "render_shape_image", render)
-        tracemalloc.start()
-        try:
+        with traced() as t:
             rc = run("gen-data", "--out", str(tmp_path / "data"), "--n", "2", "--res", res,
                      "--seed", "0")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"odlc gen-data: resolution must be in 1..2048, got {res}\n"
-        assert peak < 1 << 20
+        assert t.peak < 1 << 20
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("classes", ["1", "11"])

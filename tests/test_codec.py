@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -286,21 +285,18 @@ class TestCompressDecompress:
             codec.compress(x, 1, params)
         assert ceil16(2048) ** 2 == codec.MAX_PADDED_PIXELS
 
-    def test_compress_peak_does_not_grow_with_iterations(self):
+    def test_compress_peak_does_not_grow_with_iterations(self, traced):
         p = codec.CodecParams(codec.CodecLayout(), seed=3)
         x = image(0, 64, 64)
         codec.compress(x, 1, p)  # first-call allocations stay out of the peaks
 
         def peak(t):
-            tracemalloc.start()
-            try:
+            with traced() as mem:
                 codec.compress(x, t, p)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return mem.peak
         assert peak(8) <= 1.02 * peak(2)
 
-    def test_peak_bytes_per_pixel_256px(self):
+    def test_peak_bytes_per_pixel_256px(self, traced):
         # T = 2 reads 464 and 426 B/px; the bounds leave under 5 % headroom,
         # so a loop that holds the old GRU states, r_t or z_t through the
         # decode (~561 and ~484) fails them
@@ -310,12 +306,9 @@ class TestCompressDecompress:
         codec.decompress(bs, p)  # first-call allocations stay out of the peaks
 
         def peak(fn, *args):
-            tracemalloc.start()
-            try:
+            with traced() as t:
                 fn(*args)
-                return tracemalloc.get_traced_memory()[1] / (256 * 256)
-            finally:
-                tracemalloc.stop()
+            return t.peak / (256 * 256)
         assert peak(codec.compress, x, 2, p) <= 485
         assert peak(codec.decompress, bs, p) <= 445
 

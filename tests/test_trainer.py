@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,7 +252,7 @@ class TestStepLoss:
         trainer.step_loss(x, 4, CodecParams(MICRO, seed=4), cfg, lossnet=toy_net)
         assert len(calls) == 5
 
-    def test_backward_peak_within_forward_memory(self):
+    def test_backward_peak_within_forward_memory(self, traced):
         # backward frees each record once replayed, so its peak stays near
         # what the forward left on the tape instead of adding a gradient
         # per activation (about twice that when nothing is freed)
@@ -263,19 +262,14 @@ class TestStepLoss:
         params.zero_grads()  # the persistent buffers are not backward's to count
         x = np.random.default_rng(5).random((3, 64, 64), dtype=np.float32)
         cfg = losses.LossConfig(alpha=0.5)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with traced() as t:
             with ad.Tape() as tape:
                 loss, _ = trainer.step_loss(x, 4, params, cfg, lossnet=net,
                                             rng=np.random.default_rng(6))
-            held = tracemalloc.get_traced_memory()[0] - base
-            tracemalloc.reset_peak()
+            held = t.held
+            t.reset_peak()
             ad.backward(loss, tape)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * held, (peak, held)
+        assert t.peak <= 1.1 * held, (t.peak, held)
 
 
 class FixedDataset:
@@ -292,6 +286,16 @@ class FixedDataset:
 
     def label(self, i):
         return self.labels[i]
+
+
+def overflowing_adam(at_step):
+    """An Adam whose update sends one parameter to inf at step ``at_step``."""
+    class Overflowing(trainer.Adam):
+        def step(self):
+            super().step()
+            if self.t == at_step:
+                self.params[3].value[...] = np.inf
+    return Overflowing
 
 
 class TestTrainCodec:
@@ -380,16 +384,7 @@ class TestTrainCodec:
     @pytest.mark.parametrize("saving", [True, False])
     def test_parameter_overflow_names_the_last_good_checkpoint(self, tmp_path, monkeypatch,
                                                                saving):
-        class OverflowsOnStep2(trainer.Adam):
-            steps = 0
-
-            def step(self):
-                super().step()
-                OverflowsOnStep2.steps += 1
-                if OverflowsOnStep2.steps == 2:
-                    self.params[3].value[...] = np.inf
-
-        monkeypatch.setattr(trainer, "Adam", OverflowsOnStep2)
+        monkeypatch.setattr(trainer, "Adam", overflowing_adam(2))
         ds = self._sets(n=4)
         cfg = self._cfg(epochs=2, normalization=NORM)
         out = tmp_path / "run"
@@ -402,6 +397,18 @@ class TestTrainCodec:
             assert list(out.iterdir()) == [out / "codec_epoch1.ckpt"]
         else:
             assert not out.exists()
+
+    def test_parameter_overflow_stops_at_its_step(self, tmp_path, monkeypatch):
+        # 8 images at batch 4: two steps per epoch, and the first overflows
+        monkeypatch.setattr(trainer, "Adam", overflowing_adam(1))
+        ds = self._sets(n=8)
+        out, steps = tmp_path / "run", []
+        with pytest.raises(trainer.TrainingDiverged,
+                           match=r"^parameter \S+ became non-finite by step 1$"):
+            trainer.train_codec(ds, ds, losses.LossConfig(alpha=0.0),
+                                self._cfg(normalization=NORM), layout=MICRO, out_dir=str(out),
+                                progress=lambda step, row: steps.append(step))
+        assert steps == [] and not out.exists()
 
 
 def img(seed, res):
@@ -445,6 +452,16 @@ class TestTrainClassifier:
         p1.save(a)
         p2.save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_parameter_overflow_stops_at_its_step(self, monkeypatch):
+        monkeypatch.setattr(trainer, "Adam", overflowing_adam(1))
+        ds = ShapesDataset(ShapesSpec(seed=3, split="train", size=8, classes=4, resolution=32))
+        cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, batch_size=4, epochs=1,
+                                       normalization=NORM)
+        layout = ClassifierLayout(widths=(4,), classes=4, input_resolution=32)
+        with pytest.raises(trainer.TrainingDiverged,
+                           match=r"^parameter head\.bias became non-finite by step 1$"):
+            trainer.train_classifier(ds, cfg, layout=layout)
 
     def test_frozen_after_training(self):
         ds = ShapesDataset(ShapesSpec(seed=3, split="train", size=8, classes=4, resolution=32))
