@@ -133,12 +133,11 @@ def _grid(text):
 
 
 def cmd_eval_quality(args):
+    cfg = evaluation.EvalConfig(s_comp=args.s_comp)
     params = CodecParams.load(args.model)
     val_set = datasets.parse_spec(args.data, default_split="val")
-    cfg = evaluation.EvalConfig(s_comp=args.s_comp, s_inf=args.s_inf, grid=_grid(args.grid))
-    points = evaluation.eval_quality_curve(params, val_set, cfg)
-    configio.write_csv(args.out, evaluation.CURVE_HEADER,
-                       [(p.level, p.bpp, p.value, p.n) for p in points])
+    points = evaluation.eval_quality_curve(params, val_set, _grid(args.grid), cfg)
+    configio.write_csv(args.out, evaluation.CURVE_HEADER, [dataclasses.astuple(p) for p in points])
     _manifest(args.out, args, {"eval": cfg}, [args.model, args.data])
     for p in points:
         print(f"T={p.level}: bpp {p.bpp:.4f} msssim {p.value:.4f} (n={p.n})")
@@ -146,25 +145,24 @@ def cmd_eval_quality(args):
 
 
 def cmd_eval_accuracy(args):
+    cfg = evaluation.EvalConfig(s_comp=args.s_comp)
     params = CodecParams.load(args.model)
     classifier = ClassifierParams.load(args.classifier)
     val_set = datasets.parse_spec(args.data, default_split="val")
-    cfg = evaluation.EvalConfig(s_comp=args.s_comp, s_inf=args.s_inf, grid=_grid(args.grid))
-    curves = evaluation.eval_accuracy_curve(params, classifier, val_set, cfg)
+    curves = evaluation.eval_accuracy_curve(params, classifier, val_set, _grid(args.grid), cfg)
     base, ext = os.path.splitext(args.out)
     for metric, points in curves.items():
         path = args.out if metric == "accuracy" else f"{base}_{metric}{ext}"
-        configio.write_csv(path, evaluation.CURVE_HEADER,
-                           [(p.level, p.bpp, p.value, p.n) for p in points])
-    _manifest(args.out, args, {"eval": cfg}, [args.model, args.classifier, args.data])
-    for metric, points in curves.items():
+        configio.write_csv(path, evaluation.CURVE_HEADER, [dataclasses.astuple(p) for p in points])
         for p in points:
             print(f"{metric} T={p.level}: bpp {p.bpp:.4f} value {p.value:.4f}")
+    _manifest(args.out, args, {"eval": cfg}, [args.model, args.classifier, args.data])
     return 0
 
 
 def cmd_sweep(args):
-    checkpoints, loaded = {}, []
+    cfg = evaluation.EvalConfig(s_comp=args.s_comp)
+    paths = {}
     for pair in args.models.split(","):
         try:
             alpha, path = pair.split("=", 1)
@@ -172,13 +170,15 @@ def cmd_sweep(args):
         except ValueError:
             raise configio.ConfigError(f"--models: {pair!r} is not an ALPHA=PATH pair "
                                        f"(e.g. 0=a.ckpt,1=b.ckpt)") from None
-        checkpoints[alpha] = None
-        if os.path.exists(path):
-            checkpoints[alpha] = CodecParams.load(path)
-            loaded.append(path)
+        if not 0.0 <= alpha <= 1.0:
+            raise configio.ConfigError(f"--models: alpha {alpha} is not in [0, 1]")
+        if alpha in paths:
+            raise configio.ConfigError(f"--models: alpha {alpha} is given twice")
+        paths[alpha] = path
+    loaded = [path for path in paths.values() if os.path.exists(path)]
+    checkpoints = {a: CodecParams.load(p) if p in loaded else None for a, p in paths.items()}
     classifier = ClassifierParams.load(args.classifier)
     val_set = datasets.parse_spec(args.data, default_split="val")
-    cfg = evaluation.EvalConfig(s_comp=args.s_comp, s_inf=args.s_inf)
     rows, skipped = evaluation.tradeoff_sweep(checkpoints, classifier, val_set,
                                               _grid(args.iters), cfg)
     configio.write_csv(args.out, evaluation.SWEEP_HEADER, rows)
@@ -191,16 +191,14 @@ def cmd_sweep(args):
 
 def cmd_ablate_layers(args):
     cfg = _train_cfg(args, _config_kv(args))
+    eval_cfg = evaluation.EvalConfig(s_comp=args.s_comp)
     f_l = ClassifierParams.load(args.lossnet)
     classifier = ClassifierParams.load(args.classifier)
     train_set = datasets.parse_spec(args.data, default_split="train")
     val_set = datasets.parse_spec(args.val_data or args.data, default_split="val")
-    sets = []
-    for chunk in args.sets.split("|"):
-        sets.append(tuple(f_l.layer_names()) if chunk == "all" else tuple(chunk.split(",")))
-    eval_cfg = evaluation.EvalConfig(s_comp=args.s_comp, s_inf=args.s_inf)
-    rows, _ = evaluation.ablate_layers(sets, train_set, val_set, f_l, classifier,
-                                       losses.LossConfig(alpha=1.0), cfg,
+    sets = [tuple(f_l.layer_names()) if chunk == "all" else tuple(chunk.split(","))
+            for chunk in args.sets.split("|")]
+    rows, _ = evaluation.ablate_layers(sets, train_set, val_set, f_l, classifier, cfg,
                                        _grid(args.iters), eval_cfg)
     configio.write_csv(args.out, evaluation.ABLATION_HEADER, rows)
     _manifest(args.out, args, {"train": cfg, "eval": eval_cfg},
@@ -220,6 +218,9 @@ def cmd_gradcheck(args):
     return 0 if failed == 0 else 1
 
 
+_LEVELS_HELP = "comma-separated iteration counts to measure, each an int >= 1"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="odlc",
                                 description="observer-dependent lossy image codec")
@@ -236,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def eval_common(sp):
         data_out(sp)
-        sp.add_argument("--s-comp", dest="s_comp", type=int, default=64)
-        sp.add_argument("--s-inf", dest="s_inf", type=int, default=56)
+        sp.add_argument("--s-comp", dest="s_comp", type=int, default=64,
+                        help="image side after resize and center crop, before encoding (1..2048)")
 
     def training(sp, unroll_steps=False, evaluated=False):
         (eval_common if evaluated else data_out)(sp)
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compress", help="image -> bitstream")
     sp.add_argument("--in", dest="infile", required=True, help="P6 PPM input")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--iters", type=int, required=True)
+    sp.add_argument("--iters", type=int, required=True, help="encoder iterations (quality level)")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_compress)
 
@@ -286,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval-quality", help="(bpp, MS-SSIM) curve")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--grid", default="1,2,3,4")
+    sp.add_argument("--grid", default="1,2,3,4", help=_LEVELS_HELP)
     eval_common(sp)
     sp.set_defaults(fn=cmd_eval_quality)
 
     sp = sub.add_parser("eval-accuracy", help="(bpp, accuracy/preservation) curves")
     sp.add_argument("--model", required=True)
     sp.add_argument("--classifier", required=True)
-    sp.add_argument("--grid", default="1,2,3,4")
+    sp.add_argument("--grid", default="1,2,3,4", help=_LEVELS_HELP)
     eval_common(sp)
     sp.set_defaults(fn=cmd_eval_accuracy)
 
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--models", required=True,
                     help="comma-separated alpha=checkpoint pairs, e.g. 0=a.ckpt,1=b.ckpt")
     sp.add_argument("--classifier", required=True)
-    sp.add_argument("--iters", default="1,2,3,4")
+    sp.add_argument("--iters", default="1,2,3,4", help=_LEVELS_HELP)
     eval_common(sp)
     sp.set_defaults(fn=cmd_sweep)
 
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pipe-separated tap sets, e.g. '1.1|5.1|1.1,5.1|all'")
     sp.add_argument("--lossnet", required=True)
     sp.add_argument("--classifier", required=True)
-    sp.add_argument("--iters", default="1,2,3,4")
+    sp.add_argument("--iters", default="1,2,3,4", help=_LEVELS_HELP)
     training(sp, unroll_steps=True, evaluated=True)
     sp.set_defaults(fn=cmd_ablate_layers, config_keys=_CODEC_TRAIN_KEYS)
 

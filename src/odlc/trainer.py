@@ -117,7 +117,8 @@ def fit_normalization(dataset, cfg: TrainConfig, sample: int = 256) -> tuple:
 
 class Adam:
     """Bias-corrected Adam over Parameter objects (reads .grad in place),
-    at Kingma & Ba's constants β1 = 0.9, β2 = 0.999, ε = 1e-8."""
+    at Kingma & Ba's constants β1 = 0.9, β2 = 0.999, ε = 1e-8. Nothing is
+    written past a non-finite gradient or update: each raises, naming it."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -133,7 +134,7 @@ class Adam:
             if not np.isfinite(p.grad).all():
                 raise NonFiniteGradientError(f"non-finite gradient in {p.name}; step rejected")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
+        lr = self.lr / (1.0 - self.beta1 ** self.t)  # bias-corrected for m
         bc2 = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
@@ -141,8 +142,11 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
-            update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
-            p.tensor.data -= update.astype(p.value.dtype, copy=False)
+            with np.errstate(over="ignore", invalid="ignore"):  # named below instead
+                update = (lr * m / (np.sqrt(v / bc2) + self.eps)).astype(p.value.dtype, copy=False)
+            if not np.isfinite(update).all():
+                raise TrainingDiverged(f"parameter {p.name} became non-finite by step {self.t}")
+            p.tensor.data -= update
 
 
 def clip_global_norm(params: list, max_norm: float) -> float:

@@ -22,7 +22,7 @@ def run(*argv):
 # config-file keys the command reads. A new knob has to be added here.
 _SEED = {"--seed": ("seed", int, None)}
 _DATA_OUT = {"--data": ("data", None, None), "--out": ("out", None, None)}
-_EVAL = {**_DATA_OUT, "--s-comp": ("s_comp", int, 64), "--s-inf": ("s_inf", int, 56)}
+_EVAL = {**_DATA_OUT, "--s-comp": ("s_comp", int, 64)}
 _TRAINING = {"--val-data": ("val_data", None, None), "--config": ("config", None, None),
              "--epochs": ("epochs", int, None), "--batch-size": ("batch_size", int, None),
              "--learning-rate": ("learning_rate", float, None), **_SEED}
@@ -386,7 +386,7 @@ class TestTrainAndEvalCli:
 
         csv = tmp_path / "q.csv"
         rc = run("eval-quality", "--model", str(ckpt), "--data", val, "--grid", "1,2",
-                 "--s-comp", "48", "--s-inf", "48", "--out", str(csv))
+                 "--s-comp", "48", "--out", str(csv))
         assert rc == 0
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "level,bpp,metric,n"
@@ -400,8 +400,7 @@ class TestTrainAndEvalCli:
         net.save(cls48)
         sweep_csv = tmp_path / "s.csv"
         rc = run("sweep", "--models", f"0={ckpt},1={ckpt}", "--classifier", str(cls48),
-                 "--data", val, "--iters", "1,2", "--s-comp", "48", "--s-inf", "48",
-                 "--out", str(sweep_csv))
+                 "--data", val, "--iters", "1,2", "--s-comp", "48", "--out", str(sweep_csv))
         assert rc == 0
         lines = sweep_csv.read_text().strip().splitlines()
         assert lines[0] == "alpha,iters,bpp,msssim,preservation,accuracy"
@@ -416,10 +415,10 @@ class TestTrainAndEvalCli:
         out = tmp_path / "s.csv"
         rc = run("sweep", "--models", f"0={model},1={model}", "--classifier", str(cls),
                  "--data", "shapes:seed=3,split=val,n=2,classes=3,res=16", "--iters", "",
-                 "--s-comp", "16", "--s-inf", "16", "--out", str(out))
+                 "--s-comp", "16", "--out", str(out))
         assert rc == 1
         err = capsys.readouterr().err
-        assert "t_list must be non-empty" in err and "Traceback" not in err
+        assert "tradeoff_sweep: levels must be non-empty" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("models", ["0a.ckpt", "x=a.ckpt,1=b.ckpt"])
@@ -433,6 +432,49 @@ class TestTrainAndEvalCli:
         assert f"--models: {bad!r} is not an ALPHA=PATH pair" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("models,message", [
+        ("0=a.ckpt,0.0=b.ckpt,1=c.ckpt", "--models: alpha 0.0 is given twice"),
+        ("nan=a.ckpt,1=c.ckpt", "--models: alpha nan is not in [0, 1]"),
+        ("0=a.ckpt,1.5=c.ckpt", "--models: alpha 1.5 is not in [0, 1]"),
+    ], ids=["repeated", "nan", "above-1"])
+    def test_sweep_bad_alpha_exits_1_before_any_load(self, models, message, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_load(*args):
+            raise AssertionError("a checkpoint was loaded")
+        monkeypatch.setattr(CodecParams, "load", no_load)
+        monkeypatch.setattr(ClassifierParams, "load", no_load)
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.ckpt").write_bytes(b"")
+        monkeypatch.chdir(tmp_path)
+        rc = run("sweep", "--models", models, "--classifier", "a.ckpt",
+                 "--data", "shapes:seed=3,split=val,n=2,classes=3,res=16", "--out", "s.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == f"odlc sweep: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("s_comp", ["0", "2049"])
+    @pytest.mark.parametrize("argv", [
+        ("eval-quality", "--model", "m.ckpt"),
+        ("eval-accuracy", "--model", "m.ckpt", "--classifier", "c.ckpt"),
+        ("sweep", "--models", "0=m.ckpt,1=m.ckpt", "--classifier", "c.ckpt"),
+        ("ablate-layers", "--sets", "1.1", "--lossnet", "c.ckpt", "--classifier", "c.ckpt",
+         "--seed", "0"),
+    ], ids=lambda argv: argv[0])
+    def test_s_comp_out_of_range_exits_1_before_any_load(self, argv, s_comp, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_load(*args):
+            raise AssertionError("a checkpoint was loaded")
+        monkeypatch.setattr(CodecParams, "load", no_load)
+        monkeypatch.setattr(ClassifierParams, "load", no_load)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.ckpt").write_bytes(b"")
+        rc = run(*argv, "--data", "shapes:seed=3,split=val,n=2,classes=3,res=16",
+                 "--s-comp", s_comp, "--out", "out.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"odlc {argv[0]}: s_comp must be an int in 1..2048, got {s_comp}\n")
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
     def test_eval_accuracy_cli(self, tmp_path):
         model = tmp_path / "m.ckpt"
         CodecParams(MICRO, seed=2).save(model)
@@ -444,14 +486,14 @@ class TestTrainAndEvalCli:
         out = tmp_path / "acc.csv"
         rc = run("eval-accuracy", "--model", str(model), "--classifier", str(cls),
                  "--data", "shapes:seed=3,split=val,n=6,classes=3,res=48",
-                 "--grid", "1", "--s-comp", "48", "--s-inf", "32", "--out", str(out))
+                 "--grid", "1", "--s-comp", "48", "--out", str(out))
         assert rc == 0
         assert out.exists()
         assert (tmp_path / "acc_preservation.csv").exists()
 
 
-    def test_ablate_layers_s_inf_mismatch_exits_1_before_training(self, tmp_path, capsys,
-                                                                  monkeypatch):
+    def test_ablate_layers_s_comp_below_classifier_side_exits_1_before_training(
+            self, tmp_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("a codec was trained")
         monkeypatch.setattr(trainer, "train_codec", no_training)
@@ -461,10 +503,11 @@ class TestTrainAndEvalCli:
         out = tmp_path / "a.csv"
         rc = run("ablate-layers", "--sets", "1.1", "--lossnet", str(net),
                  "--classifier", str(net), "--data", "shapes:seed=3,split=val,n=2,classes=3,res=64",
-                 "--s-comp", "64", "--s-inf", "48", "--out", str(out), "--seed", "0")
+                 "--s-comp", "24", "--out", str(out), "--seed", "0")
         assert rc == 1
         err = capsys.readouterr().err
-        assert "expects 32px inputs, config says s_inf=48" in err and "Traceback" not in err
+        assert err == ("odlc ablate-layers: ablate_layers: s_comp 24 is below the "
+                       "classifier's input side 32\n")
         assert not out.exists()
 
 
@@ -486,7 +529,7 @@ class TestManifest:
         data = "shapes:seed=3,split=val,n=2,classes=3,res=16"
         argv = ["sweep", "--models", f"0={a},0.5={tmp_path / 'missing.ckpt'},1={b}",
                 "--classifier", str(cls), "--data", data, "--iters", "1",
-                "--s-comp", "16", "--s-inf", "16", "--out", str(tmp_path / "s.csv")]
+                "--s-comp", "16", "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 0
         lines = self._read(tmp_path / "s.csv.manifest.txt")
         assert lines[0] == "command: " + " ".join(argv)
@@ -511,7 +554,7 @@ class TestManifest:
         cfgfile.write_text("epochs = 1\n")
         argv = ["ablate-layers", "--sets", "1.1", "--lossnet", str(net), "--classifier",
                 str(net), "--data", "shapes:seed=3,split=val,n=2,classes=3,res=16",
-                "--iters", "1", "--s-comp", "16", "--s-inf", "16", "--config", str(cfgfile),
+                "--iters", "1", "--s-comp", "16", "--config", str(cfgfile),
                 "--out", str(tmp_path / "a.csv"), "--seed", "0"]
         assert cli.main(argv) == 0
         lines = self._read(tmp_path / "a.csv.manifest.txt")

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from odlc import evaluation, losses, parallel, trainer
+from odlc import evaluation, parallel, trainer
 from odlc.codec import CodecLayout, CodecParams
 from odlc.evaluation import CurvePoint, EvalConfig
 from odlc.lossnet import ClassifierLayout, ClassifierParams
@@ -80,8 +80,8 @@ def preservation(codec, classifier, images, iters: int) -> float:
     """Label preservation at one level: the accuracy curve's preservation
     point on 16 px images (no resize, no crop)."""
     ds = Labeled(images, [0] * max(len(images), 1))
-    cfg = EvalConfig(s_comp=16, s_inf=16, grid=(iters,))
-    [point] = evaluation.eval_accuracy_curve(codec, classifier, ds, cfg)["preservation"]
+    [point] = evaluation.eval_accuracy_curve(codec, classifier, ds, (iters,),
+                                             EvalConfig(s_comp=16))["preservation"]
     return point.value
 
 
@@ -119,9 +119,17 @@ class TestPreservation:
 
 
 class TestEvalConfig:
-    def test_scomp_ge_sinf(self):
-        with pytest.raises(evaluation.EvalError, match="s_comp"):
-            EvalConfig(s_comp=32, s_inf=56)
+    @pytest.mark.parametrize("s_comp", [0, -16, 2049, 64.0, True, "64"],
+                             ids=["zero", "negative", "above-cap", "float", "bool", "str"])
+    def test_s_comp_is_an_int_in_range(self, s_comp):
+        with pytest.raises(evaluation.EvalError, match=r"s_comp must be an int in 1\.\.2048"):
+            EvalConfig(s_comp=s_comp)
+
+    def test_s_comp_cap_is_the_codec_and_dataset_side(self):
+        from odlc import codec, datasets
+        assert EvalConfig(s_comp=2048).s_comp == evaluation._MAX_S_COMP == 2048
+        assert evaluation._MAX_S_COMP ** 2 == codec.MAX_PADDED_PIXELS
+        assert evaluation._MAX_S_COMP == datasets._MAX_RESOLUTION
 
     def test_curve_point_bpp_positive(self):
         with pytest.raises(evaluation.EvalError, match="positive"):
@@ -132,8 +140,8 @@ class TestAccuracyCurve:
     def test_identity_stub_matches_uncompressed(self, stubs, classifier, balanced_images):
         labels = [0] * 5 + [1] * 5
         ds = Labeled(balanced_images, labels)
-        cfg = EvalConfig(s_comp=16, s_inf=16, grid=(1, 2))
-        curves = evaluation.eval_accuracy_curve(identity_stub, classifier, ds, cfg)
+        curves = evaluation.eval_accuracy_curve(identity_stub, classifier, ds, (1, 2),
+                                                EvalConfig(s_comp=16))
         for p in curves["preservation"]:
             assert p.value == 1.0
         for p in curves["accuracy"]:
@@ -149,23 +157,22 @@ class TestAccuracyCurve:
         def stub(img, iters):
             return img, per_image[float(img[1, 0, 0])]
 
-        cfg = EvalConfig(s_comp=16, s_inf=16, grid=(1,))
-        curves = evaluation.eval_accuracy_curve(stub, classifier, ds, cfg)
+        curves = evaluation.eval_accuracy_curve(stub, classifier, ds, (1,), EvalConfig(s_comp=16))
         want = (per_image[0.0] + per_image[1.0]) / (2 * 16 * 16)
         assert curves["accuracy"][0].bpp == pytest.approx(want)
         assert want == pytest.approx(0.15, abs=0.005)
 
     def test_classifier_resolution_must_match(self, classifier, balanced_images):
         ds = Labeled(balanced_images, [0] * 10)
-        with pytest.raises(evaluation.EvalError, match="s_inf"):
-            evaluation.eval_accuracy_curve(identity_stub, classifier, ds,
-                                           EvalConfig(s_comp=64, s_inf=56))
+        with pytest.raises(evaluation.EvalError, match="s_comp 8 is below the classifier's"):
+            evaluation.eval_accuracy_curve(identity_stub, classifier, ds, (1,),
+                                           EvalConfig(s_comp=8))
 
 
 class TestQualityCurve:
     def test_identity_stub_msssim_one(self, stubs, balanced_images):
         ds = Labeled(balanced_images, [0] * 10)
-        pts = evaluation.eval_quality_curve(identity_stub, ds, EvalConfig(s_comp=16, s_inf=16, grid=(1, 3)))
+        pts = evaluation.eval_quality_curve(identity_stub, ds, (1, 3), EvalConfig(s_comp=16))
         for p in pts:
             assert p.value == pytest.approx(1.0, abs=1e-6)
 
@@ -178,14 +185,14 @@ class TestQualityCurve:
         imgs = [np.random.default_rng(i).random((3, 48, 48)).astype(np.float32)
                 for i in range(3)]
         ds = Labeled(imgs, [0] * 3)
-        evaluation.eval_quality_curve(spy, ds, EvalConfig(s_comp=64, s_inf=32, grid=(1,)))
+        evaluation.eval_quality_curve(spy, ds, (1,), EvalConfig(s_comp=64))
         assert set(seen) == {(3, 48, 48)}  # native size kept (the Kodak rule)
 
     def test_single_image_bpp_exact(self):
         params = CodecParams(MICRO, seed=4)
         img = np.random.default_rng(0).random((3, 32, 32)).astype(np.float32)
         ds = Labeled([img], [0])
-        pts = evaluation.eval_quality_curve(params, ds, EvalConfig(s_comp=32, s_inf=32, grid=(2,)))
+        pts = evaluation.eval_quality_curve(params, ds, (2,), EvalConfig(s_comp=32))
         from odlc.codec import compress
         assert pts[0].bpp == compress(img, 2, params).bpp
 
@@ -194,7 +201,7 @@ class TestQualityCurve:
         imgs = [np.random.default_rng(i).random((3, 32, 32)).astype(np.float32)
                 for i in range(3)]
         ds = Labeled(imgs, [0] * 3)
-        pts = evaluation.eval_quality_curve(params, ds, EvalConfig(s_comp=32, s_inf=32, grid=(1, 2)))
+        pts = evaluation.eval_quality_curve(params, ds, (1, 2), EvalConfig(s_comp=32))
         for p in pts:
             assert p.bpp == p.level * 4 * 2 * 2 / (32 * 32)
 
@@ -205,8 +212,8 @@ class TestSweep:
         a = CodecParams(CodecLayout(enc_widths=(2, 2, 4, 4), dec_widths=(4, 4, 4, 4),
                                     bottleneck=2, t_max=4), seed=1)
         ckpts = {0.0: a, 0.5: None, 1.0: a}
-        cfg = EvalConfig(s_comp=16, s_inf=16)
-        rows, skipped = evaluation.tradeoff_sweep(ckpts, classifier, ds, (1, 2), cfg)
+        rows, skipped = evaluation.tradeoff_sweep(ckpts, classifier, ds, (1, 2),
+                                                  EvalConfig(s_comp=16))
         assert skipped == [0.5]
         assert len(rows) == 2 * 2  # present alphas x iteration counts
         alphas = sorted({r[0] for r in rows})
@@ -218,7 +225,7 @@ class TestSweep:
         ds = Labeled(balanced_images, [0] * 10)
         with pytest.raises(evaluation.EvalError, match="2 alpha"):
             evaluation.tradeoff_sweep({0.0: CodecParams(MICRO, seed=0), 1.0: None},
-                                      classifier, ds, (1,), EvalConfig(s_comp=16, s_inf=16))
+                                      classifier, ds, (1,), EvalConfig(s_comp=16))
 
 
 class TestAblation:
@@ -238,8 +245,7 @@ class TestAblation:
                                        epochs=2, batch_size=4, val_interval=0, seed=2)
         sets = [("1.1",), ("2.1",), ("1.1", "2.1")]
         rows, logs = evaluation.ablate_layers(
-            sets, train, val, f_l, classifier, losses.LossConfig(alpha=1.0),
-            cfg, (1, 2), EvalConfig(s_comp=16, s_inf=16), layout=tiny)
+            sets, train, val, f_l, classifier, cfg, (1, 2), EvalConfig(s_comp=16), layout=tiny)
         assert len(rows) == len(sets) * 2
         for tag, log in logs.items():
             vals = [r[1] for r in log]
@@ -284,12 +290,12 @@ class TestPrefixCore:
     def test_curves_equal_the_bitstream_path(self, micro, classifier, balanced_images,
                                              monkeypatch):
         ds = Labeled(balanced_images[3:7], [0, 0, 1, 1])
-        cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
+        cfg = EvalConfig(s_comp=16)
         ckpts = {0.0: micro, 1.0: CodecParams(MICRO, seed=6)}
 
         def protocols():
-            return (evaluation.eval_quality_curve(micro, ds, cfg),
-                    evaluation.eval_accuracy_curve(micro, classifier, ds, cfg),
+            return (evaluation.eval_quality_curve(micro, ds, self.LEVELS, cfg),
+                    evaluation.eval_accuracy_curve(micro, classifier, ds, self.LEVELS, cfg),
                     evaluation.tradeoff_sweep(ckpts, classifier, ds, self.LEVELS, cfg))
         prefix = protocols()
         monkeypatch.setattr(evaluation, "_decodes", bitstream_decodes)
@@ -306,8 +312,8 @@ class TestPrefixCore:
         monkeypatch.setattr(codec, "progressive_from_normalized", counting)
         imgs = [np.random.default_rng(i).random((3, 32, 32)).astype(np.float32)
                 for i in range(3)]
-        evaluation.eval_quality_curve(micro, Labeled(imgs, [0] * 3),
-                                      EvalConfig(s_comp=32, s_inf=32, grid=(1, 2, 3, 4)))
+        evaluation.eval_quality_curve(micro, Labeled(imgs, [0] * 3), (1, 2, 3, 4),
+                                      EvalConfig(s_comp=32))
         assert calls == [4, 4, 4]
 
     def test_every_protocol_decodes_once_per_image(self, micro, classifier, balanced_images,
@@ -324,23 +330,22 @@ class TestPrefixCore:
         other = CodecParams(MICRO, seed=6)
         monkeypatch.setattr(trainer, "train_codec", lambda *a, **k: (other, [], None))
         ds = Labeled(balanced_images[:3], [0] * 3)
-        cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
+        cfg = EvalConfig(s_comp=16)
         greens = (0.0, 0.1, 0.2)
 
         def each(*codecs):
             return Counter((c, g, self.LEVELS) for c in codecs for g in greens)
-        evaluation.eval_quality_curve(micro, ds, cfg)
+        evaluation.eval_quality_curve(micro, ds, self.LEVELS, cfg)
         assert Counter(calls) == each(micro)
         calls.clear()
-        evaluation.eval_accuracy_curve(micro, classifier, ds, cfg)
+        evaluation.eval_accuracy_curve(micro, classifier, ds, self.LEVELS, cfg)
         assert Counter(calls) == each(micro)
         calls.clear()
         evaluation.tradeoff_sweep({1.0: other, 0.0: micro}, classifier, ds, self.LEVELS, cfg)
         assert Counter(calls) == each(micro, other)
         calls.clear()
-        evaluation.ablate_layers([("1.1",), ("2.1",)], None, ds, None, classifier,
-                                 losses.LossConfig(alpha=1.0), None, self.LEVELS, cfg,
-                                 layout=MICRO)
+        evaluation.ablate_layers([("1.1",), ("2.1",)], None, ds, None, classifier, None,
+                                 self.LEVELS, cfg, layout=MICRO)
         assert Counter(calls) == each(other, other)
 
     def test_every_protocol_returns_the_same_rows_on_one_and_two_workers(
@@ -348,17 +353,16 @@ class TestPrefixCore:
         other = CodecParams(MICRO, seed=6)
         monkeypatch.setattr(trainer, "train_codec", lambda *a, **k: (other, [], None))
         ds = Labeled(balanced_images[2:7], [0, 1, 0, 1, 1])
-        cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
+        cfg = EvalConfig(s_comp=16)
 
         def protocols(cores):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-            out = (evaluation.eval_quality_curve(micro, ds, cfg),
-                   evaluation.eval_accuracy_curve(micro, classifier, ds, cfg),
+            out = (evaluation.eval_quality_curve(micro, ds, self.LEVELS, cfg),
+                   evaluation.eval_accuracy_curve(micro, classifier, ds, self.LEVELS, cfg),
                    evaluation.tradeoff_sweep({1.0: other, 0.0: micro}, classifier, ds,
                                              self.LEVELS, cfg),
                    evaluation.ablate_layers([("1.1",), ("2.1",)], None, ds, None, classifier,
-                                            losses.LossConfig(alpha=1.0), None, self.LEVELS,
-                                            cfg, layout=MICRO)[0])
+                                            None, self.LEVELS, cfg, layout=MICRO)[0])
             return out, parallel.last_region()
 
         serial, one = protocols({0})
@@ -370,8 +374,8 @@ class TestPrefixCore:
 
     def test_row_order_and_duplicate_levels(self, micro, classifier, balanced_images):
         ds = Labeled(balanced_images[:2], [0, 0])
-        cfg = EvalConfig(s_comp=16, s_inf=16, grid=self.LEVELS)
-        pts = evaluation.eval_quality_curve(micro, ds, cfg)
+        cfg = EvalConfig(s_comp=16)
+        pts = evaluation.eval_quality_curve(micro, ds, self.LEVELS, cfg)
         assert [p.level for p in pts] == list(self.LEVELS)
         assert pts[0] == pts[2]
         other = CodecParams(MICRO, seed=6)
@@ -383,48 +387,55 @@ class TestPrefixCore:
 
 
 class TestLevelChecks:
-    @pytest.mark.parametrize("t_list", [(), (0,), (1, -2), (1.5,), (True,)])
-    def test_sweep_rejects_bad_t_list(self, micro, classifier, balanced_images, t_list):
-        ds = Labeled(balanced_images[:2], [0, 0])
-        with pytest.raises(evaluation.EvalError, match="t_list"):
-            evaluation.tradeoff_sweep({0.0: micro, 1.0: micro}, classifier, ds, t_list,
-                                      EvalConfig(s_comp=16, s_inf=16))
+    @staticmethod
+    def _protocols(micro, classifier, ds, cfg):
+        """Each protocol, as a function of its levels."""
+        return {
+            "quality": lambda levels: evaluation.eval_quality_curve(micro, ds, levels, cfg),
+            "accuracy": lambda levels: evaluation.eval_accuracy_curve(micro, classifier, ds,
+                                                                      levels, cfg),
+            "sweep": lambda levels: evaluation.tradeoff_sweep({0.0: micro, 1.0: micro},
+                                                              classifier, ds, levels, cfg),
+            "ablation": lambda levels: evaluation.ablate_layers([("1.1",)], ds, ds, None,
+                                                                classifier, None, levels, cfg),
+        }
 
-    @pytest.mark.parametrize("grid", [(), (0, 1), ("2",)])
-    def test_config_rejects_bad_grid(self, grid):
-        with pytest.raises(evaluation.EvalError, match="grid"):
-            EvalConfig(grid=grid)
+    @staticmethod
+    def _no_work(monkeypatch):
+        """Spies on the decode core and on training; returns their calls."""
+        calls = []
+        monkeypatch.setattr(evaluation, "_decodes", lambda *a: calls.append("decode"))
+        monkeypatch.setattr(trainer, "train_codec", lambda *a, **k: calls.append("train"))
+        return calls
+
+    @pytest.mark.parametrize("levels", [(), (0,), (1, -2), (1.5,), (True,), ("2",)],
+                             ids=["empty", "zero", "negative", "float", "bool", "str"])
+    @pytest.mark.parametrize("protocol", ["quality", "accuracy", "sweep", "ablation"])
+    def test_every_protocol_rejects_bad_levels_before_any_encode(
+            self, protocol, levels, micro, classifier, balanced_images, monkeypatch):
+        calls = self._no_work(monkeypatch)
+        run = self._protocols(micro, classifier, Labeled(balanced_images[:2], [0, 0]),
+                              EvalConfig(s_comp=16))[protocol]
+        with pytest.raises(evaluation.EvalError,
+                           match=r"levels must be non-empty$|level .+ is not an int >= 1$"):
+            run(levels)
+        assert calls == []
 
     def test_sweep_rejects_empty_val_set(self, micro, classifier):
         with pytest.raises(evaluation.EvalError, match="empty validation set"):
             evaluation.tradeoff_sweep({0.0: micro, 1.0: micro}, classifier, Labeled([], [0]),
-                                      (1,), EvalConfig(s_comp=16, s_inf=16))
-
-    def test_ablation_rejects_empty_t_list_before_training(self, classifier):
-        with pytest.raises(evaluation.EvalError, match="t_list"):
-            evaluation.ablate_layers([("1.1",)], None, None, None, classifier,
-                                     losses.LossConfig(alpha=1.0), None, (),
-                                     EvalConfig(s_comp=16, s_inf=16))
+                                      (1,), EvalConfig(s_comp=16))
 
     @pytest.mark.parametrize("protocol", ["accuracy", "sweep", "ablation"])
     def test_classifier_resolution_checked_before_any_encode(self, protocol, micro, classifier,
                                                              balanced_images, monkeypatch):
-        def no_encode(*args, **kwargs):
-            raise AssertionError("an image was encoded")
-        monkeypatch.setattr(evaluation, "_decodes", no_encode)
-        monkeypatch.setattr(trainer, "train_codec", no_encode)
-        ds = Labeled(balanced_images, [0] * 10)
-        cfg = EvalConfig(s_comp=32, s_inf=24, grid=(1,))  # the classifier reads 16 px
-        run = {
-            "accuracy": lambda: evaluation.eval_accuracy_curve(micro, classifier, ds, cfg),
-            "sweep": lambda: evaluation.tradeoff_sweep({0.0: micro, 1.0: micro},
-                                                       classifier, ds, (1,), cfg),
-            "ablation": lambda: evaluation.ablate_layers([("1.1",)], ds, ds, None, classifier,
-                                                         losses.LossConfig(alpha=1.0), None,
-                                                         (1,), cfg),
-        }[protocol]
-        with pytest.raises(evaluation.EvalError, match="expects 16px inputs, config says s_inf=24"):
-            run()
+        calls = self._no_work(monkeypatch)
+        run = self._protocols(micro, classifier, Labeled(balanced_images, [0] * 10),
+                              EvalConfig(s_comp=12))[protocol]  # the classifier reads 16 px
+        with pytest.raises(evaluation.EvalError,
+                           match="s_comp 12 is below the classifier's input side 16$"):
+            run((1,))
+        assert calls == []
 
     def test_core_keeps_the_compress_checks(self, micro):
         from odlc.codec import CodecError
@@ -456,9 +467,8 @@ def test_ablation_classifies_clean_crops_once(classifier, monkeypatch):
         calls.append(params)
         return classify(x, params)
     monkeypatch.setattr(lossnet, "classify", counting)
-    rows, _ = evaluation.ablate_layers([("1.1",), ("2.1",)], train, val, f_l, classifier,
-                                       losses.LossConfig(alpha=1.0), cfg, (1, 2, 1),
-                                       EvalConfig(s_comp=16, s_inf=16), layout=tiny)
+    rows, _ = evaluation.ablate_layers([("1.1",), ("2.1",)], train, val, f_l, classifier, cfg,
+                                       (1, 2, 1), EvalConfig(s_comp=16), layout=tiny)
     assert [(r[0], r[1]) for r in rows] == [("1.1", 1), ("1.1", 2), ("1.1", 1),
                                            ("2.1", 1), ("2.1", 2), ("2.1", 1)]
     assert len(calls) == 3 + 2 * 3 * 3  # clean crops once, then one per decode

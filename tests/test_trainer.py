@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,11 +74,11 @@ class TestTrainConfig:
         assert err == "odlc train-codec: learning_rate must be finite and > 0, got nan\n"
         assert not (out / "codec_final.ckpt").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_update_exits_1_without_a_checkpoint(self, tmp_path, capsys):
         """A learning rate this large sends Adam's float32 update to inf in
-        one step; the run stops before the epoch checkpoint is written."""
+        one step; the run stops before the update is applied or the epoch
+        checkpoint written, and numpy prints no overflow warning."""
         out = tmp_path / "run"
         rc = cli.main(["train-codec", "--data", "shapes:seed=0,n=4,res=64", "--batch-size", "4",
                        "--epochs", "1", "--unroll-steps", "1", "--learning-rate", "1e39",
@@ -179,6 +180,17 @@ class TestAdam:
         with pytest.raises(trainer.NonFiniteGradientError, match="p"):
             opt.step()
         np.testing.assert_array_equal(p.value, before)  # step rejected
+
+    def test_overflowing_update_named_before_it_is_written(self):
+        p = ad.Parameter("p", np.ones(2))  # float32: lr * m overflows to inf
+        p.grad[...] = np.array([0.5, -0.5])
+        opt = trainer.Adam([p], lr=1e39)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow RuntimeWarning would fail here
+            with pytest.raises(trainer.TrainingDiverged,
+                               match=r"^parameter p became non-finite by step 1$"):
+                opt.step()
+        np.testing.assert_array_equal(p.value, [1.0, 1.0])
 
     def test_clip_global_norm(self):
         p1 = ad.Parameter("a", np.zeros(1))
