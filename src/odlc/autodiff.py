@@ -24,13 +24,17 @@ several times slower.
 Memory contract: a VJP closure holds only what its backward rule reads
 (operands, the op's output, small reductions), never scratch buffers. The
 convolution's column matrix (k*k times its input) lives only inside one
-forward call or one VJP call. The fused GRU cell's three forward products
-(the x-path and both hidden-path ones) build it in bands of output rows of
-at most BAND_BYTES each; plain conv2d's forward and every column build in
-backward (conv2d's kernel VJP, the cell's kernel gradients) still build
-the whole matrix. The fused GRU cell is one record that holds x, h, its
-gates u, r, c and r*h, and rebuilds its columns in backward; the gradients
-its first VJP computes for all its inputs belong to that record. A record,
+forward call or one VJP call. Every forward product, plain conv2d's and
+the fused GRU cell's three (the x-path and both hidden-path ones), builds
+it in bands of output rows of at most BAND_BYTES each and writes each
+band's cropped result into the op's output before it builds the next, so
+no forward holds a product wider than its output. Every column build in
+backward (conv2d's kernel VJP, the cell's kernel gradients) still builds
+the whole matrix: banding those products would change their summation
+order. The sigmoid's two temporaries hold SIGMOID_CHUNK elements each.
+The fused GRU cell is one record that holds x, h, its gates u, r, c and
+r*h, and rebuilds its columns in backward; the gradients its first VJP
+computes for all its inputs belong to that record. A record,
 with the activations its closures hold, and the gradient of its output
 live until backward replays that record; then both are dropped, so a
 backward pass releases the forward's memory as it walks back instead of
@@ -357,27 +361,45 @@ BAND_BYTES = 2 << 20
 
 
 def _banded_product(kern: np.ndarray, xd: np.ndarray, k: int, s: int, ho: int, wq: int,
-                    links) -> np.ndarray:
-    """kern @ _conv_columns(xd, ...) as (C_out, ho*wq), building the columns
-    one band of output rows at a time, each band at most BAND_BYTES (one row
-    at least). Each band's GEMM writes its own columns of the result and
-    sums over the same C*k*k products as the whole product does. In
-    float32 the result is bit-identical to the whole product on the
-    OpenBLAS sgemm kernels it was checked on; in float64 the GEMM's
-    column-tail kernel can sum a band's last few columns in another order,
-    which moves them by an ulp.
+                    links, out: np.ndarray, bias: np.ndarray | None = None,
+                    accumulate: bool = False) -> np.ndarray:
+    """Write kern @ _conv_columns(xd, ...), cropped to ``out``'s (C_out, ho,
+    wo), into ``out``, plus ``bias`` per output channel, or add it to
+    ``out`` when ``accumulate``. The columns are built one band of output
+    rows at a time, each band at most BAND_BYTES, and each band's GEMM
+    result lands in ``out[:, r0:r1]`` before the next band is built.
+
+    A band holds a multiple of 16 // gcd(wq, 16) rows, so every band's
+    first column sits on a 16-column boundary of the whole product, and
+    OpenBLAS's sgemm runs each column through the same kernel, full block
+    or tail, as in the whole product. Each band's GEMM sums over the same
+    C*k*k products as the whole product does, and in float32 the result is
+    the whole product's, bit for bit, on the sgemm kernels it was checked
+    on. The exception seen: with 3 to 5 outputs and ho*wq not a multiple
+    of 16, a few tail columns of the last band can round otherwise; the
+    codec never makes such a call, since it pads its input to a multiple
+    of 16. In float64 the GEMM's column-tail kernel can sum a band's last
+    few columns in another order, which moves them by an ulp.
 
     Columns that fit in one band are built whole, as `_conv_columns` does,
-    which frees the phase grids before the result is allocated.
+    which frees the phase grids before the product is allocated.
     """
-    rows = max(1, BAND_BYTES // (kern.shape[1] * wq * xd.dtype.itemsize))
-    if rows >= ho:
-        return kern @ _conv_columns(xd, k, s, ho, wq, links)
-    buf = _phase_split(xd, k, s, ho, wq, links)
-    out = np.empty((kern.shape[0], ho * wq), dtype=xd.dtype)
+    c_out, wo = out.shape[0], out.shape[2]
+    align = 16 // math.gcd(wq, 16)
+    rows = max(align, BAND_BYTES // (kern.shape[1] * wq * xd.dtype.itemsize) // align * align)
+    buf = None if rows >= ho else _phase_split(xd, k, s, ho, wq, links)
     for r0 in range(0, ho, rows):
         r1 = min(ho, r0 + rows)
-        np.matmul(kern, _columns(buf, k, s, wq, r0, r1), out=out[:, r0 * wq : r1 * wq])
+        cols = (_conv_columns(xd, k, s, ho, wq, links) if buf is None
+                else _columns(buf, k, s, wq, r0, r1))
+        band = (kern @ cols).reshape(c_out, r1 - r0, wq)[:, :, :wo]
+        del cols
+        if accumulate:
+            out[:, r0:r1] += band
+        elif bias is not None:
+            np.add(band, bias[:, None, None], out=out[:, r0:r1])
+        else:
+            out[:, r0:r1] = band
     return out
 
 
@@ -417,9 +439,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     valid-padding requires the kernel to fit and floors.
 
     Memory contract: the column matrix (k*k times the input) lives only
-    inside this call or inside one call of the kernel VJP, which rebuilds
-    it. The tape keeps references to ``x.data`` and ``kernel.data`` only.
-    The result may be a view of a slightly wider buffer.
+    inside this call, one band of output rows at a time (`_banded_product`),
+    or whole inside one call of the kernel VJP, which rebuilds it. The tape
+    keeps references to ``x.data`` and ``kernel.data`` only. The result is
+    its own (C_out, H_out, W_out) array.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv2d: input must be CHW, got ndim {x.data.ndim}")
@@ -445,11 +468,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     ho, wo, wq, links = _conv_geometry(h, w, k, s, padding)
 
     xd, kd = x.data, kernel.data
-    out_wide = kd.reshape(c_out, c_in * k * k) @ _conv_columns(xd, k, s, ho, wq, links)
-    out_data = out_wide.reshape(c_out, ho, wq)[:, :, :wo]
-    if bias is not None:
-        out_data += bias.data[:, None, None]
-    out = Tensor(out_data)
+    out = Tensor(_banded_product(kd.reshape(c_out, c_in * k * k), xd, k, s, ho, wq, links,
+                                 np.empty((c_out, ho, wo), dtype=xd.dtype),
+                                 None if bias is None else bias.data))
 
     operands = (x, kernel) if bias is None else (x, kernel, bias)
     if active_tape() is None or not any(t.requires_grad for t in operands):
@@ -484,22 +505,31 @@ def tanh(x: Tensor) -> Tensor:
     return _unary(x, np.tanh, lambda xd, yd: lambda g: g * (1.0 - yd * yd))
 
 
+# Elements of one chunk of `_sigmoid_into`, whose two temporaries are that size.
+SIGMOID_CHUNK = 1 << 16
+
+
 def _sigmoid_into(xd: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = 1/(1+exp(-x)); ``out`` may be ``xd`` itself. With t =
-    exp(-|x|)/(1+exp(-|x|)), which never overflows, it is 1-t where x >= 0
-    and t elsewhere, selected as (1-t)*m + t*(1-m) with m = (x >= 0) as 0
-    or 1: one term is exactly zero and the other exact, and no loop
-    branches on the sign, which a masked ufunc does per element."""
-    t = np.abs(xd)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    t /= 1.0 + t
-    m = (xd >= 0).astype(xd.dtype)
-    np.subtract(1.0, t, out=out)
-    out *= m
-    np.subtract(1.0, m, out=m)
-    t *= m
-    out += t
+    """out = 1/(1+exp(-x)); ``out`` is C-contiguous and may be ``xd``
+    itself. With t = exp(-|x|)/(1+exp(-|x|)), which never overflows, it is
+    1-t where x >= 0 and t elsewhere, selected as (1-t)*m + t*(1-m) with
+    m = (x >= 0) as 0 or 1: one term is exactly zero and the other exact,
+    and no loop branches on the sign, which a masked ufunc does per
+    element. It runs over SIGMOID_CHUNK elements of the flat arrays at a
+    time, so its temporaries stay small whatever the array's size."""
+    flat_x, flat_out = xd.reshape(-1), out.reshape(-1)
+    for i in range(0, flat_x.size, SIGMOID_CHUNK):
+        x, o = flat_x[i : i + SIGMOID_CHUNK], flat_out[i : i + SIGMOID_CHUNK]
+        t = np.abs(x)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        t /= 1.0 + t
+        m = (x >= 0).astype(x.dtype)
+        np.subtract(1.0, t, out=o)
+        o *= m
+        np.subtract(1.0, m, out=m)
+        t *= m
+        o += t
     return out
 
 
@@ -796,24 +826,18 @@ def conv_gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
     xd, hd = x.data, h.data
     kx, kh, kc = p.wx.reshape(n3, -1), p.wh.reshape(2 * ch, -1), p.whc.value.reshape(ch, -1)
 
-    def hidden_conv(kern, a):
-        """kern * a for a stride-1 conv of a hidden-sized a, cropped."""
-        wide = _banded_product(kern, a, k, 1, ho, wqh, links_h)
-        return wide.reshape(-1, ho, wqh)[:, :, :wo]
-
-    wide = _banded_product(kx, xd, k, s, ho, wq, links).reshape(n3, ho, wq)
-    gates = np.add(wide[:, :, :wo], p.b[:, None, None])
-    del wide
+    gates = _banded_product(kx, xd, k, s, ho, wq, links, np.empty((n3, ho, wo), dtype=xd.dtype),
+                            p.b)
     zero_state = not h.requires_grad and not hd.any()
     if not zero_state:
-        gates[: 2 * ch] += hidden_conv(kh, hd)
+        _banded_product(kh, hd, k, 1, ho, wqh, links_h, gates[: 2 * ch], accumulate=True)
     _sigmoid_into(gates[: 2 * ch], gates[: 2 * ch])
     u, r, c = gates[:ch], gates[ch : 2 * ch], gates[2 * ch :]
     if zero_state:
         rh = None
     else:
         rh = r * hd
-        c += hidden_conv(kc, rh)
+        _banded_product(kc, rh, k, 1, ho, wqh, links_h, c, accumulate=True)
     np.tanh(c, out=c)
     out_data = u * hd
     np.subtract(hd, out_data, out=out_data)

@@ -128,15 +128,20 @@ def cmd_decompress(args):
     return 0
 
 
-def _grid(text):
-    return tuple(int(v) for v in text.split(",") if v)
+def _grid(text, flag):
+    """The levels that ``flag`` gives as ``text``; empty items are skipped."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v)
+    except ValueError:
+        raise configio.ConfigError(f"{flag} must be {_LEVELS_HELP}, got {text!r}") from None
 
 
 def cmd_eval_quality(args):
     cfg = evaluation.EvalConfig(s_comp=args.s_comp)
+    levels = _grid(args.grid, "--grid")
     params = CodecParams.load(args.model)
     val_set = datasets.parse_spec(args.data, default_split="val")
-    points = evaluation.eval_quality_curve(params, val_set, _grid(args.grid), cfg)
+    points = evaluation.eval_quality_curve(params, val_set, levels, cfg)
     configio.write_csv(args.out, evaluation.CURVE_HEADER, [dataclasses.astuple(p) for p in points])
     _manifest(args.out, args, {"eval": cfg}, [args.model, args.data])
     for p in points:
@@ -146,10 +151,11 @@ def cmd_eval_quality(args):
 
 def cmd_eval_accuracy(args):
     cfg = evaluation.EvalConfig(s_comp=args.s_comp)
+    levels = _grid(args.grid, "--grid")
     params = CodecParams.load(args.model)
     classifier = ClassifierParams.load(args.classifier)
     val_set = datasets.parse_spec(args.data, default_split="val")
-    curves = evaluation.eval_accuracy_curve(params, classifier, val_set, _grid(args.grid), cfg)
+    curves = evaluation.eval_accuracy_curve(params, classifier, val_set, levels, cfg)
     base, ext = os.path.splitext(args.out)
     for metric, points in curves.items():
         path = args.out if metric == "accuracy" else f"{base}_{metric}{ext}"
@@ -162,6 +168,7 @@ def cmd_eval_accuracy(args):
 
 def cmd_sweep(args):
     cfg = evaluation.EvalConfig(s_comp=args.s_comp)
+    levels = _grid(args.iters, "--iters")
     paths = {}
     for pair in args.models.split(","):
         try:
@@ -179,8 +186,7 @@ def cmd_sweep(args):
     checkpoints = {a: CodecParams.load(p) if p in loaded else None for a, p in paths.items()}
     classifier = ClassifierParams.load(args.classifier)
     val_set = datasets.parse_spec(args.data, default_split="val")
-    rows, skipped = evaluation.tradeoff_sweep(checkpoints, classifier, val_set,
-                                              _grid(args.iters), cfg)
+    rows, skipped = evaluation.tradeoff_sweep(checkpoints, classifier, val_set, levels, cfg)
     configio.write_csv(args.out, evaluation.SWEEP_HEADER, rows)
     _manifest(args.out, args, {"eval": cfg}, [*loaded, args.classifier, args.data])
     for a in skipped:
@@ -192,14 +198,15 @@ def cmd_sweep(args):
 def cmd_ablate_layers(args):
     cfg = _train_cfg(args, _config_kv(args))
     eval_cfg = evaluation.EvalConfig(s_comp=args.s_comp)
+    levels = _grid(args.iters, "--iters")
     f_l = ClassifierParams.load(args.lossnet)
     classifier = ClassifierParams.load(args.classifier)
     train_set = datasets.parse_spec(args.data, default_split="train")
     val_set = datasets.parse_spec(args.val_data or args.data, default_split="val")
     sets = [tuple(f_l.layer_names()) if chunk == "all" else tuple(chunk.split(","))
             for chunk in args.sets.split("|")]
-    rows, _ = evaluation.ablate_layers(sets, train_set, val_set, f_l, classifier, cfg,
-                                       _grid(args.iters), eval_cfg)
+    rows, _ = evaluation.ablate_layers(sets, train_set, val_set, f_l, classifier, cfg, levels,
+                                       eval_cfg)
     configio.write_csv(args.out, evaluation.ABLATION_HEADER, rows)
     _manifest(args.out, args, {"train": cfg, "eval": eval_cfg},
               [args.config, args.lossnet, args.classifier, args.data, args.val_data])

@@ -43,14 +43,15 @@ DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 
 # Cap on ceil16(H) * ceil16(W), checked before they allocate by
 # normalized_input, for every encode, and by decompress. From 256 px up,
-# encoding peaks at ~465 bytes per padded pixel and decoding at ~430 from
+# encoding peaks at ~318 bytes per padded pixel and decoding at ~283 from
 # T = 2 on, and neither grows with T; at T = 1, whose hidden states are
-# zero, at ~451 and ~414. Plain conv2d's whole column matrices set all four
-# (default layout, float32, tracemalloc at 256 px, T = 1, 2, 8, and at
-# 512 px, T = 1, 2). Small images read more per pixel, since the GRU cells'
-# column bands of at most BAND_BYTES then hold the whole matrix (64 px,
-# T >= 2: ~600 and ~563). So 2^22 pixels (2048 x 2048, ~10x a 768 x 512
-# Kodak image) bound either at ~2.0 GB.
+# zero, at ~289 and ~252 at 256 px and ~273 and ~235 from 512 px up, set
+# by plain conv2d's output and its column band (default layout, float32,
+# tracemalloc at 256 px and 512 px, T = 1, 2, 8, and at 1024 px and
+# 2048 px, T = 2). Small images read more per pixel, since the conv
+# products' column bands of at most BAND_BYTES then hold the whole matrix
+# (64 px, T >= 2: ~600 and ~563). So 2^22 pixels (2048 x 2048, ~10x a
+# 768 x 512 Kodak image) bound either at ~1.3 GB.
 MAX_PADDED_PIXELS = 1 << 22
 
 

@@ -2,7 +2,8 @@
 alpha trade-off sweep, and the loss-layer ablation.
 
 The quality parameter of this codec is the iteration count; every protocol
-takes the counts to measure as ``levels``. Images are resized and
+takes the counts to measure as ``levels``, each in 1..t_max of every codec
+it runs, and checks them before any other work. Images are resized and
 center-cropped to EvalConfig.s_comp, and a classifier reads the center crop
 of each decode at its own input side. Classifiers are never retrained on
 decoded images anywhere in here.
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import imageops, losses, lossnet as lossnet_mod, parallel, trainer
 from .bitstream import BitstreamHeader
-from .codec import MAX_PADDED_PIXELS, CodecParams, reconstruct_progressive
+from .codec import MAX_PADDED_PIXELS, CodecLayout, CodecParams, reconstruct_progressive
 # Not called here; both names stay bound because bench/tracing.py rebinds them in this module.
 from .codec import compress, decompress  # noqa: F401
 
@@ -53,13 +54,16 @@ def _is_count(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
-def _check_levels(levels, what: str):
-    """A level list is non-empty and holds ints >= 1."""
+def _check_levels(levels, what: str, t_max: int):
+    """A level list is non-empty and holds ints in 1..t_max, the iterations
+    every codec it is run on was trained for."""
     if len(levels) == 0:
         raise EvalError(f"{what}: levels must be non-empty")
     for t in levels:
         if not _is_count(t):
             raise EvalError(f"{what}: level {t!r} is not an int >= 1")
+        if t > t_max:
+            raise EvalError(f"{what}: level {t} is outside the trained range 1..{t_max}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ def eval_accuracy_curve(codec, classifier, val_set, levels, cfg: EvalConfig):
     """Per quality level: resize to S_comp, center crop, round trip, crop to
     the classifier's input side, classify. Returns {"accuracy": [CurvePoint],
     "preservation": [CurvePoint]}, bpp averaged over the set at each level."""
-    _check_levels(levels, "eval_accuracy_curve")
+    _check_levels(levels, "eval_accuracy_curve", codec.layout.t_max)
     crops, truths, clean = _references(val_set, classifier, cfg, "eval_accuracy_curve")
     n = len(crops)
     acc_points, pres_points = [], []
@@ -181,7 +185,7 @@ def eval_accuracy_curve(codec, classifier, val_set, levels, cfg: EvalConfig):
 
 def eval_quality_curve(codec, val_set, levels, cfg: EvalConfig):
     """(bpp, mean MS-SSIM) per quality level between decoded and original."""
-    _check_levels(levels, "eval_quality_curve")
+    _check_levels(levels, "eval_quality_curve", codec.layout.t_max)
     n = len(val_set)
     if n == 0:
         raise EvalError("eval_quality_curve: empty validation set")
@@ -201,10 +205,10 @@ def tradeoff_sweep(checkpoints: dict, classifier, val_set, levels, cfg: EvalConf
     preservation, accuracy) tuples; alphas with a missing checkpoint are
     reported in skipped rather than failing the sweep.
     """
-    _check_levels(levels, "tradeoff_sweep")
     present = {a: p for a, p in checkpoints.items() if p is not None}
     if len(present) < 2:
         raise EvalError("tradeoff_sweep needs at least 2 alpha checkpoints")
+    _check_levels(levels, "tradeoff_sweep", min(p.layout.t_max for p in present.values()))
     skipped = sorted(a for a in checkpoints if checkpoints[a] is None)
     crops, truths, clean = _references(val_set, classifier, cfg, "tradeoff_sweep")
     n = len(crops)
@@ -223,7 +227,7 @@ def ablate_layers(layer_sets, train_set, val_set, f_lossnet, classifier, train_c
                   cfg: EvalConfig, layout=None):
     """Train one alpha=1 codec per tap set (from scratch) and measure label
     preservation across iteration counts. Returns (rows, train_logs)."""
-    _check_levels(levels, "ablate_layers")
+    _check_levels(levels, "ablate_layers", (layout or CodecLayout()).t_max)
     rows, train_logs = [], {}
     crops, _, clean = _references(val_set, classifier, cfg, "ablate_layers")
     n = len(crops)

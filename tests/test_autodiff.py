@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from odlc import autodiff as ad
-from odlc import gradcheck, trainer
+from odlc import gradcheck, lossnet, trainer
 from oracles import conv2d_direct, conv_gru_cell_composed, mul
 
 
@@ -262,33 +262,106 @@ class TestConvGru:
 
 
 class TestBandedProduct:
-    """The cell's forward products build their columns in row bands of at
-    most BAND_BYTES; in float32 that is the whole product, bit for bit."""
+    """Forward conv products build their columns in row bands of at most
+    BAND_BYTES, each starting on a 16-column boundary, and write each band
+    into their output; in float32 that is the whole product, bit for bit."""
 
     @staticmethod
-    def products(c_in, c_out, h, w, stride, seed):
+    def bands(monkeypatch) -> list:
+        """The (r0, r1, wq) of every column build from here on."""
+        seen, columns = [], ad._columns
+
+        def spy(buf, k, s, wq, r0, r1):
+            seen.append((r0, r1, wq))
+            return columns(buf, k, s, wq, r0, r1)
+        monkeypatch.setattr(ad, "_columns", spy)
+        return seen
+
+    @staticmethod
+    def assert_banded(bands, ho):
+        """More than one band, tiling rows 0..ho, each on a 16-column boundary."""
+        assert len(bands) > 1
+        assert [r0 for r0, _, _ in bands] == [0] + [r1 for _, r1, _ in bands[:-1]]
+        assert bands[-1][1] == ho
+        assert all(r0 * wq % 16 == 0 for r0, _, wq in bands)
+
+    @staticmethod
+    def whole_product(kern, xd, stride, c_out):
+        """kern @ the whole column matrix, cropped to (C_out, ho, wo)."""
+        ho, wo, wq, links = ad._conv_geometry(*xd.shape[1:], 3, stride, "same")
+        wide = kern @ ad._conv_columns(xd, 3, stride, ho, wq, links)
+        return wide.reshape(c_out, ho, wq)[:, :, :wo], ho, wq, links
+
+    def conv2d_matches_whole(self, monkeypatch, c_in, c_out, h, w, stride, seed):
         rng = np.random.default_rng(seed)
+        x = t(rng.standard_normal((c_in, h, w)).astype(np.float32))
+        kern = t(rng.standard_normal((c_out, c_in, 3, 3)).astype(np.float32))
+        bias = t(rng.standard_normal(c_out).astype(np.float32))
+        crop, ho, _, _ = self.whole_product(kern.data.reshape(c_out, -1), x.data, stride, c_out)
+        want = crop + bias.data[:, None, None]
+        bands = self.bands(monkeypatch)
+        got = ad.conv2d(x, kern, bias, stride=stride).data
+        assert got.shape == want.shape and got.base is None
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        self.assert_banded(bands, ho)
+
+    def product_matches_whole(self, monkeypatch, c_in, c_out, h, w, stride, mode):
+        rng = np.random.default_rng(c_in + c_out + h)
         xd = rng.standard_normal((c_in, h, w)).astype(np.float32)
         kern = rng.standard_normal((c_out, c_in * 9)).astype(np.float32)
-        ho, _, wq, links = ad._conv_geometry(h, w, 3, stride, "same")
-        rows = ad.BAND_BYTES // (c_in * 9 * wq * 4)
-        whole = kern @ ad._conv_columns(xd, 3, stride, ho, wq, links)
-        banded = ad._banded_product(kern, xd, 3, stride, ho, wq, links)
-        return whole.view(np.uint32), banded.view(np.uint32), ho, rows
+        crop, ho, wq, links = self.whole_product(kern, xd, stride, c_out)
+        out = rng.standard_normal(crop.shape).astype(np.float32)
+        bias = rng.standard_normal(c_out).astype(np.float32) if mode == "bias" else None
+        if mode == "accumulate":
+            want = out + crop
+        else:
+            want = crop if bias is None else crop + bias[:, None, None]
+        bands = self.bands(monkeypatch)
+        got = ad._banded_product(kern, xd, 3, stride, ho, wq, links, out, bias,
+                                 accumulate=mode == "accumulate")
+        assert got is out
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        self.assert_banded(bands, ho)
+        return bands
+
+    # the codec's plain convs at full size: dec.conv_out (8 -> 3) and
+    # enc.conv_in (3 -> 32, stride 2); conv_in's whole matrix fits one
+    # default band below 512 px, so there it runs in 1 MiB bands
+    @pytest.mark.parametrize("h,w", [(256, 256), (512, 512), (144, 400)])
+    @pytest.mark.parametrize("c_in,c_out,stride", [(8, 3, 1), (3, 32, 2)],
+                             ids=["conv_out", "conv_in"])
+    def test_codec_convs(self, monkeypatch, c_in, c_out, stride, h, w):
+        if c_in == 3 and h < 512:
+            monkeypatch.setattr(ad, "BAND_BYTES", 1 << 20)
+        self.conv2d_matches_whole(monkeypatch, c_in, c_out, h, w, stride, h + w + c_in)
+
+    # the classifier's blocks at a 224 px input; block 5, at 14 px, fits one band
+    @pytest.mark.parametrize("block", range(4))
+    def test_classifier_convs_at_224px(self, monkeypatch, block):
+        chans = (3,) + lossnet.ClassifierLayout().widths
+        side = 224 >> block
+        self.conv2d_matches_whole(monkeypatch, chans[block], chans[block + 1], side, side, 1,
+                                  block)
+
+    # wq = 39, 42, 44, 48: bands of a multiple of 16, 8, 4 and 1 rows
+    @pytest.mark.parametrize("w", [37, 40, 42, 46])
+    def test_every_band_starts_on_16_columns(self, monkeypatch, w):
+        monkeypatch.setattr(ad, "BAND_BYTES", 1 << 16)
+        self.conv2d_matches_whole(monkeypatch, 8, 16, 96, w, 1, w)
 
     # dec.gru4 of the default layout at 256 px, all at 128x128: the x-path
-    # (16 -> 3*32), the h-path (32 -> 2*32) and the candidate (32 -> 32)
-    @pytest.mark.parametrize("c_in,c_out", [(16, 96), (32, 64), (32, 32)])
-    def test_dec_gru4_at_256px(self, c_in, c_out):
-        whole, banded, ho, rows = self.products(c_in, c_out, 128, 128, 1, c_in + c_out)
-        assert 1 <= rows < ho
-        np.testing.assert_array_equal(banded, whole)
+    # (16 -> 3*32) writes with its bias, the h-path (32 -> 2*32) and the
+    # candidate (32 -> 32) add into what is there
+    @pytest.mark.parametrize("c_in,c_out,mode", [(16, 96, "bias"), (32, 64, "accumulate"),
+                                                 (32, 32, "accumulate")])
+    def test_dec_gru4_at_256px(self, monkeypatch, c_in, c_out, mode):
+        self.product_matches_whole(monkeypatch, c_in, c_out, 128, 128, 1, mode)
 
+    @pytest.mark.parametrize("mode", ["plain", "bias", "accumulate"])
     @pytest.mark.parametrize("h,stride", [(100, 1), (203, 2)])
-    def test_short_last_band(self, h, stride):
-        whole, banded, ho, rows = self.products(32, 64, h, 72, stride, h)
-        assert 1 <= rows < ho and ho % rows != 0
-        np.testing.assert_array_equal(banded, whole)
+    def test_short_last_band(self, monkeypatch, h, stride, mode):
+        bands = self.product_matches_whole(monkeypatch, 32, 64, h, 72, stride, mode)
+        assert bands[-1][1] - bands[-1][0] < bands[0][1] - bands[0][0]
 
     def test_taped_cell_matches_whole_columns(self, monkeypatch):
         # at 64x64 both paths of a 16 -> 32 cell need 2 or more bands
@@ -432,6 +505,23 @@ class TestSigmoid:
             want = self._where_formula(xd)
             assert got.dtype == want.dtype == dtype
             np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_chunks_match_where_bit_for_bit(self, dtype, uint, in_place):
+        # three whole chunks and a ragged fourth, with the special values
+        # on either side of each chunk boundary
+        chunk = ad.SIGMOID_CHUNK
+        rng = np.random.default_rng(43)
+        flat = (rng.standard_normal(3 * chunk + 123) * 6).astype(dtype)
+        for i in range(1, 4):
+            flat[i * chunk - 3 : i * chunk + 3] = [0.0, -0.0, np.inf, -np.inf, np.nan, 88.0]
+        xd = flat.reshape(3, -1)
+        want = self._where_formula(xd)
+        out = xd.copy() if in_place else np.empty_like(xd)
+        got = ad._sigmoid_into(out if in_place else xd, out)
+        assert got is out and got.shape == xd.shape
+        np.testing.assert_array_equal(got.view(uint), want.view(uint))
 
 
 class TestElementwise:

@@ -475,6 +475,28 @@ class TestTrainAndEvalCli:
             f"odlc {argv[0]}: s_comp must be an int in 1..2048, got {s_comp}\n")
         assert os.listdir(tmp_path) == ["m.ckpt"]
 
+    @pytest.mark.parametrize("argv", [
+        ("eval-quality", "--model", "m.ckpt", "--grid"),
+        ("eval-accuracy", "--model", "m.ckpt", "--classifier", "c.ckpt", "--grid"),
+        ("sweep", "--models", "0=m.ckpt,1=m.ckpt", "--classifier", "c.ckpt", "--iters"),
+        ("ablate-layers", "--sets", "1.1", "--lossnet", "c.ckpt", "--classifier", "c.ckpt",
+         "--seed", "0", "--iters"),
+    ], ids=lambda argv: argv[0])
+    def test_non_int_level_exits_1_before_any_load(self, argv, tmp_path, capsys, monkeypatch):
+        def no_load(*args):
+            raise AssertionError("a checkpoint was loaded")
+        monkeypatch.setattr(CodecParams, "load", no_load)
+        monkeypatch.setattr(ClassifierParams, "load", no_load)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.ckpt").write_bytes(b"")
+        rc = run(*argv, "1,x", "--data", "shapes:seed=3,split=val,n=2,classes=3,res=16",
+                 "--out", "out.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"odlc {argv[0]}: {argv[-1]} must be comma-separated iteration counts to measure, "
+            f"each an int >= 1, got '1,x'\n")
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
     def test_eval_accuracy_cli(self, tmp_path):
         model = tmp_path / "m.ckpt"
         CodecParams(MICRO, seed=2).save(model)

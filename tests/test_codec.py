@@ -296,21 +296,25 @@ class TestCompressDecompress:
             return mem.peak
         assert peak(8) <= 1.02 * peak(2)
 
-    def test_peak_bytes_per_pixel_256px(self, traced):
-        # T = 2 reads 464 and 426 B/px; the bounds leave under 5 % headroom,
-        # so a loop that holds the old GRU states, r_t or z_t through the
-        # decode (~561 and ~484) fails them
+    @pytest.mark.parametrize("iters,enc_bound,dec_bound", [(1, 302, 263), (2, 330, 292)],
+                             ids=["T1", "T2"])
+    def test_peak_bytes_per_pixel_256px(self, traced, iters, enc_bound, dec_bound):
+        # compress and decompress read 289 and 252 B/px at T = 1, where
+        # plain conv2d sets the peak, and 317 and 280 at T = 2; the bounds
+        # leave under 5 % headroom, so whole column matrices in plain conv2d
+        # (T = 1: ~451 and ~414) or a sigmoid over the whole gate array
+        # (T = 1: ~353 and ~315) fail them
         p = codec.CodecParams(codec.CodecLayout(), seed=3)
         x = image(0, 256, 256)
-        bs = codec.compress(x, 2, p)
+        bs = codec.compress(x, iters, p)
         codec.decompress(bs, p)  # first-call allocations stay out of the peaks
 
         def peak(fn, *args):
             with traced() as t:
                 fn(*args)
             return t.peak / (256 * 256)
-        assert peak(codec.compress, x, 2, p) <= 485
-        assert peak(codec.decompress, bs, p) <= 445
+        assert peak(codec.compress, x, iters, p) <= enc_bound
+        assert peak(codec.decompress, bs, p) <= dec_bound
 
     def test_decoder_state_alone(self, params):
         # decompress builds the decoder half alone: its four states and no x_hat

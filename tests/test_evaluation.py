@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from collections import Counter
 
@@ -37,14 +38,22 @@ def rgb_image(r, g, b, res=16):
     return img
 
 
+def codec_stub(fn):
+    """A stub callable (image, iters) -> (decoded, payload_bits) that
+    stands in for a codec trained for MICRO's t_max iterations."""
+    fn.layout = MICRO
+    return fn
+
+
+@codec_stub
 def identity_stub(img, iters):
     return img, iters * img.shape[1] * img.shape[2]
 
 
 @pytest.fixture
 def stubs(monkeypatch):
-    """The protocols take a stub callable (image, iters) -> (decoded,
-    payload_bits) as their codec: one call per image and level."""
+    """The protocols take a `codec_stub` as their codec: one call per image
+    and level."""
     monkeypatch.setattr(evaluation, "_decodes",
                         lambda codec, img, levels: [codec(img, t) for t in levels])
 
@@ -93,6 +102,7 @@ class TestPreservation:
     def test_constant_stub_matches_direct_count(self, classifier, balanced_images):
         constant = rgb_image(0.9, 0.5, 0.5)
 
+        @codec_stub
         def stub(img, iters):
             return constant, 16
 
@@ -106,6 +116,7 @@ class TestPreservation:
         imgs = [rgb_image(0.9, 0.0, 0.5), rgb_image(0.8, 0.0, 0.5),
                 rgb_image(0.1, 0.0, 0.5), rgb_image(0.9, 1.0, 0.5)]
 
+        @codec_stub
         def stub(img, iters):  # flips red only where the green marker is set
             if img[1].mean() > 0.5:
                 return rgb_image(1.0 - img[0].mean(), 1.0, 0.5), 16
@@ -154,6 +165,7 @@ class TestAccuracyCurve:
         ds = Labeled(imgs, [0, 0])
         per_image = {0.0: int(0.10 * 16 * 16), 1.0: int(0.20 * 16 * 16)}
 
+        @codec_stub
         def stub(img, iters):
             return img, per_image[float(img[1, 0, 0])]
 
@@ -179,6 +191,7 @@ class TestQualityCurve:
     def test_constant_resolution_skips_resize(self, stubs):
         seen = []
 
+        @codec_stub
         def spy(img, iters):
             seen.append(img.shape)
             return img, 100
@@ -420,6 +433,29 @@ class TestLevelChecks:
                            match=r"levels must be non-empty$|level .+ is not an int >= 1$"):
             run(levels)
         assert calls == []
+
+    # the micro codec and the ablation's default layout both have t_max = 8
+    @pytest.mark.parametrize("protocol", ["quality", "accuracy", "sweep", "ablation"])
+    def test_a_level_above_t_max_is_refused_before_any_crop(self, protocol, micro, classifier,
+                                                            balanced_images, monkeypatch):
+        calls = self._no_work(monkeypatch)
+        monkeypatch.setattr(evaluation, "_comp_crop", lambda *a: calls.append("crop"))
+        monkeypatch.setattr(evaluation, "_label", lambda *a: calls.append("label"))
+        run = self._protocols(micro, classifier, Labeled(balanced_images[:2], [0, 0]),
+                              EvalConfig(s_comp=16))[protocol]
+        assert micro.layout.t_max == CodecLayout().t_max == 8
+        with pytest.raises(evaluation.EvalError,
+                           match=r"level 9 is outside the trained range 1\.\.8$"):
+            run((1, 9))
+        assert calls == []
+
+    def test_sweep_levels_stop_at_the_smallest_t_max(self, micro, classifier, balanced_images):
+        short = CodecParams(dataclasses.replace(MICRO, t_max=4), seed=5)
+        with pytest.raises(evaluation.EvalError,
+                           match=r"^tradeoff_sweep: level 5 is outside the trained range 1\.\.4$"):
+            evaluation.tradeoff_sweep({0.0: micro, 1.0: short}, classifier,
+                                      Labeled(balanced_images[:2], [0, 0]), (1, 5),
+                                      EvalConfig(s_comp=16))
 
     def test_sweep_rejects_empty_val_set(self, micro, classifier):
         with pytest.raises(evaluation.EvalError, match="empty validation set"):
