@@ -577,6 +577,14 @@ def _phases(a: np.ndarray, r: int, ho: int, wo: int) -> list:
     return [a[..., dy : r * ho : r, dx : r * wo : r] for dy in range(r) for dx in range(r)]
 
 
+def _pool2(a: np.ndarray) -> np.ndarray:
+    """The 2x2 mean with stride 2 over the last two axes, a trailing odd row/column
+    dropped: ((a00 + a01) + (a10 + a11)) / 4, a_ij at row offset i and column
+    offset j. avg_pool2, the MS-SSIM pyramid and the shape renderer use it."""
+    a00, a01, a10, a11 = _phases(a, 2, a.shape[-2] // 2, a.shape[-1] // 2)
+    return ((a00 + a01) + (a10 + a11)) / 4
+
+
 def _unpool2(g: np.ndarray, shape: tuple) -> np.ndarray:
     """The adjoint of 2x2 average pooling over the last two axes, onto an
     array of ``shape``: a quarter of each coarse gradient on each pixel of
@@ -592,30 +600,15 @@ def _unpool2(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def avg_pool2(x: Tensor) -> Tensor:
-    """2x2 average pooling with stride 2 on a CHW tensor; a trailing odd
-    row/column is dropped.
-
-    Each output is ((a00 + a01) + (a10 + a11)) / 4 over its block's four
-    pixels, a_ij at row offset i and column offset j. That is the order
-    numpy's ``mean(axis=(2, 4))`` of the (c, h/2, 2, w/2, 2) view uses on a
-    C-contiguous input whose pooled map is at least 2x2, so there the two
-    agree bit for bit; on a 1x1 pooled map numpy sums the block in
-    sequence, and the last bit can differ.
-    """
+    """2x2 average pooling with stride 2 (`_pool2`) of a CHW tensor."""
     c, h, w = x.shape
-    ho, wo = h // 2, w // 2
-    if ho < 1 or wo < 1:
+    if h < 2 or w < 2:
         raise ShapeError(f"avg_pool2: spatial dims {h}x{w} too small")
-    a00, a01, a10, a11 = _phases(x.data, 2, ho, wo)
-    out_data = np.add(a00, a01)
-    out_data += a10 + a11
-    out_data /= 4
-    out = Tensor(out_data)
 
     def vjp(g):
         return _unpool2(g, (c, h, w))
 
-    return record_op(out, (x,), (vjp,))
+    return record_op(Tensor(_pool2(x.data)), (x,), (vjp,))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

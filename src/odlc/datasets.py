@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import imageops, ppm
 
 CLASS_NAMES = (
@@ -28,9 +29,8 @@ class DatasetError(ValueError):
     pass
 
 
-# the largest image side: codec.MAX_PADDED_PIXELS is 2048 * 2048, so the
-# codec takes no larger image; at the cap the render's largest buffer (the
-# float64 noise at 2x) is 400 MB
+# the largest image side, as codec.MAX_PADDED_PIXELS is 2048 * 2048; a render
+# there peaks at 960 MiB (tracemalloc), set by the star mask's float64 grids
 _MAX_RESOLUTION = 2048
 
 
@@ -111,17 +111,12 @@ def render_shape_image(seed: int, split: str, index: int, classes: int = 10,
 
     # smooth colored texture: coarse grid, bilinear blowup, mild noise
     grid = rng.uniform(0.15, 0.85, size=(3, 5, 5)).astype(np.float32)
-    bg = imageops.resize_bilinear(grid, resolution * 2, resolution * 2)
-    bg += rng.normal(0.0, 0.015, size=bg.shape).astype(np.float32)
+    bg = rng.standard_normal((3, resolution * 2, resolution * 2), dtype=np.float32)
+    bg *= 0.015
+    bg += imageops.resize_bilinear(grid, resolution * 2, resolution * 2)
 
     mask = _shape_mask(label, resolution, rng)
-    # bg's values summed in (x, y, c) memory order, the layout of the old
-    # four-gather resize's output, which numpy's pairwise sum followed; one
-    # 2-d transpose per channel is faster than one 3-d transpose
-    xyc = np.empty(bg.shape[::-1], dtype=np.float32)
-    for c in range(3):
-        xyc[:, :, c] = bg[c].T
-    local_mean = float(xyc.mean())
+    local_mean = float(bg.mean(dtype=np.float64))
     color = rng.uniform(0.05, 0.95, size=3).astype(np.float32)
     # push the fill color away from the background so shapes stay visible
     for c in range(3):
@@ -130,20 +125,7 @@ def render_shape_image(seed: int, split: str, index: int, classes: int = 10,
 
     # bg*(1-m) + color*m with m in {0, 1} is exactly bg or color
     np.copyto(bg, color[:, None, None], where=mask)
-    # the 2x2 block means in the order the old 5-d numpy mean summed them:
-    # (a00 + a01) + (a10 + a11) at 2..73 px; in sequence at 1 px (a 1x1
-    # map) and from 74 px up, where the old blended image (48 * res^2 >=
-    # 2^18 bytes, numpy's temporary-elision size) kept the channel-innermost
-    # layout of the old resize
-    a00, a01 = bg[:, 0::2, 0::2], bg[:, 0::2, 1::2]
-    a10, a11 = bg[:, 1::2, 0::2], bg[:, 1::2, 1::2]
-    img = a00 + a01
-    if 2 <= resolution < 74:
-        img += a10 + a11
-    else:
-        img += a10
-        img += a11
-    img *= 0.25
+    img = ad._pool2(bg)
     return np.clip(img, 0.0, 1.0, out=img), label
 
 

@@ -105,12 +105,13 @@ def pad_to_multiple(img: np.ndarray, multiple: int) -> np.ndarray:
 
 
 def channel_stats(images) -> tuple:
-    """Per-channel mean/std over an iterable of CHW [0,1] images."""
+    """Per-channel mean/std over an iterable of CHW [0,1] images, summed in
+    float64, so that equal pixels give equal stats in any memory layout."""
     s = np.zeros(3, dtype=np.float64)
     s2 = np.zeros(3, dtype=np.float64)
     n = 0
     for img in images:
-        s += img.sum(axis=(1, 2))
+        s += img.sum(axis=(1, 2), dtype=np.float64)
         s2 += np.square(img, dtype=np.float64).sum(axis=(1, 2))
         n += img.shape[1] * img.shape[2]
     if n == 0:

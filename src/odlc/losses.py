@@ -49,8 +49,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-_CLASSIC_WEIGHTS = np.array([0.0448, 0.2856, 0.3001, 0.2363, 0.1333])
-_SCALE_WEIGHTS = tuple(float(v) for v in _CLASSIC_WEIGHTS / _CLASSIC_WEIGHTS.sum())
+_CLASSIC_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 WINDOW, SIGMA, K1, K2, DATA_RANGE = 11, 1.5, 0.01, 0.03, 1.0
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601
 _TERM_FLOOR = 1e-6  # keeps fractional powers defined if a cs mean dips <= 0
@@ -71,8 +70,8 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise LossError(f"alpha must be in [0,1], got {self.alpha}")
-        if self.lambda_h <= 0:
-            raise LossError(f"lambda_h must be positive, got {self.lambda_h}")
+        if not 0 < self.lambda_h < np.inf:
+            raise LossError(f"lambda_h must be positive and finite, got {self.lambda_h}")
         if self.alpha > 0 and not self.layer_ids:
             raise LossError("layer_ids must be non-empty when alpha > 0")
 
@@ -80,15 +79,11 @@ class LossConfig:
 def _pyramid_weights(side: int) -> tuple:
     """Scale weights of the MS-SSIM pyramid for a given smallest image side;
     their count is the scale count."""
-    s = 0
-    while s < len(_SCALE_WEIGHTS) and WINDOW * 2 ** s <= side:
-        s += 1
+    s = sum(WINDOW * 2 ** i <= side for i in range(len(_CLASSIC_WEIGHTS)))
     if s == 0:
         raise LossError(f"ms_ssim: smallest side {side} below the {WINDOW}-pixel window")
-    # normalized over all five, then over the first s: trained checkpoints
-    # depend on these exact floats
-    w = np.array(_SCALE_WEIGHTS[:s], dtype=np.float64)
-    return tuple(float(v) for v in w / w.sum())
+    w = np.array(_CLASSIC_WEIGHTS[:s])
+    return tuple((w / w.sum()).tolist())
 
 
 _TILE = 64  # output rows (columns) per banded-matrix product in `_window`
@@ -139,13 +134,6 @@ def _luma(img: np.ndarray) -> np.ndarray:
     """1xHxW or 3xHxW -> HxW float64 (BT.601 luma of three channels)."""
     img = img.astype(np.float64)
     return img[0] if img.shape[0] == 1 else np.tensordot(LUMA_WEIGHTS, img, axes=1)
-
-
-def _pool(a: np.ndarray) -> np.ndarray:
-    """2x2 average pooling with stride 2; a trailing odd row/column is dropped."""
-    h, w = a.shape[0] // 2, a.shape[1] // 2
-    rows = a[0 : 2 * h : 2, : 2 * w] + a[1 : 2 * h : 2, : 2 * w]
-    return (rows[:, 0::2] + rows[:, 1::2]) * 0.25
 
 
 class _Scale(NamedTuple):
@@ -220,7 +208,7 @@ def ms_ssim(x, y, *, complement: bool = False) -> Tensor:
     scales = []
     for s in range(len(weights)):
         if s:
-            a, b = _pool(a), _pool(b)
+            a, b = ad._pool2(a), ad._pool2(b)
         scales.append(_Scale.of(a, b, s == len(weights) - 1))
     product = 1.0
     for st, w in zip(scales, weights):

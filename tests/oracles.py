@@ -11,10 +11,10 @@ gradients. The elementwise ops they need and the package no longer runs
 local `record_op` closures here.
 
 The shape renderer's reference (`render_shape_image_reference` with its
-`shape_mask_reference` and `resize_bilinear_gather`) is the renderer as it
-was before its separable resize, masked fill and phase-view means: a
-verbatim copy, up to names, that the package's renderer must match bit for
-bit.
+`shape_mask_reference` and `resize_bilinear_gather`) is the renderer's
+plain definition: dense coordinate grids, a four-gather resize, an
+arithmetic blend and each 2x2 block mean summed in pairs on a 5-d
+reshape. The package's renderer must match it bit for bit.
 """
 
 import numpy as np
@@ -316,10 +316,10 @@ def render_shape_image_reference(seed, split, index, classes=10, resolution=64):
     # smooth colored texture: coarse grid, bilinear blowup, mild noise
     grid = rng.uniform(0.15, 0.85, size=(3, 5, 5)).astype(np.float32)
     bg = resize_bilinear_gather(grid, resolution * 2, resolution * 2)
-    bg += rng.normal(0.0, 0.015, size=bg.shape).astype(np.float32)
+    bg = bg + 0.015 * rng.standard_normal(bg.shape, dtype=np.float32)
 
     mask = shape_mask_reference(label, resolution, rng).astype(np.float32)
-    local_mean = float(bg.mean())
+    local_mean = float(bg.astype(np.float64).mean())
     color = rng.uniform(0.05, 0.95, size=3).astype(np.float32)
     # push the fill color away from the background so shapes stay visible
     for c in range(3):
@@ -327,5 +327,6 @@ def render_shape_image_reference(seed, split, index, classes=10, resolution=64):
             color[c] = np.clip(local_mean + np.sign(color[c] - local_mean + 1e-6) * 0.35, 0.0, 1.0)
 
     img2x = bg * (1.0 - mask) + color[:, None, None] * mask
-    img = img2x.reshape(3, resolution, 2, resolution, 2).mean(axis=(2, 4))
-    return np.clip(img, 0.0, 1.0).astype(np.float32), label
+    v = img2x.reshape(3, resolution, 2, resolution, 2)
+    img = ((v[:, :, 0, :, 0] + v[:, :, 0, :, 1]) + (v[:, :, 1, :, 0] + v[:, :, 1, :, 1])) / 4
+    return np.clip(img, 0.0, 1.0), label

@@ -403,11 +403,39 @@ def reused_garbage(shape, dtype):
     del junk
 
 
+class TestPool2:
+    SHAPES = [(6, 8), (7, 5), (3, 9, 10), (2, 3, 4, 5), (1, 2, 2)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_pair_sums_bit_for_bit(self, shape, dtype):
+        a = pool_input(shape, dtype)
+        ho, wo = shape[-2] // 2, shape[-1] // 2
+        v = a[..., : 2 * ho, : 2 * wo]
+        want = (v[..., 0::2, 0::2] + v[..., 0::2, 1::2]) + (v[..., 1::2, 0::2] + v[..., 1::2, 1::2])
+        want /= 4
+        got = ad._pool2(a)
+        assert got.dtype == dtype and got.shape == shape[:-2] + (ho, wo)
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_unpool2_is_its_adjoint(self, shape, dtype, tol):
+        a = pool_input(shape, dtype)
+        g = pool_input(shape[:-2] + (shape[-2] // 2, shape[-1] // 2), dtype, seed=1)
+        pooled_g = np.vdot(ad._pool2(a).astype(np.float64), g)
+        a_unpooled = np.vdot(a.astype(np.float64), ad._unpool2(g, shape))
+        assert pooled_g == pytest.approx(a_unpooled, rel=tol)
+
+
 class TestAvgPool2:
     # the lossnet's relu outputs at 56 px and 64 px, then odd sides
     SHAPES = [(16, 56, 56), (32, 28, 28), (64, 14, 14), (96, 7, 7),
               (16, 64, 64), (32, 32, 32), (64, 16, 16), (96, 8, 8), (3, 7, 5), (3, 5, 7)]
 
+    # numpy's mean(axis=(2, 4)) of the 5-d view sums each block as
+    # (a00 + a01) + (a10 + a11) on a C-contiguous input whose pooled map is
+    # at least 2x2; on a 1x1 map it sums in sequence
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_forward_bit_equal_to_numpy_mean(self, shape, dtype):

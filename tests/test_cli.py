@@ -124,6 +124,22 @@ class TestConfigIO:
         err = capsys.readouterr().err
         assert "'normalization'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_h_exits_1_before_creating_the_directory(self, value, tmp_path,
+                                                                       capsys, monkeypatch):
+        def render(*args):
+            raise AssertionError("rendered an image")
+
+        monkeypatch.setattr(datasets, "render_shape_image", render)
+        p = tmp_path / "c.cfg"
+        p.write_text(f"lambda_h = {value}\n")
+        rc = run("train-codec", "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
+                 "--out", str(tmp_path / "run"), "--seed", "0", "--config", str(p))
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"odlc train-codec: lambda_h must be positive and finite, got {value}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_bad_value_names_its_key(self):
         from odlc.trainer import TrainConfig
         with pytest.raises(configio.ConfigError, match="'epochs'"):

@@ -7,7 +7,6 @@ from odlc import codec, datasets, imageops
 from odlc.datasets import ShapesDataset, ShapesSpec
 from oracles import render_shape_image_reference, resize_bilinear_gather
 
-# 1 px and 74 px up sum each 2x2 block in sequence, 2..73 px in pairs
 RENDER_RESOLUTIONS = (1, 2, 8, 48, 64, 73, 74, 80, 128, 256)
 
 
@@ -105,6 +104,16 @@ class TestResizeBilinear:
     def test_empty_or_negative_target_rejected(self, size):
         with pytest.raises(ValueError, match="at least 1x1"):
             imageops.resize_bilinear(np.zeros((3, 5, 5), np.float32), *size)
+
+
+class TestChannelStats:
+    def test_equal_in_c_and_fortran_order(self):
+        imgs = [datasets.render_shape_image(0, "train", i, 10, 48)[0] for i in range(9)]
+        c_order = imageops.channel_stats(imgs)
+        f_order = imageops.channel_stats(np.asfortranarray(img) for img in imgs)
+        for got, want in zip(f_order, c_order):
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSpecParsing:

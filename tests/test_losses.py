@@ -7,7 +7,7 @@ from odlc import autodiff as ad
 from odlc import gradcheck, losses
 from odlc.lossnet import ClassifierLayout, ClassifierParams
 from oracles import (add_const, feature_loss_direct, gaussian_window_direct, luma_direct,
-                     ms_ssim_composed, msssim_direct, ssim_maps_direct)
+                     ms_ssim_composed, msssim_direct, msssim_weights_direct, ssim_maps_direct)
 from test_autodiff import closure_arrays, pool_input, reused_garbage
 
 
@@ -24,6 +24,11 @@ class TestLossConfig:
         with pytest.raises(losses.LossError, match="layer_ids"):
             losses.LossConfig(alpha=0.5, layer_ids=())
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_lambda_h_positive_and_finite(self, value):
+        with pytest.raises(losses.LossError, match=f"lambda_h .* got {value}"):
+            losses.LossConfig(lambda_h=value)
+
     def test_holds_only_the_objective(self):
         assert [f.name for f in dataclasses.fields(losses.LossConfig)] == \
             ["alpha", "lambda_h", "layer_ids"]
@@ -38,6 +43,11 @@ class TestPyramid:
     def test_weights_sum_to_one(self):
         w = losses._pyramid_weights(176)
         assert len(w) == 5 and abs(sum(w) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("scales", [1, 2, 3, 4, 5])
+    def test_weights_equal_the_direct_oracle(self, scales):
+        want = tuple(msssim_weights_direct(scales).tolist())
+        assert losses._pyramid_weights(losses.WINDOW * 2 ** (scales - 1)) == want
 
     def test_scale_reduction_renormalizes(self):
         w = losses._pyramid_weights(56)
