@@ -26,19 +26,22 @@ Memory contract: a VJP closure holds only what its backward rule reads
 convolution's column matrix (k*k times its input) lives only inside one
 forward call or one VJP call. Every forward product, plain conv2d's and
 the fused GRU cell's three (the x-path and both hidden-path ones), builds
-it in bands of output rows of at most BAND_BYTES each and writes each
-band's cropped result into the op's output before it builds the next, so
-no forward holds a product wider than its output. Every column build in
-backward (conv2d's kernel VJP, the cell's kernel gradients) still builds
-the whole matrix: banding those products would change their summation
-order. The sigmoid's two temporaries hold SIGMOID_CHUNK elements each.
-The fused GRU cell is one record that holds x, h, its gates u, r, c and
-r*h, and rebuilds its columns in backward; the gradients its first VJP
-computes for all its inputs belong to that record. A record,
-with the activations its closures hold, and the gradient of its output
-live until backward replays that record; then both are dropped, so a
-backward pass releases the forward's memory as it walks back instead of
-adding a gradient per activation.
+it in bands of output rows of at most BAND_BYTES each, from phase grids
+of only the input rows that band reads, and writes each band's cropped
+result into the op's output before it builds the next, so no forward
+holds a product wider than its output or a padded copy of a whole input
+it bands. A GRU cell that will not be recorded runs whole in row bands,
+so of its own arrays only its output and r*h are whole. Every column
+build in backward (conv2d's kernel VJP, the cell's kernel gradients)
+still builds the whole matrix: banding those products would change their
+summation order. The sigmoid's two temporaries hold SIGMOID_CHUNK
+elements each. A recorded GRU cell is one record that holds x, h, its
+gates u, r, c and r*h whole, and rebuilds its columns in backward; the
+gradients its first VJP computes for all its inputs belong to that
+record. A record, with the activations its closures hold, and the
+gradient of its output live until backward replays that record; then
+both are dropped, so a backward pass releases the forward's memory as it
+walks back instead of adding a gradient per activation.
 """
 
 from __future__ import annotations
@@ -319,87 +322,103 @@ def _phase_buffer(c: int, k: int, s: int, ho: int, wq: int, dtype):
     return buf, buf[..., : rows * wq].reshape(m, m, c, rows, wq)
 
 
-def _phase_split(xd: np.ndarray, k: int, s: int, ho: int, wq: int, links) -> np.ndarray:
-    """The zero-padded input as flat phase grids (m, m, C, L), see
-    `_conv_geometry`."""
-    buf, grids = _phase_buffer(xd.shape[0], k, s, ho, wq, xd.dtype)
-    for _, _, grid, xs in links:
-        if xs is not None:
-            grids[grid] = xd[xs]
+def _phase_split(xd: np.ndarray, k: int, s: int, wq: int, links, r0: int,
+                 r1: int) -> np.ndarray:
+    """The zero-padded input rows that output rows r0..r1-1 read, as flat
+    phase grids (m, m, C, L) whose grid row 0 is grid row r0 of the whole
+    input's (see `_conv_geometry`). Each input element is copied once."""
+    d = (k - 1) // s
+    buf, grids = _phase_buffer(xd.shape[0], k, s, r1 - r0, wq, xd.dtype)
+    for p, q, (_, _, _, gr, gc), xs in links:
+        a, b = max(gr.start, r0), min(gr.stop, r1 + d)
+        if xs is not None and a < b:
+            y = xs[1].start + s * (a - gr.start)
+            grids[p, q, :, a - r0 : b - r0, gc] = xd[:, y : y + s * (b - a - 1) + 1 : s, xs[2]]
     return buf
 
 
-def _columns(buf: np.ndarray, k: int, s: int, wq: int, r0: int, r1: int) -> np.ndarray:
-    """Column matrix (C*k*k, (r1-r0)*wq) of output rows r0..r1-1, read from
+def _columns(buf: np.ndarray, k: int, s: int, wq: int, rows: int) -> np.ndarray:
+    """Column matrix (C*k*k, rows*wq) of the first ``rows`` output rows of
     the phase grids of `_phase_split`.
 
     Each phase grid is flat, so tap (i, j) reads one contiguous window of
-    the rows' (r1-r0)*wq elements of phase (i % s, j % s), and the taps of
+    the rows' rows*wq elements of phase (i % s, j % s), and the taps of
     one phase form one strided view. Grid columns wo..wq-1 of every row are
     spill-over that the caller discards.
     """
     m, _, c, length = buf.shape
-    dt, n = buf.dtype, (r1 - r0) * wq
+    dt, n = buf.dtype, rows * wq
     it = dt.itemsize
     cols = np.empty((c, k, k, n), dtype=dt)
     for p in range(m):
         for q in range(m):
             taps = np.ndarray((c, len(range(p, k, s)), len(range(q, k, s)), n), dt, buf,
-                              ((p * m + q) * c * length + r0 * wq) * it,
-                              (length * it, wq * it, it, it))
+                              (p * m + q) * c * length * it, (length * it, wq * it, it, it))
             cols[:, p::s, q::s] = taps
     return cols.reshape(c * k * k, n)
 
 
 def _conv_columns(xd: np.ndarray, k: int, s: int, ho: int, wq: int, links) -> np.ndarray:
     """Column matrix (C*k*k, ho*wq) of the zero-padded input, all rows."""
-    return _columns(_phase_split(xd, k, s, ho, wq, links), k, s, wq, 0, ho)
+    return _columns(_phase_split(xd, k, s, wq, links, 0, ho), k, s, wq, ho)
 
 
 # Most bytes of columns that one band of `_banded_product` builds.
 BAND_BYTES = 2 << 20
 
 
-def _banded_product(kern: np.ndarray, xd: np.ndarray, k: int, s: int, ho: int, wq: int,
+def _band_rows(itemsize: int, *paths) -> int:
+    """Output rows per band of the products of ``paths``, (K, wq) pairs of
+    a column matrix's height and grid width: a multiple of 16 // gcd(wq,
+    16) for every wq, and, unless that alignment alone is more, few enough
+    that no path's columns exceed BAND_BYTES."""
+    align, fit = 1, BAND_BYTES
+    for n, wq in paths:
+        align = math.lcm(align, 16 // math.gcd(wq, 16))
+        fit = min(fit, BAND_BYTES // (n * wq * itemsize))
+    return max(align, fit // align * align)
+
+
+def _banded_product(kern: np.ndarray, xd: np.ndarray, k: int, s: int, r1: int, wq: int,
                     links, out: np.ndarray, bias: np.ndarray | None = None,
-                    accumulate: bool = False) -> np.ndarray:
-    """Write kern @ _conv_columns(xd, ...), cropped to ``out``'s (C_out, ho,
-    wo), into ``out``, plus ``bias`` per output channel, or add it to
-    ``out`` when ``accumulate``. The columns are built one band of output
-    rows at a time, each band at most BAND_BYTES, and each band's GEMM
-    result lands in ``out[:, r0:r1]`` before the next band is built.
+                    accumulate: bool = False, r0: int = 0) -> np.ndarray:
+    """Write output rows r0..r1-1 of kern @ _conv_columns(xd, ...), cropped
+    to ``out``'s (C_out, r1-r0, wo), into ``out``, plus ``bias`` per output
+    channel, or add them to ``out`` when ``accumulate``. The columns are
+    built one band of output rows at a time, each band at most BAND_BYTES
+    (`_band_rows`), and each band's GEMM result lands in ``out`` before the
+    next band is built. Each band's phase grids hold only the input rows
+    that band reads (`_phase_split`) and are freed before its GEMM runs, so
+    a call of more than one band never copies its whole input, and a call
+    of one band (every product at 64 px) runs as `_conv_columns` does.
 
-    A band holds a multiple of 16 // gcd(wq, 16) rows, so every band's
-    first column sits on a 16-column boundary of the whole product, and
-    OpenBLAS's sgemm runs each column through the same kernel, full block
-    or tail, as in the whole product. Each band's GEMM sums over the same
-    C*k*k products as the whole product does, and in float32 the result is
-    the whole product's, bit for bit, on the sgemm kernels it was checked
-    on. The exception seen: with 3 to 5 outputs and ho*wq not a multiple
-    of 16, a few tail columns of the last band can round otherwise; the
-    codec never makes such a call, since it pads its input to a multiple
-    of 16. In float64 the GEMM's column-tail kernel can sum a band's last
-    few columns in another order, which moves them by an ulp.
-
-    Columns that fit in one band are built whole, as `_conv_columns` does,
-    which frees the phase grids before the product is allocated.
+    A band holds a multiple of 16 // gcd(wq, 16) rows, and r0 must be one
+    too, so every band's first column sits on a 16-column boundary of the
+    whole product, and OpenBLAS's sgemm runs each column through the same
+    kernel, full block or tail, as in the whole product. Each band's GEMM
+    sums over the same C*k*k products as the whole product does, and in
+    float32 the result is the whole product's, bit for bit, on the sgemm
+    kernels it was checked on, whatever the band's row count. The
+    exception seen: with 3 to 5 outputs and ho*wq not a multiple of 16, a
+    few tail columns of the last band can round otherwise; the codec never
+    makes such a call, since it pads its input to a multiple of 16. In
+    float64 the GEMM's column-tail kernel can sum a band's last few
+    columns in another order, which moves them by an ulp.
     """
     c_out, wo = out.shape[0], out.shape[2]
-    align = 16 // math.gcd(wq, 16)
-    rows = max(align, BAND_BYTES // (kern.shape[1] * wq * xd.dtype.itemsize) // align * align)
-    buf = None if rows >= ho else _phase_split(xd, k, s, ho, wq, links)
-    for r0 in range(0, ho, rows):
-        r1 = min(ho, r0 + rows)
-        cols = (_conv_columns(xd, k, s, ho, wq, links) if buf is None
-                else _columns(buf, k, s, wq, r0, r1))
-        band = (kern @ cols).reshape(c_out, r1 - r0, wq)[:, :, :wo]
+    rows = _band_rows(xd.dtype.itemsize, (kern.shape[1], wq))
+    for a in range(r0, r1, rows):
+        b = min(r1, a + rows)
+        cols = _columns(_phase_split(xd, k, s, wq, links, a, b), k, s, wq, b - a)
+        band = (kern @ cols).reshape(c_out, b - a, wq)[:, :, :wo]
         del cols
+        dst = out[:, a - r0 : b - r0]
         if accumulate:
-            out[:, r0:r1] += band
+            dst += band
         elif bias is not None:
-            np.add(band, bias[:, None, None], out=out[:, r0:r1])
+            np.add(band, bias[:, None, None], out=dst)
         else:
-            out[:, r0:r1] = band
+            dst[...] = band
     return out
 
 
@@ -783,12 +802,25 @@ def conv_gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
         u = sig(a_u),  r = sig(a_r),  c = tanh(a_c + whc * (r h)),
         h' = (h - u h) + u c.
 
-    One strided x-path GEMM with 3C outputs and one h-path GEMM with 2C
-    outputs; the gate maths runs in place in the (3C, H, W) buffer of
-    pre-activations, which ends up holding [u; r; c]. The cell is one tape
-    record holding x, h, [u; r; c] and r h. Its first VJP to run computes
-    the gradients of all 11 inputs, rebuilding each path's columns once
-    and running one col2im per path, and each VJP hands out its own.
+    One strided x-path product with 3C outputs and one h-path product with
+    2C outputs; the gate maths runs in place in the (3C, rows, W) buffer
+    of pre-activations, which ends up holding [u; r; c].
+
+    A cell that will not be recorded (no tape, or no input that needs a
+    gradient) runs in bands of output rows (`_band_rows` over both paths,
+    so every band starts on a 16-column boundary of each). Per band it
+    runs both paths' products, the sigmoid and r h; the candidate product,
+    tanh and h' of a band run once r h exists k // 2 rows below it, one
+    band behind. So the gates of about two bands are alive at a time, and
+    its only whole arrays are h' and r h. In float32 each band's products
+    are the whole products' bit for bit (`_banded_product`), and h' is
+    the recorded cell's.
+
+    A recorded cell runs as one band, so its gates [u; r; c] and r h are
+    whole. It is one tape record holding x, h, [u; r; c] and r h. Its
+    first VJP to run computes the gradients of all 11 inputs, rebuilding
+    each path's columns once and running one col2im per path, and each
+    VJP hands out its own.
 
     A zero hidden state that needs no gradient (every state at t = 1)
     skips the h-path and candidate convolutions, which would add exact
@@ -819,27 +851,44 @@ def conv_gru_cell(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
     xd, hd = x.data, h.data
     kx, kh, kc = p.wx.reshape(n3, -1), p.wh.reshape(2 * ch, -1), p.whc.value.reshape(ch, -1)
 
-    gates = _banded_product(kx, xd, k, s, ho, wq, links, np.empty((n3, ho, wo), dtype=xd.dtype),
-                            p.b)
-    zero_state = not h.requires_grad and not hd.any()
-    if not zero_state:
-        _banded_product(kh, hd, k, 1, ho, wqh, links_h, gates[: 2 * ch], accumulate=True)
-    _sigmoid_into(gates[: 2 * ch], gates[: 2 * ch])
-    u, r, c = gates[:ch], gates[ch : 2 * ch], gates[2 * ch :]
-    if zero_state:
-        rh = None
-    else:
-        rh = r * hd
-        _banded_product(kc, rh, k, 1, ho, wqh, links_h, c, accumulate=True)
-    np.tanh(c, out=c)
-    out_data = u * hd
-    np.subtract(hd, out_data, out=out_data)
-    out_data += u * c
-    out = Tensor(out_data)
-
     inputs = (x, h) + tuple(getattr(p, n).tensor for n in _GRU_TENSORS)
-    if active_tape() is None or not any(t.requires_grad for t in inputs):
+    recorded = active_tape() is not None and any(t.requires_grad for t in inputs)
+    zero_state = not h.requires_grad and not hd.any()
+    rows = ho if recorded else _band_rows(xd.dtype.itemsize, (kx.shape[1], wq),
+                                          (kc.shape[1], wqh))
+    # r h and h' are allocated when first written; allocated up front, they
+    # would raise a one-band cell's peak (64 px compress, T = 2: 598 -> 662 B/px)
+    rh, pending = None, []  # pending: (r0, r1, gates) of bands whose candidate waits
+    for r0 in range(0, ho, rows):
+        r1 = min(ho, r0 + rows)
+        gates = _banded_product(kx, xd, k, s, r1, wq, links,
+                                np.empty((n3, r1 - r0, wo), dtype=xd.dtype), p.b, r0=r0)
+        if not zero_state:
+            _banded_product(kh, hd, k, 1, r1, wqh, links_h, gates[: 2 * ch], accumulate=True,
+                            r0=r0)
+        _sigmoid_into(gates[: 2 * ch], gates[: 2 * ch])
+        if not zero_state:
+            if r0 == 0:
+                rh = np.empty((ch, ho, wo), dtype=xd.dtype)
+            np.multiply(gates[ch : 2 * ch], hd[:, r0:r1], out=rh[:, r0:r1])
+        pending.append((r0, r1, gates))
+        # a band's candidate reads r h up to k // 2 rows below the band
+        while pending and (zero_state or r1 == ho or pending[0][1] + k // 2 <= r1):
+            a, b, g = pending.pop(0)
+            u, c = g[:ch], g[2 * ch :]
+            if not zero_state:
+                _banded_product(kc, rh, k, 1, b, wqh, links_h, c, accumulate=True, r0=a)
+            np.tanh(c, out=c)
+            if a == 0:
+                out_data = np.empty((ch, ho, wo), dtype=xd.dtype)
+            o, hb = out_data[:, a:b], hd[:, a:b]
+            np.multiply(u, hb, out=o)
+            np.subtract(hb, o, out=o)
+            o += u * c
+    out = Tensor(out_data)
+    if not recorded:
         return out
+    u, r, c = gates[:ch], gates[ch : 2 * ch], gates[2 * ch :]
     slot = {n: 2 + i for i, n in enumerate(_GRU_TENSORS)}
 
     def gradients(g):

@@ -42,16 +42,16 @@ from . import checkpoint as ckpt
 DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 
 # Cap on ceil16(H) * ceil16(W), checked before they allocate by
-# normalized_input, for every encode, and by decompress. From 256 px up,
-# encoding peaks at ~318 bytes per padded pixel and decoding at ~283 from
-# T = 2 on, and neither grows with T; at T = 1, whose hidden states are
-# zero, at ~289 and ~252 at 256 px and ~273 and ~235 from 512 px up, set
-# by plain conv2d's output and its column band (default layout, float32,
-# tracemalloc at 256 px and 512 px, T = 1, 2, 8, and at 1024 px and
-# 2048 px, T = 2). Small images read more per pixel, since the conv
-# products' column bands of at most BAND_BYTES then hold the whole matrix
-# (64 px, T >= 2: ~600 and ~563). So 2^22 pixels (2048 x 2048, ~10x a
-# 768 x 512 Kodak image) bound either at ~1.3 GB.
+# normalized_input, for every encode, and by decompress. Tracemalloc peaks
+# per padded pixel, default layout, float32, compress / decompress: 256 px
+# T = 1 199 / 135, T = 2 251 / 192 (T = 8 253 / 195); 512 px T = 1
+# 171 / 121, T = 2 218 / 172 (T = 8 219 / 175); 1024 px T = 1 160 / 115,
+# T = 2 201 / 162; 2048 px T = 1 160 / 115, T = 2 194 / 157. Past T = 2
+# they barely grow, and T = 1, whose hidden states are zero, runs no
+# h-path. Small images read more per pixel, since every conv product's
+# columns there fit one band and are built whole (64 px, T = 2: ~598 and
+# ~560). So 2^22 pixels (2048 x 2048, ~10x a 768 x 512 Kodak image) bound
+# either at ~0.8 GB.
 MAX_PADDED_PIXELS = 1 << 22
 
 

@@ -30,7 +30,8 @@ class DatasetError(ValueError):
 
 
 # the largest image side, as codec.MAX_PADDED_PIXELS is 2048 * 2048; a render
-# there peaks at 960 MiB (tracemalloc), set by the star mask's float64 grids
+# there peaks at 576.5 MiB (tracemalloc, every class), set by the noise beside
+# resize_bilinear's output and its one temporary, 192 MiB each
 _MAX_RESOLUTION = 2048
 
 
@@ -48,8 +49,14 @@ def _rot(yy, xx, theta):
     return c * yy - s * xx, s * yy + c * xx
 
 
+# Most elements of one row band of `_shape_mask`'s float64 grids (1 MiB each).
+_MASK_BAND = 1 << 17
+
+
 def _shape_mask(cls: int, res: int, rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask at 2x resolution (downsampled later for soft edges)."""
+    """Boolean mask at 2x resolution (downsampled later for soft edges),
+    evaluated one band of rows at a time, so that the class formula's
+    float64 grids hold at most _MASK_BAND elements each."""
     n = res * 2
     cy = n * (0.5 + rng.uniform(-0.12, 0.12))
     cx = n * (0.5 + rng.uniform(-0.12, 0.12))
@@ -59,7 +66,18 @@ def _shape_mask(cls: int, res: int, rng: np.random.Generator) -> np.ndarray:
     xx = np.arange(n, dtype=np.float64)[None, :] - cx
     small = rng.uniform(-0.18, 0.18)  # near-axis jitter for oriented classes
     free = rng.uniform(0.0, 2 * np.pi)
+    if cls not in range(len(CLASS_NAMES)):
+        raise DatasetError(f"no shape class {cls}")
+    mask = np.empty((n, n), dtype=bool)
+    rows = max(1, _MASK_BAND // n)
+    for a in range(0, n, rows):
+        mask[a : a + rows] = _class_mask(cls, yy[a : a + rows], xx, r, small, free)
+    return mask
 
+
+def _class_mask(cls: int, yy, xx, r: float, small: float, free: float) -> np.ndarray:
+    """The mask of shape class ``cls`` of radius ``r`` over the grids yy
+    and xx, centred on the shape; ``small`` and ``free`` are its angles."""
     if cls == 0:  # disk
         return yy * yy + xx * xx <= r * r
     if cls == 1:  # ring
@@ -95,11 +113,10 @@ def _shape_mask(cls: int, res: int, rng: np.random.Generator) -> np.ndarray:
         ry, rx = _rot(yy, xx, small)
         inside = np.maximum(np.abs(ry), np.abs(rx)) <= 0.9 * r
         return inside & ((ry >= 0) ^ (rx >= 0))
-    if cls == 9:  # corner (square minus one quadrant)
-        ry, rx = _rot(yy, xx, small)
-        sq = np.maximum(np.abs(ry), np.abs(rx)) <= 0.9 * r
-        return sq & ~((ry < 0) & (rx > 0))
-    raise DatasetError(f"no shape class {cls}")
+    # cls == 9: corner (square minus one quadrant)
+    ry, rx = _rot(yy, xx, small)
+    sq = np.maximum(np.abs(ry), np.abs(rx)) <= 0.9 * r
+    return sq & ~((ry < 0) & (rx > 0))
 
 
 def render_shape_image(seed: int, split: str, index: int, classes: int = 10,

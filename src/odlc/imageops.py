@@ -45,12 +45,17 @@ def resize_bilinear(img: np.ndarray, nh: int, nw: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = np.clip(ys - y0, 0.0, 1.0).astype(np.float32)[:, None]
     wx = np.clip(xs - x0, 0.0, 1.0).astype(np.float32)
-    rows = np.take(img, x0, axis=2) * (1 - wx)
-    rows += np.take(img, x1, axis=2) * wx
-    out = np.take(rows, y0, axis=1)
-    out *= 1 - wy
-    out += np.take(rows, y1, axis=1) * wy
+    rows = _lerp(np.take(img, x0, axis=2), np.take(img, x1, axis=2), wx)
+    out = _lerp(np.take(rows, y0, axis=1), np.take(rows, y1, axis=1), wy)
     return out.astype(np.float32, copy=False)
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """a*(1-t) + b*t, computed in a and b's own buffers."""
+    a *= 1 - t
+    b *= t
+    a += b
+    return a
 
 
 def center_crop(img: np.ndarray, size: int) -> np.ndarray:

@@ -132,8 +132,8 @@ class TestConv2d:
             ad.conv2d(t(np.zeros((1, 5, 5))), t(np.zeros((1, 1, 2, 2))))
 
 
-def gru_params(seed, c_in, c_h, stride=1):
-    params = ad.make_parameters(ad.GruParams.shapes("g", c_in, c_h, 3), seed,
+def gru_params(seed, c_in, c_h, stride=1, dtype=np.float32):
+    params = ad.make_parameters(ad.GruParams.shapes("g", c_in, c_h, 3), seed, dtype=dtype,
                                 stacks=ad.GruParams.stacks("g"))
     return ad.GruParams.of(params, "g", stride), list(params.values())
 
@@ -268,13 +268,14 @@ class TestBandedProduct:
 
     @staticmethod
     def bands(monkeypatch) -> list:
-        """The (r0, r1, wq) of every column build from here on."""
-        seen, columns = [], ad._columns
+        """The (r0, r1, wq) of every phase split, and so of every column
+        build, from here on."""
+        seen, split = [], ad._phase_split
 
-        def spy(buf, k, s, wq, r0, r1):
+        def spy(xd, k, s, wq, links, r0, r1):
             seen.append((r0, r1, wq))
-            return columns(buf, k, s, wq, r0, r1)
-        monkeypatch.setattr(ad, "_columns", spy)
+            return split(xd, k, s, wq, links, r0, r1)
+        monkeypatch.setattr(ad, "_phase_split", spy)
         return seen
 
     @staticmethod
@@ -387,6 +388,91 @@ class TestBandedProduct:
         whole = run()
         for a, b in zip(banded, whole):
             np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestBandedCell:
+    """A cell that will not be recorded runs whole in row bands: each band's
+    gates, r h and, one band behind, its candidate and h'. Its output is the
+    recorded cell's, bit for bit in float32."""
+
+    # dec.gru4 and enc.gru1 of the default layout at 256 px, and both
+    # strides on a non-square input
+    CASES = {"dec.gru4": (16, 32, 128, 128, 1), "enc.gru1": (32, 64, 128, 128, 2),
+             "144x400-s1": (16, 32, 144, 400, 1), "144x400-s2": (32, 64, 144, 400, 2)}
+
+    @staticmethod
+    def cell(case, dtype, zero_state):
+        c_in, c_h, h, w, stride = case
+        p, _ = gru_params(c_in + h + w, c_in, c_h, stride, dtype)
+        rng = np.random.default_rng(c_h + h + w)
+        x = ad.Tensor(rng.standard_normal((c_in, h, w)).astype(dtype))
+        state = np.zeros((c_h, -(-h // stride), -(-w // stride)), dtype)
+        if not zero_state:
+            state[...] = rng.standard_normal(state.shape)
+        return x, ad.Tensor(state), p
+
+    @staticmethod
+    def recorded(x, h, p):
+        """The cell's forward as a tape records it: its gates whole."""
+        x.requires_grad = True
+        try:
+            with ad.Tape() as tape:
+                out = ad.conv_gru_cell(x, h, p)
+            assert len(tape) == 1
+        finally:
+            x.requires_grad = False
+        return out.data
+
+    @pytest.mark.parametrize("zero_state", [True, False], ids=["zero", "state"])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_float32_bit_for_bit(self, monkeypatch, case, zero_state):
+        x, h, p = self.cell(case, np.float32, zero_state)
+        want = self.recorded(x, h, p)
+        bands = TestBandedProduct.bands(monkeypatch)
+        reused_garbage(h.shape, np.float32)  # an r h row read early is NaN, not the last run's
+        got = ad.conv_gru_cell(x, h, p).data
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        # no band spans all output rows, so every product runs in several
+        # and none copies its whole input
+        assert bands and all(r1 - r0 < h.shape[1] for r0, r1, _ in bands)
+        assert all(r0 * wq % 16 == 0 for r0, _, wq in bands)
+
+    @pytest.mark.parametrize("zero_state", [True, False], ids=["zero", "state"])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_float64_within_an_ulp(self, case, zero_state):
+        # the float64 GEMM's column-tail kernel may sum a band's last
+        # columns in another order where the two runs' bands differ
+        x, h, p = self.cell(case, np.float64, zero_state)
+        want = self.recorded(x, h, p)
+        reused_garbage(h.shape, np.float64)
+        np.testing.assert_array_max_ulp(ad.conv_gru_cell(x, h, p).data, want, maxulp=1)
+
+    def test_halo_wider_than_a_band(self, monkeypatch):
+        # k = 5 reads r h 2 rows below a band; 24 + 4 = 32-column grids
+        # align to 1 row, and tiny bands hold 1 row each
+        monkeypatch.setattr(ad, "BAND_BYTES", 1)
+        params = ad.make_parameters(ad.GruParams.shapes("g", 3, 4, 5), 5,
+                                    stacks=ad.GruParams.stacks("g"))
+        p = ad.GruParams.of(params, "g")
+        rng = np.random.default_rng(5)
+        x = t(rng.standard_normal((3, 9, 28)))
+        h = t(rng.standard_normal((4, 9, 28)))
+        want = self.recorded(x, h, p)
+        bands = TestBandedProduct.bands(monkeypatch)
+        reused_garbage(h.shape, np.float32)
+        got = ad.conv_gru_cell(x, h, p).data
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert {r1 - r0 for r0, r1, _ in bands} == {1}
+
+    def test_dec_gru4_peak_at_256px(self, traced):
+        # the output and r h are the only whole arrays: 3.26x the output,
+        # where whole gates (3x alone) and a padded r h read 6.0x
+        x, h, p = self.cell(self.CASES["dec.gru4"], np.float32, False)
+        ad.conv_gru_cell(x, h, p)  # first-call allocations stay out of the peak
+        with traced() as mem:
+            out = ad.conv_gru_cell(x, h, p)
+        assert mem.peak <= 3.5 * out.data.nbytes
 
 
 def pool_input(shape, dtype, seed=0):

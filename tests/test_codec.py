@@ -296,25 +296,35 @@ class TestCompressDecompress:
             return mem.peak
         assert peak(8) <= 1.02 * peak(2)
 
-    @pytest.mark.parametrize("iters,enc_bound,dec_bound", [(1, 302, 263), (2, 330, 292)],
-                             ids=["T1", "T2"])
-    def test_peak_bytes_per_pixel_256px(self, traced, iters, enc_bound, dec_bound):
-        # compress and decompress read 289 and 252 B/px at T = 1, where
-        # plain conv2d sets the peak, and 317 and 280 at T = 2; the bounds
-        # leave under 5 % headroom, so whole column matrices in plain conv2d
-        # (T = 1: ~451 and ~414) or a sigmoid over the whole gate array
-        # (T = 1: ~353 and ~315) fail them
+    @staticmethod
+    def peaks_per_pixel(traced, side, iters) -> tuple:
+        """Tracemalloc peaks of compress and decompress, bytes per pixel."""
         p = codec.CodecParams(codec.CodecLayout(), seed=3)
-        x = image(0, 256, 256)
+        x = image(0, side, side)
         bs = codec.compress(x, iters, p)
         codec.decompress(bs, p)  # first-call allocations stay out of the peaks
 
         def peak(fn, *args):
             with traced() as t:
                 fn(*args)
-            return t.peak / (256 * 256)
-        assert peak(codec.compress, x, iters, p) <= enc_bound
-        assert peak(codec.decompress, bs, p) <= dec_bound
+            return t.peak / (side * side)
+        return peak(codec.compress, x, iters, p), peak(codec.decompress, bs, p)
+
+    @pytest.mark.parametrize("iters,enc_bound,dec_bound", [(1, 208, 141), (2, 263, 201)],
+                             ids=["T1", "T2"])
+    def test_peak_bytes_per_pixel_256px(self, traced, iters, enc_bound, dec_bound):
+        # compress and decompress read 199 and 135 B/px at T = 1 and 251
+        # and 192 at T = 2; the bounds leave under 5 % headroom, so a cell
+        # that builds its whole gate array (T = 1: ~273 and ~235) or
+        # products that pad their whole input (T = 1: ~205 and ~167; T = 2:
+        # ~265 and ~192) fail them
+        enc, dec = self.peaks_per_pixel(traced, 256, iters)
+        assert enc <= enc_bound and dec <= dec_bound
+
+    def test_peak_bytes_per_pixel_512px(self, traced):
+        # T = 2 reads 218 and 172 B/px; whole padded inputs read ~232 and ~172
+        enc, dec = self.peaks_per_pixel(traced, 512, 2)
+        assert enc <= 228 and dec <= 180
 
     def test_decoder_state_alone(self, params):
         # decompress builds the decoder half alone: its four states and no x_hat

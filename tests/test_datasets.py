@@ -5,7 +5,7 @@ import pytest
 
 from odlc import codec, datasets, imageops
 from odlc.datasets import ShapesDataset, ShapesSpec
-from oracles import render_shape_image_reference, resize_bilinear_gather
+from oracles import render_shape_image_reference, resize_bilinear_gather, shape_mask_reference
 
 RENDER_RESOLUTIONS = (1, 2, 8, 48, 64, 73, 74, 80, 128, 256)
 
@@ -48,6 +48,27 @@ class TestGenerator:
     def test_unknown_split_rejected(self):
         with pytest.raises(datasets.DatasetError, match="split"):
             datasets.render_shape_image(0, "nope", 0)
+
+    @pytest.mark.parametrize("res", [64, 73])
+    def test_mask_bands_equal_the_dense_mask(self, monkeypatch, res):
+        # 1000-element bands: 7 and 6 rows, the last band short
+        monkeypatch.setattr(datasets, "_MASK_BAND", 1000)
+        for cls in range(10):
+            got = datasets._shape_mask(cls, res, np.random.default_rng(cls))
+            want = shape_mask_reference(cls, res, np.random.default_rng(cls))
+            assert got.dtype == bool and np.array_equal(got, want), cls
+
+    def test_every_class_peaks_like_the_disk(self, traced):
+        # at 512 px the noise and the resize set the peak, not the mask's
+        # float64 grids, which took the star to 1.25x the disk's
+        datasets.render_shape_image(0, "train", 0, 10, 512)  # first-call allocations
+
+        def peak(cls):
+            with traced() as t:
+                datasets.render_shape_image(0, "train", cls, 10, 512)
+            return t.peak
+        peaks = [peak(cls) for cls in range(10)]
+        assert max(peaks) <= 1.02 * peaks[0]
 
     @pytest.mark.parametrize("res", RENDER_RESOLUTIONS)
     def test_bit_equal_to_the_reference_renderer(self, res):
@@ -99,6 +120,12 @@ class TestResizeBilinear:
         assert got.shape == (shape[0], *size)
         assert got.dtype == np.float32 and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+    def test_peak_within_twice_the_output(self, traced):
+        grid = np.random.default_rng(0).random((3, 5, 5)).astype(np.float32)
+        with traced() as t:
+            out = imageops.resize_bilinear(grid, 1024, 1024)
+        assert t.peak <= 2.05 * out.nbytes
 
     @pytest.mark.parametrize("size", [(0, 4), (4, 0), (-3, -3)])
     def test_empty_or_negative_target_rejected(self, size):
