@@ -34,14 +34,14 @@ it bands. A GRU cell that will not be recorded runs whole in row bands,
 so of its own arrays only its output and r*h are whole. Every column
 build in backward (conv2d's kernel VJP, the cell's kernel gradients)
 still builds the whole matrix: banding those products would change their
-summation order. The sigmoid's two temporaries hold SIGMOID_CHUNK
-elements each. A recorded GRU cell is one record that holds x, h, its
-gates u, r, c and r*h whole, and rebuilds its columns in backward; the
-gradients its first VJP computes for all its inputs belong to that
-record. A record, with the activations its closures hold, and the
-gradient of its output live until backward replays that record; then
-both are dropped, so a backward pass releases the forward's memory as it
-walks back instead of adding a gradient per activation.
+summation order. The gates' sigmoid runs in place and allocates nothing.
+A recorded GRU cell is one record that holds x, h, its gates u, r, c and
+r*h whole, and rebuilds its columns in backward; the gradients its first
+VJP computes for all its inputs belong to that record. A record, with
+the activations its closures hold, and the gradient of its output live
+until backward replays that record; then both are dropped, so a backward
+pass releases the forward's memory as it walks back instead of adding a
+gradient per activation.
 """
 
 from __future__ import annotations
@@ -524,31 +524,14 @@ def tanh(x: Tensor) -> Tensor:
     return _unary(x, np.tanh, lambda xd, yd: lambda g: g * (1.0 - yd * yd))
 
 
-# Elements of one chunk of `_sigmoid_into`, whose two temporaries are that size.
-SIGMOID_CHUNK = 1 << 16
-
-
 def _sigmoid_into(xd: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = 1/(1+exp(-x)); ``out`` is C-contiguous and may be ``xd``
-    itself. With t = exp(-|x|)/(1+exp(-|x|)), which never overflows, it is
-    1-t where x >= 0 and t elsewhere, selected as (1-t)*m + t*(1-m) with
-    m = (x >= 0) as 0 or 1: one term is exactly zero and the other exact,
-    and no loop branches on the sign, which a masked ufunc does per
-    element. It runs over SIGMOID_CHUNK elements of the flat arrays at a
-    time, so its temporaries stay small whatever the array's size."""
-    flat_x, flat_out = xd.reshape(-1), out.reshape(-1)
-    for i in range(0, flat_x.size, SIGMOID_CHUNK):
-        x, o = flat_x[i : i + SIGMOID_CHUNK], flat_out[i : i + SIGMOID_CHUNK]
-        t = np.abs(x)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        t /= 1.0 + t
-        m = (x >= 0).astype(x.dtype)
-        np.subtract(1.0, t, out=o)
-        o *= m
-        np.subtract(1.0, m, out=m)
-        t *= m
-        o += t
+    """out = 1/(1+exp(-x)) as (1 + tanh(x/2)) / 2, which never overflows
+    and allocates nothing; ``out`` may be ``xd`` itself. Its error is
+    absolute, within an ulp of 1: in float32 it returns 0 below x ~ -17."""
+    np.multiply(xd, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 

@@ -14,8 +14,9 @@ class ConfigError(ValueError):
 
 
 def read_kv(path) -> dict:
-    """Parse "key = value" lines; '#' starts a comment, blanks ignored."""
-    out = {}
+    """Parse "key = value" lines; '#' starts a comment, blanks ignored, and
+    a key given twice is an error."""
+    out, lines = {}, {}
     with open(path) as f:
         for ln, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -26,7 +27,10 @@ def read_kv(path) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if not key:
                 raise ConfigError(f"{path}:{ln}: empty key")
-            out[key] = value
+            if key in out:
+                raise ConfigError(f"{path}:{ln}: key {key!r} is given twice, "
+                                  f"first at line {lines[key]}")
+            out[key], lines[key] = value, ln
     return out
 
 

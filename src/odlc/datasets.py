@@ -204,9 +204,12 @@ class FolderDataset:
                 if len(parts) != 2:
                     raise DatasetError(f"{path}:{ln}: expected '<file> <label>'")
                 try:
-                    self.entries.append((parts[0], int(parts[1])))
+                    label = int(parts[1])
                 except ValueError:
                     raise DatasetError(f"{path}:{ln}: label {parts[1]!r} is not an int") from None
+                if label < 0:
+                    raise DatasetError(f"{path}:{ln}: label {label} is negative")
+                self.entries.append((parts[0], label))
         if not self.entries:
             raise DatasetError(f"{path}: no entries")
 
@@ -232,11 +235,15 @@ def parse_spec(text: str, default_split: str = "train"):
     """Dataset spec strings: "shapes:seed=0,split=train,n=2000[,classes=,res=]"
     or a directory path containing labels.txt."""
     if text.startswith("shapes:") or text == "shapes":
-        fields = {"split": default_split}
+        fields, given = {"split": default_split}, {}
         for part in filter(None, text.partition(":")[2].split(",")):
             if "=" not in part:
                 raise DatasetError(f"bad spec fragment {part!r}")
             key, value = (s.strip() for s in part.split("=", 1))
+            if key in given:
+                raise DatasetError(f"shapes spec key {key!r} is given twice: "
+                                   f"{given[key]!r} and {part!r}")
+            given[key] = part
             if key == "split":
                 fields["split"] = value
             elif key not in _INT_KEYS:

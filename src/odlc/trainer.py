@@ -22,13 +22,14 @@ import numpy as np
 from . import autodiff as ad
 from . import imageops, losses, parallel
 from .autodiff import Parameter, Tensor
-from .codec import (CodecLayout, CodecParams, normalized_input, progressive_from_normalized,
-                    reconstruct_progressive)
+from .codec import (MAX_PADDED_PIXELS, CodecLayout, CodecParams, normalized_input,
+                    progressive_from_normalized, reconstruct_progressive)
 from .lossnet import ClassifierLayout, ClassifierParams, classify
 
 TRAIN_LOG_HEADER = ("step", "loss", "d_H", "d_C", "lr", "wall_time")
 VAL_LOG_HEADER = ("step", "val_loss", "val_msssim")
 VAL_PROBE_IMAGES = 16  # the val images each validation probe decodes
+_MAX_RESIZE_SIDE = math.isqrt(MAX_PADDED_PIXELS)  # the side of the largest image the codec takes
 
 
 class TrainError(ValueError):
@@ -60,6 +61,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.unroll_steps < 1:
             raise TrainError(f"unroll_steps must be >= 1, got {self.unroll_steps}")
+        if not 1 <= self.resize_side <= _MAX_RESIZE_SIDE:
+            raise TrainError(f"resize_side must be in 1..{_MAX_RESIZE_SIDE}, "
+                             f"got {self.resize_side}")
         if self.crop_size > self.resize_side:
             raise TrainError(f"crop {self.crop_size} exceeds resize side {self.resize_side}")
         if self.batch_size < 1 or self.epochs < 1:

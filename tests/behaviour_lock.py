@@ -5,8 +5,8 @@ Run from the repository root:
     PYTHONPATH=src python3 tests/behaviour_lock.py > lock.txt
 
 and diff the output of two trees. Each line is "<digest> <what>". The
-script uses only long-standing public names (no private helpers), so it
-runs unchanged on older and newer trees. pytest does not collect it.
+script uses only public names (no private helpers). pytest does not
+collect it.
 
 Covered: seeded codec and classifier checkpoints (and save -> load ->
 save); bitstreams and decodes of 64 px and 256 px images at T = 1..8;
@@ -29,7 +29,6 @@ two runs of one tree print identical bytes on both streams.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import os
@@ -105,8 +104,6 @@ def lock_step_loss(net):
     x = image(7, 32)
     for alpha in ALPHAS:
         cfg = losses.LossConfig(alpha=alpha)
-        if alpha < 1.0 and hasattr(cfg, "for_min_side"):  # older trees sized the pyramid here
-            cfg = cfg.for_min_side(32)
         params = CodecParams(MICRO, seed=3, norm_mean=NORM[0], norm_std=NORM[1])
         params.zero_grads()
         with ad.Tape() as tape:
@@ -167,32 +164,11 @@ def lock_eval_csvs(tmp):
     emit(file_sha(out), "sweep csv")
 
 
-# Older trees held the inference side and the quality levels in EvalConfig,
-# and ablate_layers took a loss config it overwrote.
-OLD_EVAL_CONFIG = "s_inf" in {f.name for f in dataclasses.fields(evaluation.EvalConfig)}
-
-
-def quality_curve(codec_params, val, levels):
-    if OLD_EVAL_CONFIG:
-        cfg = evaluation.EvalConfig(s_comp=32, s_inf=32, grid=levels)
-        return evaluation.eval_quality_curve(codec_params, val, cfg)
-    return evaluation.eval_quality_curve(codec_params, val, levels,
-                                         evaluation.EvalConfig(s_comp=32))
-
-
-def ablate_layers(sets, train, val, net, classifier, train_cfg, levels):
-    if OLD_EVAL_CONFIG:
-        return evaluation.ablate_layers(sets, train, val, net, classifier,
-                                        losses.LossConfig(alpha=1.0), train_cfg, levels,
-                                        evaluation.EvalConfig(s_comp=32, s_inf=32), layout=MICRO)
-    return evaluation.ablate_layers(sets, train, val, net, classifier, train_cfg, levels,
-                                    evaluation.EvalConfig(s_comp=32), layout=MICRO)
-
-
 def lock_protocols(net):
     val = ShapesDataset(ShapesSpec(seed=6, split="val", size=8, classes=10, resolution=32))
     codec_params = CodecParams(MICRO, seed=24, norm_mean=NORM[0], norm_std=NORM[1])
-    points = quality_curve(codec_params, val, (3, 1, 2, 3))
+    points = evaluation.eval_quality_curve(codec_params, val, (3, 1, 2, 3),
+                                          evaluation.EvalConfig(s_comp=32))
     emit(sha(repr(points).encode()), "eval_quality_curve grid=(3, 1, 2, 3)")
     train = ShapesDataset(ShapesSpec(seed=5, split="train", size=4, classes=10, resolution=32))
     classifier = ClassifierParams(ClassifierLayout(widths=(8, 16), classes=3,
@@ -200,8 +176,9 @@ def lock_protocols(net):
     classifier.freeze()
     train_cfg = trainer.TrainConfig.desk(resize_side=32, crop_size=32, unroll_steps=2, epochs=2,
                                          batch_size=2, val_interval=0, seed=9)
-    rows, logs = ablate_layers([("1.1",), ("1.1", "3.1")], train, val, net, classifier,
-                               train_cfg, (1, 2))
+    rows, logs = evaluation.ablate_layers([("1.1",), ("1.1", "3.1")], train, val, net,
+                                          classifier, train_cfg, (1, 2),
+                                          evaluation.EvalConfig(s_comp=32), layout=MICRO)
     emit(sha(repr(rows).encode()), f"ablate_layers rows {rows!r}")
     losses_only = {tag: [row[:-1] for row in log] for tag, log in logs.items()}  # no wall time
     emit(sha(repr(losses_only).encode()), "ablate_layers training losses")

@@ -10,6 +10,11 @@ gradients. The elementwise ops they need and the package no longer runs
 (sigmoid, mul, add_const, and the private division, power and clamp) are
 local `record_op` closures here.
 
+`codec_reference` is the whole codec in float64 from Toderici et al.'s
+equations (arXiv 1608.05148): `sliding_window_view` convolutions, one per
+gate and path, and depth-to-space by its index rule. It judges the
+assembled float32 codec within a tolerance where bytes cannot.
+
 The shape renderer's reference (`render_shape_image_reference` with its
 `shape_mask_reference` and `resize_bilinear_gather`) is the renderer's
 plain definition: dense coordinate grids, a four-gather resize, an
@@ -174,6 +179,89 @@ def conv_gru_cell_composed(x, h, p):
     c = ad.tanh(ad.add(ad.conv2d(x, p.wxc.tensor, p.bc.tensor, stride=s),
                        ad.conv2d(mul(r, h), p.whc.tensor)))
     return ad.add(ad.sub(h, mul(u, h)), mul(u, c))
+
+
+def _conv_ref(x, kernel, bias=None, stride=1):
+    """Same-padded cross-correlation in float64: ceil(H/stride) outputs,
+    the total padding split with its smaller half on top and left."""
+    _, h, w = x.shape
+    k = kernel.shape[-1]
+    ho, wo = -(-h // stride), -(-w // stride)
+    th, tw = max((ho - 1) * stride + k - h, 0), max((wo - 1) * stride + k - w, 0)
+    xp = np.pad(x, ((0, 0), (th // 2, th - th // 2), (tw // 2, tw - tw // 2)))
+    view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    out = np.einsum("chwij,ocij->ohw", view[:, ::stride, ::stride][:, :ho, :wo],
+                    kernel.astype(np.float64), optimize=True)
+    return out if bias is None else out + bias.astype(np.float64)[:, None, None]
+
+
+def _sigmoid_ref(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _gru_ref(x, h, p):
+    """Toderici et al.'s GRU, one conv per gate and path; bias on x."""
+    def gate(wx, b, wh, hin):
+        return _conv_ref(x, wx.value, b.value, p.stride) + _conv_ref(hin, wh.value)
+
+    u = _sigmoid_ref(gate(p.wxu, p.bu, p.whu, h))
+    r = _sigmoid_ref(gate(p.wxr, p.br, p.whr, h))
+    c = np.tanh(gate(p.wxc, p.bc, p.whc, r * h))
+    return (1.0 - u) * h + u * c
+
+
+def _depth_to_space_ref(x, r=2):
+    """Channel c*r*r + dy*r + dx lands at pixel offset (dy, dx)."""
+    c, h, w = x.shape
+    out = np.empty((c // (r * r), h * r, w * r))
+    for dy in range(r):
+        for dx in range(r):
+            out[:, dy::r, dx::r] = x[dy * r + dx :: r * r]
+    return out
+
+
+def codec_reference(params, x01, codes):
+    """The progressive codec in float64 from its equations, teacher-forced:
+    the decoder reads ``codes`` (one (C_b, H/16, W/16) array per
+    iteration, as the package emitted them), so a sign flip at z ~ 0
+    cannot derail it. The [0,1] image is padded bottom/right to multiples
+    of 16 by reflection (by edge replication where a pad is not shorter
+    than its side) and normalized. Returns the normalized padded x_hat_t
+    and the pre-binarization z_t of every iteration:
+
+        y = tanh(conv_s2(r_t)), three stride-2 GRUs, z_t = tanh(conv_1x1(y));
+        y = tanh(conv_1x1(codes_t)), four GRUs each followed by
+        depth-to-space x2, x_hat_t = x_hat_{t-1} + tanh(conv(y));
+        r_1 = x, r_{t+1} = x - x_hat_t;
+        GRU: u = sig(a_u), r = sig(a_r), c = tanh(a_c), h' = (1 - u) h + u c,
+        each a = conv_s(x) + b + conv(h), with r h in place of h for a_c.
+    """
+    _, h, w = x01.shape
+    ph, pw = -h % 16, -w % 16
+    xp = np.asarray(x01, dtype=np.float64)
+    xp = np.pad(xp, ((0, 0), (0, ph), (0, 0)), mode="reflect" if ph < h else "edge")
+    xp = np.pad(xp, ((0, 0), (0, 0), (0, pw)), mode="reflect" if pw < w else "edge")
+    mean, std = (np.asarray(v, dtype=np.float64)[:, None, None]
+                 for v in (params.norm_mean, params.norm_std))
+    xn = (xp - mean) / std
+    hp, wp = xn.shape[1:]
+    lay = params.layout
+    enc_h = [np.zeros((c, hp // s, wp // s)) for c, s in zip(lay.enc_widths[1:], (4, 8, 16))]
+    dec_h = [np.zeros((c, hp // s, wp // s)) for c, s in zip(lay.dec_widths, (16, 8, 4, 2))]
+    xhat, xhats, zs = np.zeros_like(xn), [], []
+    for code in codes:
+        y = np.tanh(_conv_ref(xn - xhat, params.enc_in[0].value, params.enc_in[1].value, 2))
+        for i, gru in enumerate(params.enc_grus):
+            y = enc_h[i] = _gru_ref(y, enc_h[i], gru)
+        zs.append(np.tanh(_conv_ref(y, params.enc_code[0].value, params.enc_code[1].value)))
+        y = np.tanh(_conv_ref(np.asarray(code, dtype=np.float64), params.dec_expand[0].value,
+                              params.dec_expand[1].value))
+        for i, gru in enumerate(params.dec_grus):
+            dec_h[i] = _gru_ref(y, dec_h[i], gru)
+            y = _depth_to_space_ref(dec_h[i])
+        xhat = xhat + np.tanh(_conv_ref(y, params.dec_out[0].value, params.dec_out[1].value))
+        xhats.append(xhat)
+    return xhats, zs
 
 
 def _div(a, b):

@@ -603,39 +603,23 @@ class TestDepthToSpace:
 
 
 class TestSigmoid:
-    @staticmethod
-    def _where_formula(xd):
-        t = np.exp(-np.abs(xd))
-        t /= 1.0 + t
-        return np.where(xd >= 0, 1.0 - t, t)
-
-    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
-    def test_blend_matches_where_bit_for_bit(self, dtype, uint):
-        rng = np.random.default_rng(41)
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30,
-                            88.0, -88.0, 800.0, -800.0], dtype=dtype)
-        for xd in (special, (rng.standard_normal((64, 16, 16)) * 6).astype(dtype)):
-            got = ad._sigmoid_into(xd, np.empty_like(xd))
-            want = self._where_formula(xd)
-            assert got.dtype == want.dtype == dtype
-            np.testing.assert_array_equal(got.view(uint), want.view(uint))
-
     @pytest.mark.parametrize("in_place", [False, True])
-    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
-    def test_chunks_match_where_bit_for_bit(self, dtype, uint, in_place):
-        # three whole chunks and a ragged fourth, with the special values
-        # on either side of each chunk boundary
-        chunk = ad.SIGMOID_CHUNK
-        rng = np.random.default_rng(43)
-        flat = (rng.standard_normal(3 * chunk + 123) * 6).astype(dtype)
-        for i in range(1, 4):
-            flat[i * chunk - 3 : i * chunk + 3] = [0.0, -0.0, np.inf, -np.inf, np.nan, 88.0]
-        xd = flat.reshape(3, -1)
-        want = self._where_formula(xd)
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-7), (np.float64, 1e-15)])
+    def test_matches_extended_precision(self, dtype, tol, in_place):
+        xd = (np.random.default_rng(41).standard_normal((64, 16, 16)) * 6).astype(dtype)
+        want = 1 / (1 + np.exp(-xd.astype(np.longdouble)))
         out = xd.copy() if in_place else np.empty_like(xd)
-        got = ad._sigmoid_into(out if in_place else xd, out)
-        assert got is out and got.shape == xd.shape
-        np.testing.assert_array_equal(got.view(uint), want.view(uint))
+        with np.errstate(all="raise"):
+            got = ad._sigmoid_into(out if in_place else xd, out)
+        assert got is out and got.dtype == dtype
+        assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_at_zero_infinities_and_nan(self, dtype):
+        xd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], dtype=dtype)
+        with np.errstate(all="raise"):
+            got = ad._sigmoid_into(xd, np.empty_like(xd))
+        np.testing.assert_array_equal(got, np.array([0.5, 0.5, 1, 0, np.nan, np.nan], dtype))
 
 
 class TestElementwise:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from odlc import bitstream, checkpoint, cli, configio, datasets, parallel, ppm, trainer
+from odlc import bitstream, checkpoint, cli, configio, datasets, evaluation, parallel, ppm, trainer
 from odlc.codec import CodecLayout, CodecParams, compress
 from odlc.losses import LossConfig
 from odlc.lossnet import ClassifierLayout, ClassifierParams
@@ -78,6 +78,13 @@ class TestConfigIO:
         p = tmp_path / "c.cfg"
         p.write_text("just a line\n")
         with pytest.raises(configio.ConfigError, match="key = value"):
+            configio.read_kv(p)
+
+    def test_read_kv_rejects_a_key_given_twice(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("alpha = 0\n# comment\nepochs = 2\nalpha = 1\n")
+        with pytest.raises(configio.ConfigError,
+                           match=r"c\.cfg:4: key 'alpha' is given twice, first at line 1"):
             configio.read_kv(p)
 
     def test_apply_kv_unknown_key(self):
@@ -371,6 +378,47 @@ class TestTrainAndEvalCli:
                  "--batch-size", "4", "--out", str(out), "--seed", "0")
         assert rc == 1
         assert "3 images smaller than one batch of 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resize_side_over_the_codec_side_exits_1_before_rendering(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        def render(*args):
+            raise AssertionError("rendered an image")
+
+        monkeypatch.setattr(datasets, "render_shape_image", render)
+        cfgfile = tmp_path / "t.cfg"
+        cfgfile.write_text("resize_side = 2049\n")
+        out = tmp_path / "cls.ckpt"
+        rc = run("train-classifier", "--data", "shapes:seed=1,split=train,n=4,classes=2,res=16",
+                 "--out", str(out), "--seed", "0", "--config", str(cfgfile))
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "odlc train-classifier: resize_side must be in 1..2048, got 2049\n"
+        assert not out.exists()
+
+    def test_eval_accuracy_refuses_a_negative_label_before_any_encode(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        def no_encode(*args):
+            raise AssertionError("encoded an image")
+
+        monkeypatch.setattr(evaluation, "eval_accuracy_curve", no_encode)
+        data = datasets.materialize(datasets.parse_spec("shapes:seed=1,n=4,classes=2,res=16"),
+                                    str(tmp_path / "data"))
+        labels = os.path.join(data, "labels.txt")
+        lines = open(labels).read().splitlines()
+        lines[1] = lines[1].split()[0] + " -1"
+        with open(labels, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        model, cls = tmp_path / "m.ckpt", tmp_path / "c.ckpt"
+        CodecParams(MICRO, seed=2).save(model)
+        ClassifierParams(ClassifierLayout(widths=(4,), classes=2, input_resolution=16),
+                         seed=0).save(cls)
+        out = tmp_path / "a.csv"
+        rc = run("eval-accuracy", "--model", str(model), "--classifier", str(cls),
+                 "--data", data, "--s-comp", "16", "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"odlc eval-accuracy: {labels}:2: label -1 is negative\n"
         assert not out.exists()
 
     def test_unknown_data_spec_key_exits_1_before_training(self, tmp_path, capsys,

@@ -9,6 +9,7 @@ from odlc import checkpoint as ckpt
 from odlc import codec, evaluation, losses, trainer
 from odlc.bitstream import (Bitstream, BitstreamError, BitstreamHeader, ceil16, pack_bits,
                             unpack_bits)
+from oracles import codec_reference
 
 MICRO = codec.CodecLayout(enc_widths=(4, 6, 8, 8), dec_widths=(8, 8, 8, 4),
                           bottleneck=4, t_max=8)
@@ -350,6 +351,37 @@ class TestCompressDecompress:
         x = image(4)
         np.testing.assert_array_equal(codec.compress(x, 2, params).to_bytes(),
                                       codec.compress(x, 2, again).to_bytes())
+
+
+class TestWholeCodecOracle:
+    """The float32 codec against `oracles.codec_reference`, the same
+    seeded codec in float64 from its equations, on non-square images that
+    need padding (the 5 px side by edge replication). The error grows
+    with t: at T = 8, max |x_hat_8 - ref| reads ~2.5e-7 (micro) and ~9e-7
+    (default layout), and the codes equal sign(z_ref) at every t."""
+
+    TOL = 2e-6  # on the normalized x_hat, ~2x the largest error read
+    MARGIN = 1e-4  # codes are checked where |z_ref| exceeds this
+    NORM = ([0.45, 0.5, 0.55], [0.25, 0.3, 0.2])
+
+    @pytest.mark.parametrize("iterations", [1, 8])
+    @pytest.mark.parametrize("layout,seed,size", [
+        (MICRO, 3, (37, 50)), (MICRO, 4, (5, 50)), (codec.CodecLayout(), 0, (44, 70))])
+    def test_matches_the_float64_reference(self, layout, seed, size, iterations):
+        p = codec.CodecParams(layout, seed=seed, norm_mean=self.NORM[0], norm_std=self.NORM[1])
+        x = image(seed + 10, *size)
+        steps = [(xhat.data.copy(), bits.data) for xhat, bits in
+                 codec.progressive_from_normalized(codec.normalized_input(x, p), iterations, p)]
+        ref, zs = codec_reference(p, x, [bits for _, bits in steps])
+        assert len(ref) == len(zs) == iterations
+        for t, ((xhat, bits), want, z) in enumerate(zip(steps, ref, zs), 1):
+            assert np.abs(xhat - want).max() <= self.TOL, f"x_hat_{t}"
+            sure = np.abs(z) > self.MARGIN
+            np.testing.assert_array_equal(bits[sure], np.sign(z[sure]), err_msg=f"codes_{t}")
+        mean, std = (np.asarray(v)[:, None, None] for v in self.NORM)
+        want = np.clip(ref[-1][:, : size[0], : size[1]] * std + mean, 0.0, 1.0)
+        got = codec.decompress(Bitstream.from_bytes(codec.compress(x, iterations, p).to_bytes()), p)
+        assert np.abs(got - want).max() <= self.TOL
 
 
 class TestFullCodecGradient:

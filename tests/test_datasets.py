@@ -158,7 +158,11 @@ class TestSpecParsing:
         ("shapes:seed=zero", "seed='zero' is not an int"),
         ("shapes:n=4.5", "n='4.5' is not an int"),
         ("shapes:res=", "res='' is not an int"),
-    ], ids=["unknown-key", "unknown-key-among-known", "str-seed", "float-n", "empty-res"])
+        ("shapes:n=4,n=8", "shapes spec key 'n' is given twice: 'n=4' and 'n=8'"),
+        ("shapes:split=val,seed=1,split=test",
+         "shapes spec key 'split' is given twice: 'split=val' and 'split=test'"),
+    ], ids=["unknown-key", "unknown-key-among-known", "str-seed", "float-n", "empty-res",
+            "repeated-n", "repeated-split"])
     def test_bad_key_or_value_named(self, text, match):
         with pytest.raises(datasets.DatasetError, match=re.escape(match)):
             datasets.parse_spec(text)
@@ -191,4 +195,9 @@ class TestMaterialize:
         (tmp_path / "labels.txt").write_text("# name label\na.ppm 0\nb.ppm cat\n")
         with pytest.raises(datasets.DatasetError,
                            match=r"labels\.txt:3: label 'cat' is not an int"):
+            datasets.FolderDataset(str(tmp_path))
+
+    def test_negative_label_names_its_line(self, tmp_path):
+        (tmp_path / "labels.txt").write_text("a.ppm 0\nb.ppm -1\n")
+        with pytest.raises(datasets.DatasetError, match=r"labels\.txt:2: label -1 is negative"):
             datasets.FolderDataset(str(tmp_path))

@@ -52,6 +52,7 @@ class TestTrainConfig:
         ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
         ("grad_clip", float("nan")), ("grad_clip", float("inf")), ("grad_clip", -1.0),
         ("crop_size", 0), ("crop_size", -4), ("val_interval", -1),
+        ("resize_side", 0), ("resize_side", 2049),
     ])
     def test_bad_numbers_rejected(self, field, value):
         with pytest.raises(trainer.TrainError, match=f"{field} must be"):
@@ -61,8 +62,9 @@ class TestTrainConfig:
 
     def test_edge_numbers_accepted(self):
         cfg = trainer.TrainConfig.desk(learning_rate=1e-30, grad_clip=0.0, crop_size=1,
-                                       val_interval=0)
-        assert (cfg.grad_clip, cfg.crop_size, cfg.val_interval) == (0.0, 1, 0)
+                                       val_interval=0, resize_side=2048)
+        assert (cfg.grad_clip, cfg.crop_size, cfg.val_interval, cfg.resize_side) == \
+            (0.0, 1, 0, 2048)
 
     def test_nan_learning_rate_flag_exits_1_without_a_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "run"
