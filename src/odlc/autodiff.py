@@ -124,23 +124,14 @@ class Tensor:
 
 
 class Parameter:
-    """Named trainable tensor with a persistent gradient buffer, allocated
-    on first use, so inference and frozen networks never hold one."""
+    """Named trainable tensor over the buffer ``storage`` itself, not a
+    copy, with a persistent gradient buffer, allocated on first use, so
+    inference and frozen networks never hold one."""
 
     __slots__ = ("name", "tensor")
 
-    def __init__(self, name: str, data, dtype=np.float32):
-        self.name = name
-        # owns its buffer: np.array copies, so later in-place updates can
-        # never alias caller data
-        self.tensor = Tensor(np.array(data, dtype=dtype), requires_grad=True)
-
-    @classmethod
-    def view(cls, name: str, storage: np.ndarray) -> "Parameter":
-        """A parameter whose buffer is ``storage`` itself, not a copy."""
-        p = cls.__new__(cls)
-        p.name, p.tensor = name, Tensor(storage, requires_grad=True)
-        return p
+    def __init__(self, name: str, storage):
+        self.name, self.tensor = name, Tensor(storage, requires_grad=True)
 
     @property
     def value(self) -> np.ndarray:
@@ -951,34 +942,30 @@ def conv_shapes(name: str, c_in: int, c_out: int, k: int) -> list:
     return [(f"{name}.kernel", (c_out, c_in, k, k)), (f"{name}.bias", (c_out,))]
 
 
-def make_parameters(table, source, dtype=np.float32, stacks=()) -> dict:
+def make_parameters(table, seed, dtype=np.float32, stacks=()) -> dict:
     """Name -> Parameter for an ordered (name, shape) table: drawn from a
     seed (or Generator) in table order as ``dtype``, Glorot-uniform for 2+
-    dims and zero 1-d biases; copied from a name -> array mapping; or, for
-    ``source=None``, left uninitialised (``np.empty``, nothing drawn) for a
-    caller that fills every buffer, as a checkpoint load does.
+    dims and zero 1-d biases, or, for ``seed=None``, left uninitialised
+    (``np.empty``, nothing drawn) for a caller that fills every buffer, as
+    a checkpoint load does.
 
     Each name tuple in ``stacks`` gets one buffer that holds its tensors
     stacked along axis 0 in tuple order, and their Parameters are views of
     it (see GruParams). Every buffer is C-contiguous and allocated here,
     once.
     """
-    copied = isinstance(source, dict)
-    rng = None if copied or source is None else np.random.default_rng(source)
+    rng = None if seed is None else np.random.default_rng(seed)
     shapes, views = dict(table), {}
     for names in stacks:
         rows = [shapes[n][0] for n in names]
-        buf = np.empty((sum(rows),) + shapes[names[0]][1:],
-                       dtype=source[names[0]].dtype if copied else dtype)
+        buf = np.empty((sum(rows),) + shapes[names[0]][1:], dtype=dtype)
         for n, start, stop in zip(names, np.cumsum([0] + rows), np.cumsum(rows)):
             views[n] = buf[start:stop]
     params = {}
     for name, shape in table:
         if name not in views:
-            views[name] = np.empty(shape, dtype=source[name].dtype if copied else dtype)
-        if copied:
-            views[name][...] = source[name]
-        elif rng is not None:
+            views[name] = np.empty(shape, dtype=dtype)
+        if rng is not None:
             views[name][...] = xavier_uniform(rng, shape) if len(shape) > 1 else 0.0
-        params[name] = Parameter.view(name, views[name])
+        params[name] = Parameter(name, views[name])
     return params

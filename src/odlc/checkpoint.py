@@ -181,14 +181,13 @@ class ParamSet:
     kind: str
     layout_cls: type
 
-    def _init_params(self, layout, seed, norm_mean, norm_std, arrays, stacks=()):
+    def _init_params(self, layout, seed, norm_mean, norm_std, stacks=()):
         """``stacks`` names the tensor groups that share one buffer (see
         autodiff.make_parameters)."""
         self.layout = layout
         self.norm_mean = np.asarray([0.5] * 3 if norm_mean is None else norm_mean, dtype=np.float32)
         self.norm_std = np.asarray([0.5] * 3 if norm_std is None else norm_std, dtype=np.float32)
-        self._params = make_parameters(layout.shapes(), seed if arrays is None else arrays,
-                                       stacks=stacks)
+        self._params = make_parameters(layout.shapes(), seed, stacks=stacks)
         self.dtype = next(iter(self._params.values())).value.dtype
 
     def _conv(self, name) -> tuple:

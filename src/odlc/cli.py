@@ -33,7 +33,7 @@ def _manifest(out_path, args, configs, inputs):
 # the normalization is fitted, so neither is a file key.
 _LOSS_KEYS = tuple(f.name for f in dataclasses.fields(losses.LossConfig))
 _CLASSIFIER_KEYS = ("learning_rate", "batch_size", "epochs", "resize_side", "crop_size")
-_CODEC_TRAIN_KEYS = _CLASSIFIER_KEYS + ("unroll_steps", "grad_clip", "val_interval")
+_CODEC_TRAIN_KEYS = _CLASSIFIER_KEYS + ("unroll_steps", "val_interval")
 
 
 def _config_kv(args) -> dict:
@@ -77,10 +77,10 @@ def cmd_gen_data(args):
 def cmd_train_classifier(args):
     cfg = _train_cfg(args, _config_kv(args))
     train_set = datasets.parse_spec(args.data, default_split="train")
+    val_set = datasets.parse_spec(args.val_data, default_split="val") if args.val_data else None
     params, log = trainer.train_classifier(train_set, cfg)
     params.save(args.out)
-    if args.val_data:
-        val_set = datasets.parse_spec(args.val_data, default_split="val")
+    if val_set is not None:
         acc = trainer.evaluate_accuracy(params, val_set, cfg)
         print(f"val accuracy: {acc:.4f}")
     _manifest(args.out, args, {"train": cfg}, [args.config, args.data, args.val_data])
@@ -139,8 +139,8 @@ def _grid(text, flag):
 def cmd_eval_quality(args):
     cfg = evaluation.EvalConfig(s_comp=args.s_comp)
     levels = _grid(args.grid, "--grid")
-    params = CodecParams.load(args.model)
     val_set = datasets.parse_spec(args.data, default_split="val")
+    params = CodecParams.load(args.model)
     points = evaluation.eval_quality_curve(params, val_set, levels, cfg)
     configio.write_csv(args.out, evaluation.CURVE_HEADER, [dataclasses.astuple(p) for p in points])
     _manifest(args.out, args, {"eval": cfg}, [args.model, args.data])
@@ -152,9 +152,9 @@ def cmd_eval_quality(args):
 def cmd_eval_accuracy(args):
     cfg = evaluation.EvalConfig(s_comp=args.s_comp)
     levels = _grid(args.grid, "--grid")
+    val_set = datasets.parse_spec(args.data, default_split="val")
     params = CodecParams.load(args.model)
     classifier = ClassifierParams.load(args.classifier)
-    val_set = datasets.parse_spec(args.data, default_split="val")
     curves = evaluation.eval_accuracy_curve(params, classifier, val_set, levels, cfg)
     base, ext = os.path.splitext(args.out)
     for metric, points in curves.items():
@@ -182,10 +182,10 @@ def cmd_sweep(args):
         if alpha in paths:
             raise configio.ConfigError(f"--models: alpha {alpha} is given twice")
         paths[alpha] = path
+    val_set = datasets.parse_spec(args.data, default_split="val")
     loaded = [path for path in paths.values() if os.path.exists(path)]
     checkpoints = {a: CodecParams.load(p) if p in loaded else None for a, p in paths.items()}
     classifier = ClassifierParams.load(args.classifier)
-    val_set = datasets.parse_spec(args.data, default_split="val")
     rows, skipped = evaluation.tradeoff_sweep(checkpoints, classifier, val_set, levels, cfg)
     configio.write_csv(args.out, evaluation.SWEEP_HEADER, rows)
     _manifest(args.out, args, {"eval": cfg}, [*loaded, args.classifier, args.data])
@@ -199,10 +199,10 @@ def cmd_ablate_layers(args):
     cfg = _train_cfg(args, _config_kv(args))
     eval_cfg = evaluation.EvalConfig(s_comp=args.s_comp)
     levels = _grid(args.iters, "--iters")
-    f_l = ClassifierParams.load(args.lossnet)
-    classifier = ClassifierParams.load(args.classifier)
     train_set = datasets.parse_spec(args.data, default_split="train")
     val_set = datasets.parse_spec(args.val_data or args.data, default_split="val")
+    f_l = ClassifierParams.load(args.lossnet)
+    classifier = ClassifierParams.load(args.classifier)
     sets = [tuple(f_l.layer_names()) if chunk == "all" else tuple(chunk.split(","))
             for chunk in args.sets.split("|")]
     rows, _ = evaluation.ablate_layers(sets, train_set, val_set, f_l, classifier, cfg, levels,

@@ -41,6 +41,10 @@ from . import checkpoint as ckpt
 
 DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 
+# The largest image side: `MAX_PADDED_PIXELS` is its square, and s_comp,
+# resize_side and a rendered dataset's resolution stop at it.
+MAX_SIDE = 2048
+
 # Cap on ceil16(H) * ceil16(W), checked before they allocate by
 # normalized_input, for every encode, and by decompress. Tracemalloc peaks
 # per padded pixel, default layout, float32, compress / decompress: 256 px
@@ -50,9 +54,9 @@ DOWNSAMPLE = 16  # fixed by the 4 stride-2 / 4 depth-to-space stages
 # they barely grow, and T = 1, whose hidden states are zero, runs no
 # h-path. Small images read more per pixel, since every conv product's
 # columns there fit one band and are built whole (64 px, T = 2: ~598 and
-# ~560). So 2^22 pixels (2048 x 2048, ~10x a 768 x 512 Kodak image) bound
+# ~560). So MAX_SIDE^2 = 2^22 pixels (~10x a 768 x 512 Kodak image) bound
 # either at ~0.8 GB.
-MAX_PADDED_PIXELS = 1 << 22
+MAX_PADDED_PIXELS = MAX_SIDE * MAX_SIDE
 
 
 class CodecError(ValueError):
@@ -109,15 +113,15 @@ class CodecLayout:
 
 
 class CodecParams(ckpt.ParamSet):
-    """The codec's tensors: drawn from ``seed``, copied from ``arrays``, or
-    uninitialised for ``load`` to fill (``seed=None``)."""
+    """The codec's tensors: drawn from ``seed``, or uninitialised for
+    ``load`` to fill (``seed=None``)."""
 
     kind = "codec"
     layout_cls = CodecLayout
 
     def __init__(self, layout: CodecLayout, seed: int | None = 0,
-                 norm_mean=None, norm_std=None, arrays=None):
-        self._init_params(layout, seed, norm_mean, norm_std, arrays, layout.stacks())
+                 norm_mean=None, norm_std=None):
+        self._init_params(layout, seed, norm_mean, norm_std, layout.stacks())
         self.enc_in = self._conv("enc.conv_in")
         self.enc_grus = [GruParams.of(self._params, f"enc.gru{i+1}", stride=2) for i in range(3)]
         self.enc_code = self._conv("enc.conv_code")

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import imageops, ppm
+from .codec import MAX_SIDE
 
 CLASS_NAMES = (
     "disk", "ring", "square", "triangle", "plus",
@@ -29,19 +30,15 @@ class DatasetError(ValueError):
     pass
 
 
-# the largest image side, as codec.MAX_PADDED_PIXELS is 2048 * 2048; a render
-# there peaks at 576.5 MiB (tracemalloc, every class), set by the noise beside
-# resize_bilinear's output and its one temporary, 192 MiB each
-_MAX_RESOLUTION = 2048
-
-
 def _check_render_args(split: str, classes: int, resolution: int):
     if split not in _SPLIT_TAGS:
         raise DatasetError(f"unknown split {split!r}; known: {sorted(_SPLIT_TAGS)}")
     if not 2 <= classes <= len(CLASS_NAMES):
         raise DatasetError(f"classes must be in 2..{len(CLASS_NAMES)}, got {classes}")
-    if not 1 <= resolution <= _MAX_RESOLUTION:
-        raise DatasetError(f"resolution must be in 1..{_MAX_RESOLUTION}, got {resolution}")
+    # a render at MAX_SIDE peaks at 576.5 MiB (tracemalloc, every class), set by
+    # the noise beside resize_bilinear's output and its one temporary, 192 MiB each
+    if not 1 <= resolution <= MAX_SIDE:
+        raise DatasetError(f"resolution must be in 1..{MAX_SIDE}, got {resolution}")
 
 
 def _rot(yy, xx, theta):

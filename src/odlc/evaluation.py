@@ -21,29 +21,28 @@ so all three accept the same images.
 The (codec, image) traces are independent, so they run through
 `parallel.map` on every usable core, each trace whole on one thread with
 OpenBLAS at one thread, and a sweep submits all its checkpoints' images as
-one map. Each trace reduces its decodes to the protocol's measures before
-it returns, and the protocols sum and list those in image order, so every
-row holds the same bytes at any worker count. The reference crops are
-made and given their clean labels through the same map.
+one map. Each trace reduces its decodes to the protocol's one measure
+before it returns, and `_per_level` sums the bits into a bpp and lists the
+measures in image order, so every row holds the same bytes at any worker
+count. The reference crops are made and given their clean labels through
+the same map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
 from . import imageops, losses, lossnet as lossnet_mod, parallel, trainer
 from .bitstream import BitstreamHeader
-from .codec import MAX_PADDED_PIXELS, CodecLayout, CodecParams, reconstruct_progressive
+from .codec import MAX_SIDE, CodecLayout, CodecParams, reconstruct_progressive
 # Not called here; both names stay bound because bench/tracing.py rebinds them in this module.
 from .codec import compress, decompress  # noqa: F401
 
 CURVE_HEADER = ("level", "bpp", "metric", "n")
 SWEEP_HEADER = ("alpha", "iters", "bpp", "msssim", "preservation", "accuracy")
 ABLATION_HEADER = ("layers", "iters", "preservation")
-_MAX_S_COMP = isqrt(MAX_PADDED_PIXELS)  # the side of the largest image the codec takes
 
 
 class EvalError(ValueError):
@@ -71,8 +70,8 @@ class EvalConfig:
     s_comp: int = 64
 
     def __post_init__(self):
-        if not (_is_count(self.s_comp) and self.s_comp <= _MAX_S_COMP):
-            raise EvalError(f"s_comp must be an int in 1..{_MAX_S_COMP}, got {self.s_comp!r}")
+        if not (_is_count(self.s_comp) and self.s_comp <= MAX_SIDE):
+            raise EvalError(f"s_comp must be an int in 1..{MAX_SIDE}, got {self.s_comp!r}")
 
 
 @dataclass(frozen=True)
@@ -102,28 +101,20 @@ def _decodes(codec: CodecParams, img: np.ndarray, levels) -> list:
     return [(trace.decoded(t), t * per) for t in levels]
 
 
-def _per_level(codecs, images, levels, *measures) -> list:
-    """Per codec, then per level in the order given: (payload bits summed
-    over the images, one list per measure holding measure(image, decoded)
-    in image order). The (codec, image) traces run as one parallel map,
-    and each reduces its decodes to its measures before it returns."""
+def _per_level(codecs, images, levels, measure) -> list:
+    """Per codec, then per level in the order given: (bpp, [measure(image,
+    decoded)] in image order). The bpp is the payload bits summed over the
+    images, over n * H * W: every protocol's images share one shape. The
+    (codec, image) traces run as one parallel map, and each applies the
+    measure to its decodes before it returns."""
     def trace(job):
         codec, img = job
-        return [(b, [measure(img, decoded) for measure in measures])
-                for decoded, b in _decodes(codec, img, levels)]
+        return [(b, measure(img, decoded)) for decoded, b in _decodes(codec, img, levels)]
 
+    n, (_, h, w) = len(images), np.shape(images[0])
     traces = parallel.map(trace, [(codec, img) for codec in codecs for img in images])
-    out = []
-    for k in range(len(codecs)):
-        bits = [0] * len(levels)
-        values = [tuple([] for _ in measures) for _ in levels]
-        for per_level in traces[k * len(images):(k + 1) * len(images)]:
-            for j, (b, measured) in enumerate(per_level):
-                bits[j] += b
-                for out_list, v in zip(values[j], measured):
-                    out_list.append(v)
-        out.append(list(zip(bits, values)))
-    return out
+    return [[(sum(b for b, _ in per_image) / (n * h * w), [v for _, v in per_image])
+             for per_image in zip(*traces[k * n:(k + 1) * n])] for k in range(len(codecs))]
 
 
 def _msssim(img: np.ndarray, decoded: np.ndarray) -> float:
@@ -133,11 +124,6 @@ def _msssim(img: np.ndarray, decoded: np.ndarray) -> float:
 def _label(img: np.ndarray, classifier) -> int:
     return lossnet_mod.classify(imageops.center_crop(img, classifier.layout.input_resolution),
                                 classifier)[0]
-
-
-def _labeler(classifier):
-    """A measure: the classifier's label of the decoded image."""
-    return lambda _img, decoded: _label(decoded, classifier)
 
 
 def _agree(labels, reference) -> int:
@@ -174,13 +160,10 @@ def eval_accuracy_curve(codec, classifier, val_set, levels, cfg: EvalConfig):
     _check_levels(levels, "eval_accuracy_curve", codec.layout.t_max)
     crops, truths, clean = _references(val_set, classifier, cfg, "eval_accuracy_curve")
     n = len(crops)
-    acc_points, pres_points = [], []
-    [per_level] = _per_level([codec], crops, levels, _labeler(classifier))
-    for level, (bits, (labels,)) in zip(levels, per_level):
-        bpp = bits / (n * cfg.s_comp * cfg.s_comp)
-        acc_points.append(CurvePoint(level=level, bpp=bpp, value=_agree(labels, truths) / n, n=n))
-        pres_points.append(CurvePoint(level=level, bpp=bpp, value=_agree(labels, clean) / n, n=n))
-    return {"accuracy": acc_points, "preservation": pres_points}
+    [per_level] = _per_level([codec], crops, levels, lambda _, y: _label(y, classifier))
+    return {metric: [CurvePoint(level=level, bpp=bpp, value=_agree(labels, reference) / n, n=n)
+                     for level, (bpp, labels) in zip(levels, per_level)]
+            for metric, reference in (("accuracy", truths), ("preservation", clean))}
 
 
 def eval_quality_curve(codec, val_set, levels, cfg: EvalConfig):
@@ -192,10 +175,9 @@ def eval_quality_curve(codec, val_set, levels, cfg: EvalConfig):
     imgs = [val_set.image(i) for i in range(n)]
     if len({im.shape for im in imgs}) > 1:  # one size is kept native; mixed sizes are cropped
         imgs = [_comp_crop(im, cfg.s_comp) for im in imgs]
-    px_total = sum(img.shape[1] * img.shape[2] for img in imgs)
     [per_level] = _per_level([codec], imgs, levels, _msssim)
-    return [CurvePoint(level=level, bpp=bits / px_total, value=float(np.mean(scores)), n=n)
-            for level, (bits, (scores,)) in zip(levels, per_level)]
+    return [CurvePoint(level=level, bpp=bpp, value=float(np.mean(scores)), n=n)
+            for level, (bpp, scores) in zip(levels, per_level)]
 
 
 def tradeoff_sweep(checkpoints: dict, classifier, val_set, levels, cfg: EvalConfig):
@@ -212,13 +194,14 @@ def tradeoff_sweep(checkpoints: dict, classifier, val_set, levels, cfg: EvalConf
     skipped = sorted(a for a in checkpoints if checkpoints[a] is None)
     crops, truths, clean = _references(val_set, classifier, cfg, "tradeoff_sweep")
     n = len(crops)
-    rows = []
     alphas = sorted(present)
-    for alpha, per_level in zip(alphas, _per_level([present[a] for a in alphas], crops, levels,
-                                                   _msssim, _labeler(classifier))):
-        for level, (bits, (scores, labels)) in zip(levels, per_level):
-            rows.append((alpha, level, bits / (n * cfg.s_comp * cfg.s_comp),
-                         float(np.mean(scores)), _agree(labels, clean) / n,
+    per_codec = _per_level([present[a] for a in alphas], crops, levels,
+                           lambda img, y: (_msssim(img, y), _label(y, classifier)))
+    rows = []
+    for alpha, per_level in zip(alphas, per_codec):
+        for level, (bpp, measured) in zip(levels, per_level):
+            scores, labels = zip(*measured)
+            rows.append((alpha, level, bpp, float(np.mean(scores)), _agree(labels, clean) / n,
                          _agree(labels, truths) / n))
     return rows, skipped
 
@@ -237,7 +220,7 @@ def ablate_layers(layer_sets, train_set, val_set, f_lossnet, classifier, train_c
         params, log, _ = trainer.train_codec(train_set, val_set, loss_cfg, train_cfg,
                                              lossnet=f_lossnet, layout=layout)
         train_logs[tag] = log
-        [per_level] = _per_level([params], crops, levels, _labeler(classifier))
-        for level, (_bits, (labels,)) in zip(levels, per_level):
-            rows.append((tag, level, _agree(labels, clean) / n))
+        [per_level] = _per_level([params], crops, levels, lambda _, y: _label(y, classifier))
+        rows += [(tag, level, _agree(labels, clean) / n)
+                 for level, (_, labels) in zip(levels, per_level)]
     return rows, train_logs

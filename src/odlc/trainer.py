@@ -22,14 +22,14 @@ import numpy as np
 from . import autodiff as ad
 from . import imageops, losses, parallel
 from .autodiff import Parameter, Tensor
-from .codec import (MAX_PADDED_PIXELS, CodecLayout, CodecParams, normalized_input,
+from .codec import (DOWNSAMPLE, MAX_SIDE, CodecLayout, CodecParams, normalized_input,
                     progressive_from_normalized, reconstruct_progressive)
 from .lossnet import ClassifierLayout, ClassifierParams, classify
 
 TRAIN_LOG_HEADER = ("step", "loss", "d_H", "d_C", "lr", "wall_time")
 VAL_LOG_HEADER = ("step", "val_loss", "val_msssim")
 VAL_PROBE_IMAGES = 16  # the val images each validation probe decodes
-_MAX_RESIZE_SIDE = math.isqrt(MAX_PADDED_PIXELS)  # the side of the largest image the codec takes
+GRAD_CLIP = 5.0  # the global gradient norm each codec step is clipped to
 
 
 class TrainError(ValueError):
@@ -54,24 +54,20 @@ class TrainConfig:
     seed: int = 0
     resize_side: int = 256
     crop_size: int = 224
-    grad_clip: float = 5.0
     val_interval: int = 200
     normalization: tuple | None = None  # ((mean r,g,b), (std r,g,b)); None = fit to data
 
     def __post_init__(self):
         if self.unroll_steps < 1:
             raise TrainError(f"unroll_steps must be >= 1, got {self.unroll_steps}")
-        if not 1 <= self.resize_side <= _MAX_RESIZE_SIDE:
-            raise TrainError(f"resize_side must be in 1..{_MAX_RESIZE_SIDE}, "
-                             f"got {self.resize_side}")
+        if not 1 <= self.resize_side <= MAX_SIDE:
+            raise TrainError(f"resize_side must be in 1..{MAX_SIDE}, got {self.resize_side}")
         if self.crop_size > self.resize_side:
             raise TrainError(f"crop {self.crop_size} exceeds resize side {self.resize_side}")
         if self.batch_size < 1 or self.epochs < 1:
             raise TrainError("batch_size and epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
-            raise TrainError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
         if self.crop_size < 1:
             raise TrainError(f"crop_size must be >= 1, got {self.crop_size}")
         if self.val_interval < 0:
@@ -122,7 +118,8 @@ def fit_normalization(dataset, cfg: TrainConfig, sample: int = 256) -> tuple:
 class Adam:
     """Bias-corrected Adam over Parameter objects (reads .grad in place),
     at Kingma & Ba's constants β1 = 0.9, β2 = 0.999, ε = 1e-8. Nothing is
-    written past a non-finite gradient or update: each raises, naming it."""
+    written past a non-finite gradient, update or updated value: each
+    raises, naming it."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -148,9 +145,10 @@ class Adam:
             v += (1.0 - self.beta2) * np.square(g)
             with np.errstate(over="ignore", invalid="ignore"):  # named below instead
                 update = (lr * m / (np.sqrt(v / bc2) + self.eps)).astype(p.value.dtype, copy=False)
+                np.subtract(p.value, update, out=update)
             if not np.isfinite(update).all():
                 raise TrainingDiverged(f"parameter {p.name} became non-finite by step {self.t}")
-            p.tensor.data -= update
+            p.value[...] = update
 
 
 def clip_global_norm(params: list, max_norm: float) -> float:
@@ -220,7 +218,9 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
               loss_cfg: losses.LossConfig, lossnet=None, rng=None):
     """Forward the progressive loop and build the averaged per-step loss,
     binarizing stochastically from ``rng`` when given (training) and
-    deterministically without it.
+    deterministically without it. The loss scores every pixel of
+    ``x01_padded``: `train_codec` hands it the crop padded to multiples of
+    DOWNSAMPLE (16), so the padding, which no decode shows, is scored too.
 
     Returns (loss tensor, info) where info carries the d_H / d_C component
     means over the iterations (nan when a component is not part of the
@@ -232,11 +232,10 @@ def step_loss(x01_padded: np.ndarray, iterations: int, params: CodecParams,
     recons = [xhat for xhat, _ in progressive_from_normalized(
         normalized_input(x01_padded, params), iterations, params, rng=rng)]
     x_taps = losses.reference_taps(x01_t, loss_cfg, lossnet)
-    inv = params.norm_std.astype(np.float32)
     terms = []
     dh_vals, dc_vals = [], []
     for recon in recons:
-        y01 = ad.channel_affine(recon, inv, params.norm_mean)  # denorm, unclamped
+        y01 = ad.channel_affine(recon, params.norm_std, params.norm_mean)  # denorm, unclamped
         term, d_h, d_c = losses.observer_distortion(x01_t, y01, loss_cfg, lossnet, x_taps)
         if d_h is not None:
             dh_vals.append(d_h.item())
@@ -299,8 +298,8 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
         if not np.isfinite(crop).all():
             raise TrainingDiverged(f"training image {i} has non-finite pixels at step "
                                    f"{len(log) + 1}")
-        loss, info = step_loss(imageops.pad_to_multiple(crop, 16), cfg.unroll_steps, params,
-                               loss_cfg, lossnet=lossnet, rng=_rng(cfg.seed, 3, epoch, i))
+        loss, info = step_loss(imageops.pad_to_multiple(crop, DOWNSAMPLE), cfg.unroll_steps,
+                               params, loss_cfg, lossnet=lossnet, rng=_rng(cfg.seed, 3, epoch, i))
         return loss, (info["d_h"], info["d_c"])
 
     def save(tag):
@@ -320,7 +319,7 @@ def train_codec(train_set, val_set, loss_cfg: losses.LossConfig, cfg: TrainConfi
             save(f"epoch{epoch + 1}")
 
     try:
-        _minibatch_adam(train_set, params, cfg, 0xB0, image_loss, cfg.grad_clip, on_step)
+        _minibatch_adam(train_set, params, cfg, 0xB0, image_loss, GRAD_CLIP, on_step)
     except TrainingDiverged as e:
         raise TrainingDiverged(f"{e}; last good checkpoint: {last_good}") if last_good else e
     if out_dir is not None:

@@ -646,6 +646,13 @@ class TestElementwise:
 
 
 class TestBackward:
+    def test_parameter_updates_land_in_the_buffer_it_was_handed(self):
+        buf = np.ones(3, dtype=np.float64)
+        p = ad.Parameter("p", buf)
+        p.value[...] -= 0.5
+        assert p.value is buf and p.value.dtype == np.float64
+        np.testing.assert_array_equal(buf, [0.5, 0.5, 0.5])
+
     def test_sum_gives_all_ones(self):
         p = ad.Parameter("p", np.random.default_rng(0).random((3, 4)))
         with ad.Tape() as tape:
@@ -655,7 +662,7 @@ class TestBackward:
 
     def test_mse_closed_form(self):
         rng = np.random.default_rng(1)
-        p = ad.Parameter("p", rng.random((4, 5)))
+        p = ad.Parameter("p", rng.random((4, 5), dtype=np.float32))
         target = ad.Tensor(rng.random((4, 5)).astype(np.float32))
         with ad.Tape() as tape:
             loss = ad.mean(ad.square(ad.sub(p.tensor, target)))

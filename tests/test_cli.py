@@ -32,7 +32,7 @@ _CLASSIFIER = {"--classifier": ("classifier", None, None)}
 _GRID = {"--grid": ("grid", None, "1,2,3,4")}
 _ITERS = {"--iters": ("iters", None, "1,2,3,4")}
 _CLASSIFIER_KEYS = {"batch_size", "crop_size", "epochs", "learning_rate", "resize_side"}
-_CODEC_KEYS = _CLASSIFIER_KEYS | {"grad_clip", "unroll_steps", "val_interval"}
+_CODEC_KEYS = _CLASSIFIER_KEYS | {"unroll_steps", "val_interval"}
 CLI_SURFACE = {
     "gen-data": ({"--out": ("out", None, None), "--split": ("split", None, "train"),
                   "--n": ("n", int, 2000), "--classes": ("classes", int, 10),
@@ -181,6 +181,18 @@ class TestConfigKeys:
         assert "'unroll_steps'" not in known and "'alpha'" not in known
         assert not (tmp_path / "c.ckpt").exists()
 
+    def test_train_codec_refuses_grad_clip_before_any_render(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the clip is trainer.GRAD_CLIP, not a config value
+        def no_render(*args):
+            raise AssertionError("an image was rendered")
+        monkeypatch.setattr(datasets.ShapesDataset, "image", no_render)
+        rc, err = self._run_with(tmp_path, capsys, "grad_clip = 5", "train-codec",
+                                 "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
+                                 "--out", str(tmp_path / "run"), "--seed", "0")
+        assert rc == 1 and "unknown config key 'grad_clip' for train-codec" in err
+        assert not (tmp_path / "run").exists()
+
     def test_train_codec_seed_comes_from_the_flag(self, tmp_path, capsys):
         rc, err = self._run_with(tmp_path, capsys, "seed = 9", "train-codec",
                                  "--data", "shapes:seed=1,split=train,n=4,classes=2,res=32",
@@ -199,7 +211,7 @@ class TestConfigKeys:
                                  "--out", str(tmp_path / "a.csv"), "--seed", "0")
         key = line.split(" = ")[0]
         assert rc == 1 and f"unknown config key '{key}' for ablate-layers" in err
-        assert "'grad_clip'" in err.split("known:")[1]
+        assert "'unroll_steps'" in err.split("known:")[1]
 
 
 class TestCliBasics:
@@ -560,6 +572,32 @@ class TestTrainAndEvalCli:
             f"odlc {argv[0]}: {argv[-1]} must be comma-separated iteration counts to measure, "
             f"each an int >= 1, got '1,x'\n")
         assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    @pytest.mark.parametrize("argv", [
+        ("train-classifier", "--data", "shapes:n=4,res=16", "--val-data", "shapes:bogus=1",
+         "--seed", "0"),
+        ("eval-quality", "--model", "m.ckpt", "--data", "shapes:bogus=1"),
+        ("eval-accuracy", "--model", "m.ckpt", "--classifier", "c.ckpt",
+         "--data", "shapes:bogus=1"),
+        ("sweep", "--models", "0=m.ckpt,1=m.ckpt", "--classifier", "c.ckpt",
+         "--data", "shapes:bogus=1"),
+        ("ablate-layers", "--sets", "1.1", "--lossnet", "c.ckpt", "--classifier", "c.ckpt",
+         "--seed", "0", "--data", "shapes:n=4,res=16", "--val-data", "shapes:bogus=1"),
+    ], ids=lambda argv: argv[0])
+    def test_bad_data_spec_exits_1_before_any_load_or_training(self, argv, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint was loaded or a training ran")
+        monkeypatch.setattr(checkpoint.ParamSet, "load", classmethod(refuse))
+        monkeypatch.setattr(trainer, "train_classifier", refuse)
+        monkeypatch.setattr(trainer, "train_codec", refuse)
+        monkeypatch.chdir(tmp_path)
+        rc = run(*argv, "--out", "out")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"odlc {argv[0]}: unknown shapes spec key 'bogus'; "
+            f"known: seed, split, n, classes, res\n")
+        assert os.listdir(tmp_path) == []
 
     def test_eval_accuracy_cli(self, tmp_path):
         model = tmp_path / "m.ckpt"

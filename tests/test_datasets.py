@@ -104,7 +104,10 @@ class TestGenerator:
             datasets.parse_spec(f"shapes:{key}={value}")
 
     def test_resolution_cap_is_the_side_of_the_codec_cap(self):
-        assert datasets._MAX_RESOLUTION ** 2 == codec.MAX_PADDED_PIXELS
+        assert codec.MAX_SIDE ** 2 == codec.MAX_PADDED_PIXELS
+        assert ShapesSpec(resolution=codec.MAX_SIDE).resolution == codec.MAX_SIDE
+        with pytest.raises(datasets.DatasetError, match=r"resolution must be in 1\.\.2048"):
+            ShapesSpec(resolution=codec.MAX_SIDE + 1)
 
 
 class TestResizeBilinear:

@@ -137,10 +137,10 @@ class TestEvalConfig:
             EvalConfig(s_comp=s_comp)
 
     def test_s_comp_cap_is_the_codec_and_dataset_side(self):
-        from odlc import codec, datasets
-        assert EvalConfig(s_comp=2048).s_comp == evaluation._MAX_S_COMP == 2048
-        assert evaluation._MAX_S_COMP ** 2 == codec.MAX_PADDED_PIXELS
-        assert evaluation._MAX_S_COMP == datasets._MAX_RESOLUTION
+        from odlc import codec
+        assert EvalConfig(s_comp=codec.MAX_SIDE).s_comp == codec.MAX_SIDE == 2048
+        with pytest.raises(evaluation.EvalError, match=f"in 1..{codec.MAX_SIDE}, got 2049"):
+            EvalConfig(s_comp=codec.MAX_SIDE + 1)
 
     def test_curve_point_bpp_positive(self):
         with pytest.raises(evaluation.EvalError, match="positive"):
@@ -233,6 +233,19 @@ class TestSweep:
         assert alphas == [0.0, 1.0]
         for r in rows:
             assert 0.0 <= r[4] <= 1.0 and 0.0 <= r[5] <= 1.0
+
+    def test_each_row_has_its_own_codecs_bitstream_bpp(self, classifier, balanced_images):
+        # two bottlenecks: a row given the other codec's bits, or the padded
+        # pixel count (24 px crops pad to 32), would show
+        from odlc.codec import compress
+        ds = Labeled(balanced_images[:3], [0, 0, 0])
+        cfg = EvalConfig(s_comp=24)
+        ckpts = {0.0: CodecParams(MICRO, seed=1),
+                 1.0: CodecParams(dataclasses.replace(MICRO, bottleneck=2), seed=1)}
+        rows, _ = evaluation.tradeoff_sweep(ckpts, classifier, ds, (1, 3), cfg)
+        crop = evaluation._comp_crop(balanced_images[0], cfg.s_comp)
+        assert [r[2] for r in rows] == [compress(crop, t, ckpts[a]).bpp for a, t, *_ in rows]
+        assert len({r[2] for r in rows}) == 4
 
     def test_needs_two_checkpoints(self, classifier, balanced_images):
         ds = Labeled(balanced_images, [0] * 10)

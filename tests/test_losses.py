@@ -303,9 +303,10 @@ class TestHumanDistortionPrecision:
 @pytest.fixture(scope="module")
 def toy_net():
     layout = ClassifierLayout(widths=(4, 6), classes=3, input_resolution=16)
-    drawn = ClassifierParams(layout, seed=5)
-    net = ClassifierParams(layout, arrays={p.name: p.value.astype(np.float64)
-                                           for p in drawn.parameters()})
+    net = ClassifierParams(layout, seed=5)
+    for p in net.parameters():
+        p.tensor.data = p.value.astype(np.float64)
+    net.dtype = np.float64
     net.freeze()
     return net
 
